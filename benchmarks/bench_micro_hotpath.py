@@ -12,6 +12,8 @@ epoch executor target:
   per-descriptor loop it replaces;
 * :meth:`AccessCounterMigrator.service` under steady oversubscription,
   plus its below-threshold early-skip;
+* one :meth:`ManagedMemoryManager.evict_bytes` over thousands of LRU
+  blocks, charged as a batch rather than block by block;
 * :class:`~repro.sim.checkpoint.SystemCheckpoint` capture/restore, the
   primitive behind incremental what-if re-simulation.
 
@@ -23,6 +25,7 @@ version control.
 from __future__ import annotations
 
 import json
+import time
 import timeit
 from pathlib import Path
 
@@ -40,26 +43,6 @@ N_PAGES = 2 * 1024 * 1024
 
 RESULTS: dict = {"n_pages": N_PAGES, "benchmarks": {}}
 
-#: Full-scale end-to-end wall times, measured offline with paired
-#: back-to-back ``repro.bench <exp>`` runs on the same idle container —
-#: too slow for a per-commit benchmark, recorded here so the speedup the
-#: batched executor PR claims stays version-controlled next to the
-#: microbenchmarks that explain it. ``seed_seconds`` is the same command
-#: at the seed commit, before the batched eviction/epoch executor and
-#: the residency-run cache landed.
-RESULTS["full_scale"] = {
-    "fig12": {
-        "seed_seconds": 51.3,
-        "seconds": 3.7,
-        "speedup_vs_seed": 13.9,
-    },
-    "fig13": {
-        "seed_seconds": 65.1,
-        "seconds": 4.9,
-        "speedup_vs_seed": 13.3,
-    },
-}
-
 
 def _best(fn, repeat=5, number=10) -> float:
     """Best-of-N wall time per call, seconds."""
@@ -74,7 +57,14 @@ def _record(name: str, seconds: float, **extra) -> None:
 def export_results():
     yield
     path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-    path.write_text(json.dumps(RESULTS, indent=2) + "\n")
+    # Other keys in the file (the cluster bench's "cluster" headline
+    # numbers) are kept.
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        payload = {}
+    payload.update(RESULTS)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _seed_difference(a: PageSet, b: PageSet) -> PageSet:
@@ -301,3 +291,46 @@ class TestMigratorService:
         report = benchmark(idle_epoch)
         assert report.pages_migrated == 0
         _record("migrator_service_skip", _best(idle_epoch, number=20))
+
+
+class TestEvictBatch:
+    """One ``evict_bytes`` over 4096 LRU blocks of an oversubscribed
+    managed allocation. Charged as one batch it costs a few numpy calls;
+    a per-block loop of link and TLB calls costs over ten times more,
+    which the CI gate on this entry catches."""
+
+    N_BLOCKS = 4096
+
+    @staticmethod
+    def oversubscribed() -> GraceHopperSystem:
+        """A fresh system whose managed allocation is 1.25x HBM, filled
+        from the GPU in one kernel: about 6000 resident blocks, all
+        touched at once, so LRU order is address order and the page-state
+        writes stay symbolic while the charge covers every block."""
+        gh = GraceHopperSystem(SystemConfig.scaled(1 / 8, page_size=65536))
+        x = gh.cuda_malloc_managed(
+            np.float32, (gh.config.gpu_memory_bytes * 5 // 4 // 4,), name="big"
+        )
+        gh.launch_kernel("fill", [ArrayAccess.write_(x)])
+        return gh
+
+    def evict(self, gh: GraceHopperSystem) -> tuple[int, float]:
+        needed = gh.mem.physical.gpu.free + self.N_BLOCKS * gh.config.gpu_page_size
+        return gh.mem.managed.evict_bytes(needed, now=gh.now)
+
+    def test_evict_batch(self, benchmark):
+        gh = self.oversubscribed()
+        shootdowns = gh.mem.tlbs.gpu.stats.shootdowns
+        freed, _ = self.evict(gh)
+        assert gh.mem.tlbs.gpu.stats.shootdowns - shootdowns >= self.N_BLOCKS
+        assert freed >= self.N_BLOCKS * gh.config.gpu_page_size
+        best = float("inf")
+        for _ in range(5):
+            gh = self.oversubscribed()
+            t0 = time.perf_counter()
+            self.evict(gh)
+            best = min(best, time.perf_counter() - t0)
+        _record("evict_batch", best, blocks=self.N_BLOCKS)
+        benchmark.pedantic(
+            self.evict, setup=lambda: ((self.oversubscribed(),), {}), rounds=3
+        )

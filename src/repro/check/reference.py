@@ -17,7 +17,9 @@ Exactness: counters and wire traffic are integers, so equality is exact
 by construction. Times are floats; the reference reproduces the
 production model's *batch-level* cost expressions in the same operation
 order (per-page naivety applies to state and integer bookkeeping), so
-time equality is also exact — asserted with ``==``, no tolerance.
+time equality — simulated time and the link's ``h2d_seconds`` /
+``d2h_seconds`` ledgers — is also exact: asserted with ``==``, no
+tolerance.
 
 The reference intentionally does not import the production ``PageSet``,
 ``Allocation``, ``MemoryPool``, counter, or wire-traffic code: the only
@@ -120,20 +122,26 @@ class _RefLink:
         self.config = config
         self.h2d_bytes = 0
         self.d2h_bytes = 0
+        self.h2d_seconds = 0.0
+        self.d2h_seconds = 0.0
         self.by_class: dict[str, int] = {}
 
-    def _account(self, nbytes: int, src: Processor, cls: str) -> None:
+    def _account(
+        self, nbytes: int, src: Processor, seconds: float, cls: str
+    ) -> None:
         if src is Processor.CPU:
             self.h2d_bytes += nbytes
+            self.h2d_seconds += seconds
         else:
             self.d2h_bytes += nbytes
+            self.d2h_seconds += seconds
         self.by_class[cls] = self.by_class.get(cls, 0) + nbytes
 
     def streaming_time(self, nbytes, src, dst) -> float:
         if nbytes <= 0:
             return 0.0
         t = nbytes / self.config.c2c_bandwidth(src, dst) + self.config.c2c_latency
-        self._account(nbytes, src, "dma")
+        self._account(nbytes, src, t, "dma")
         return t
 
     def remote_access_time(self, nbytes, accessor, *, efficiency=None) -> float:
@@ -147,7 +155,7 @@ class _RefLink:
         src = accessor.other
         bw = self.config.c2c_bandwidth(src, accessor) * eff
         t = nbytes / bw + self.config.c2c_latency
-        self._account(nbytes, src, "remote")
+        self._account(nbytes, src, t, "remote")
         return t
 
     def migration_time(self, nbytes, src, dst) -> float:
@@ -158,7 +166,7 @@ class _RefLink:
             * self.config.migration_bandwidth_fraction
         )
         t = nbytes / bw + self.config.c2c_latency
-        self._account(nbytes, src, "migration")
+        self._account(nbytes, src, t, "migration")
         return t
 
 
@@ -292,6 +300,8 @@ class ReferenceSystem:
             "link": {
                 "h2d_bytes": self.link.h2d_bytes,
                 "d2h_bytes": self.link.d2h_bytes,
+                "h2d_seconds": self.link.h2d_seconds,
+                "d2h_seconds": self.link.d2h_seconds,
                 **{
                     f"class_{cls}": n
                     for cls, n in sorted(self.link.by_class.items())
@@ -954,7 +964,7 @@ class SvmReferenceSystem(ReferenceSystem):
             self.gpu.release(nbytes)
             self.cpu.reserve(nbytes)
             t = cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
-            self.link._account(nbytes, Processor.GPU, "dma")
+            self.link._account(nbytes, Processor.GPU, t, "dma")
             seconds += t
             seconds += cfg.tlb_shootdown_cost + len(take) * 1e-9
             self._bump(
@@ -996,7 +1006,7 @@ class SvmReferenceSystem(ReferenceSystem):
                 self.cpu.release(nbytes)
                 self.gpu.reserve(nbytes)
                 t = cfg.svm_transfer_time(nbytes)
-                self.link._account(nbytes, Processor.CPU, "migration")
+                self.link._account(nbytes, Processor.CPU, t, "migration")
                 out.transfer_seconds += t
                 self._bump(
                     migration_h2d_bytes=nbytes,
@@ -1009,8 +1019,8 @@ class SvmReferenceSystem(ReferenceSystem):
                     cfg.svm_transfer_time(nbytes)
                     / cfg.eviction_bandwidth_fraction
                 )
-                self.link._account(nbytes, Processor.CPU, "migration")
-                self.link._account(nbytes, Processor.GPU, "dma")
+                self.link._account(nbytes, Processor.CPU, t_in, "migration")
+                self.link._account(nbytes, Processor.GPU, t_out, "dma")
                 out.transfer_seconds += t_in + t_out
                 self._bump(
                     migration_h2d_bytes=nbytes,
@@ -1046,7 +1056,7 @@ class SvmReferenceSystem(ReferenceSystem):
             self.gpu.release(nbytes)
             self.cpu.reserve(nbytes)
             t = cfg.svm_transfer_time(nbytes)
-            self.link._account(nbytes, Processor.GPU, "dma")
+            self.link._account(nbytes, Processor.GPU, t, "dma")
             out.transfer_seconds += t
             out.fault_seconds += cfg.tlb_shootdown_cost + n * 1e-9
             self._bump(
@@ -1095,7 +1105,7 @@ class SvmReferenceSystem(ReferenceSystem):
             # Page-granularity DMA over the link, not a coherent load.
             wire = self._per_page_wire(proc, rec) * len(pages)
             t = self.config.svm_transfer_time(wire)
-            self.link._account(wire, Processor.CPU, "remote")
+            self.link._account(wire, Processor.CPU, t, "remote")
             out.remote_bytes = wire
             out.remote_seconds = t
             self._bump(
@@ -1168,7 +1178,8 @@ def differential_replay(
     :func:`repro.profiling.trace.replay` on a fresh
     :class:`~repro.core.runtime.GraceHopperSystem`; the reference side
     through :class:`ReferenceSystem`. Equality is exact — integers for
-    counters and link traffic, identical-expression floats for time.
+    counters and link traffic, identical-expression floats for time and
+    for the link's per-direction seconds ledgers.
     """
     from ..core.runtime import GraceHopperSystem
     from ..profiling.trace import replay as production_replay
@@ -1183,6 +1194,8 @@ def differential_replay(
         "link": {
             "h2d_bytes": stats.h2d_bytes,
             "d2h_bytes": stats.d2h_bytes,
+            "h2d_seconds": stats.h2d_seconds,
+            "d2h_seconds": stats.d2h_seconds,
             **{
                 f"class_{cls}": stats.class_bytes(cls)
                 for cls in sorted(

@@ -16,7 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..sim.config import Processor, SystemConfig
+
+
+def _fold(start: float, steps: np.ndarray) -> float:
+    """``start`` plus each of ``steps`` in order, as repeated ``+=``."""
+    return float(np.add.accumulate(np.concatenate(([start], steps)))[-1])
 
 
 @dataclass
@@ -90,6 +97,38 @@ class NvlinkC2C:
         bw = self.config.c2c_bandwidth(src, dst)
         t = nbytes / bw + self.config.c2c_latency
         self._account(nbytes, src, t, "dma")
+        return t
+
+    def streaming_times(
+        self, nbytes: np.ndarray, src: Processor, dst: Processor
+    ) -> np.ndarray:
+        """:meth:`streaming_time` for each of ``nbytes`` (all positive),
+        charged in order; returns the per-transfer times.
+
+        Bit-identical to the per-transfer calls: the same elementwise
+        expression, and the seconds ledger folds the times left to right
+        with ``np.add.accumulate`` (never a pairwise sum), exactly as
+        repeated ``+=`` would.
+        """
+        t = nbytes / self.config.c2c_bandwidth(src, dst) + self.config.c2c_latency
+        total = int(nbytes.sum())
+        stats = self.stats
+        if src is Processor.CPU:
+            stats.h2d_bytes += total
+            stats.h2d_seconds = _fold(stats.h2d_seconds, t)
+            by, direction = stats.h2d_by_class, "h2d"
+        else:
+            stats.d2h_bytes += total
+            stats.d2h_seconds = _fold(stats.d2h_seconds, t)
+            by, direction = stats.d2h_by_class, "d2h"
+        by["dma"] = by.get("dma", 0) + total
+        if self.timeline is not None:
+            for n, ti in zip(nbytes.tolist(), t.tolist()):
+                self.timeline.complete(
+                    "c2c:dma", self.timeline.now(), ti,
+                    cat="fabric", track="fabric/c2c",
+                    bytes=n, direction=direction,
+                )
         return t
 
     def remote_access_time(

@@ -123,8 +123,6 @@ class ManagedMemoryManager:
         Returns ``(bytes_evicted, seconds)``. Eviction writes dirty blocks
         back over the D2H direction at a reduced streaming rate.
         """
-        freed = 0
-        seconds = 0.0
         if needed <= self.physical.gpu.free:
             return 0, 0.0
         target = needed - self.physical.gpu.free
@@ -149,25 +147,27 @@ class ManagedMemoryManager:
         )
         order = np.argsort(touch, kind="stable")
         blocks, counts, owner = blocks[order], counts[order], owner[order]
-        # The per-block loop evicts while the running total is still
+        # LRU eviction takes blocks while the running total is still
         # short of the target; every candidate frees > 0 bytes, so the
         # selection is the shortest prefix whose cumulative bytes reach it.
         nbytes_each = counts * self.config.system_page_size
         cum = np.cumsum(nbytes_each)
         n_sel = int(np.count_nonzero(cum - nbytes_each < target))
         blocks, counts, owner = blocks[:n_sel], counts[:n_sel], owner[:n_sel]
-        freed = int(cum[n_sel - 1]) if n_sel else 0
-        # Simulated time (and the link's float ledgers) must match the
-        # per-block loop bit for bit: floats are accumulated by the same
-        # per-block call sequence, in the same global LRU order. Only the
-        # page-state writes and integer accounting are batched per
-        # allocation below.
-        for i in range(n_sel):
-            t = self.link.streaming_time(
-                int(nbytes_each[i]), Processor.GPU, Processor.CPU
-            )
-            seconds += t / self.config.eviction_bandwidth_fraction
-            seconds += self.tlbs.gpu.shootdown(int(counts[i]))
+        freed = int(cum[n_sel - 1])
+        # Each block is one write-back plus one TLB shootdown, charged as
+        # a batch in global LRU order. Per-block costs use the per-call
+        # expressions elementwise, and every float sum is a left fold
+        # (np.add.accumulate), so ``seconds`` and the link's ledgers are
+        # bit-identical to charging the blocks one call at a time. The
+        # first candidate always counts toward the target, so n_sel >= 1.
+        t = self.link.streaming_times(
+            nbytes_each[:n_sel], Processor.GPU, Processor.CPU
+        )
+        steps = np.empty(2 * n_sel)
+        steps[0::2] = t / self.config.eviction_bandwidth_fraction
+        steps[1::2] = self.tlbs.gpu.shootdowns(counts)
+        seconds = float(np.add.accumulate(steps)[-1])
         for ai in np.unique(owner):
             alloc = allocs[ai]
             sel = blocks[owner == ai]

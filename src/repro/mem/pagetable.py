@@ -295,11 +295,24 @@ class Allocation:
         return self.pages_at(loc) == self.n_pages
 
     def split_counts(self, pages: PageSet) -> np.ndarray:
-        """Page counts of ``pages`` per :class:`Location` (len-4 array)."""
+        """Page counts of ``pages`` per :class:`Location` (an ``int64``
+        array indexed by ``Location``, one entry per member)."""
         if pages.covers_all(self.n_pages):
             return self._loc_counts.copy()
-        counts = np.bincount(pages.view(self.state), minlength=len(Location))
-        return counts.astype(np.int64)
+        # Count on the int8 view itself (np.bincount would widen it to
+        # intp first; so would comparing with a numpy int64, hence the
+        # Python ints). A location absent from the whole allocation is
+        # absent from ``pages``, and the last present one is what remains.
+        view = pages.view(self.state)
+        counts = np.zeros(len(Location), dtype=np.int64)
+        *scanned, rest = self._loc_counts.nonzero()[0].tolist()
+        left = view.size
+        for loc in scanned:
+            n = np.count_nonzero(view == loc)
+            counts[loc] = n
+            left -= n
+        counts[rest] = left
+        return counts
 
     def _residency_runs(self) -> tuple:
         """``(starts, stops, values)`` of ``state``'s maximal constant
@@ -369,8 +382,19 @@ class Allocation:
         return prev
 
     def touch_blocks(self, pages: PageSet, now: float) -> None:
-        blocks = pages.blocks(self.block_pages)
-        self.block_last_touch[blocks] = now
+        """Stamp ``now`` on every 2 MB block ``pages`` touches."""
+        if not pages:
+            return
+        bp = self.block_pages
+        if pages.index is not None or pages.step > bp:
+            # Writing one value is idempotent, so repeated block ids need
+            # no np.unique sort.
+            self.block_last_touch[pages.indices() // bp] = now
+            return
+        # Ranges, interval lists and strided sets with step <= bp (no
+        # block skipped between elements): one slice per run.
+        for lo, hi in pages.runs or ((pages.start, pages.stop),):
+            self.block_last_touch[lo // bp : (hi - 1) // bp + 1] = now
 
     def _block_histogram(self, pages: PageSet) -> np.ndarray:
         """Per-2 MB-block page counts of ``pages`` (length ``n_blocks``).

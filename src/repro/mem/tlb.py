@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..sim.config import Processor, SystemConfig
 
 
@@ -50,6 +52,13 @@ class Tlb:
         """
         self.stats.shootdowns += 1
         self.stats.shootdown_pages += n_pages
+        return self.config.tlb_shootdown_cost + n_pages * 1e-9
+
+    def shootdowns(self, n_pages: np.ndarray) -> np.ndarray:
+        """:meth:`shootdown` once per entry of ``n_pages``; returns the
+        per-operation costs."""
+        self.stats.shootdowns += int(n_pages.size)
+        self.stats.shootdown_pages += int(n_pages.sum())
         return self.config.tlb_shootdown_cost + n_pages * 1e-9
 
 

@@ -7,7 +7,8 @@ must agree exactly. Unlike the single-op tests in
 representation transitions (range -> runs -> strided -> indices), the
 interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
-on.
+on. The residency helpers built on it (``Allocation.split_counts`` and
+``Allocation.touch_blocks``) are checked against the same oracles.
 """
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.pageset import MAX_SYMBOLIC_RUNS, PageSet
+from repro.mem.pagetable import Allocation, AllocKind
+from repro.sim.config import Location, SystemConfig
 
 MAX_PAGE = 1 << 12
 
@@ -148,3 +151,94 @@ def test_overflowed_union_degrades_without_data_loss():
         ref = ref | {lo}
     assert oracle(ps) == ref
     assert ps.count == len(ref)
+
+
+# -- residency helpers over every representation ---------------------------
+
+
+def _spaced_runs(t):
+    n_runs, width, gap, offset = t
+    stride = width + gap
+    return PageSet.from_runs(
+        [(offset + i * stride, offset + i * stride + width) for i in range(n_runs)]
+    )
+
+
+#: Sets past the symbolic-run cap: spaced runs and scattered pages, both
+#: stored as index arrays.
+overflow_sets = st.one_of(
+    st.tuples(
+        st.integers(MAX_SYMBOLIC_RUNS + 1, 2 * MAX_SYMBOLIC_RUNS),
+        st.integers(1, 4),
+        st.integers(1, 6),
+        st.integers(0, 64),
+    ).map(_spaced_runs),
+    st.lists(
+        st.integers(0, MAX_PAGE - 1), min_size=3 * MAX_SYMBOLIC_RUNS,
+        max_size=6 * MAX_SYMBOLIC_RUNS,
+    ).map(PageSet.of),
+)
+#: Page numbers on or next to a 2 MB block edge (32 or 512 pages),
+#: where off-by-one block arithmetic shows.
+block_edges = st.builds(
+    lambda g, k, d: min(max(g * k + d, 0), MAX_PAGE),
+    st.sampled_from([32, 512]),
+    st.integers(0, MAX_PAGE // 32),
+    st.integers(-1, 1),
+)
+edge_sets = st.one_of(
+    st.tuples(block_edges, block_edges).map(
+        lambda t: PageSet.range(min(t), max(t))
+    ),
+    st.lists(block_edges, min_size=2, max_size=12, unique=True).map(_runs),
+    st.tuples(
+        block_edges,
+        st.integers(0, MAX_PAGE // 2),
+        st.sampled_from([2, 31, 32, 33, 511, 512, 513]),
+    ).map(lambda t: PageSet.strided(t[0], t[0] + t[1], t[2])),
+)
+residency_sets = st.one_of(leaf_sets, overflow_sets, edge_sets)
+
+
+@st.composite
+def residency(draw):
+    """A managed allocation of ``MAX_PAGE`` pages whose int8 ``state``
+    holds every :class:`Location`, set through ``set_location`` so the
+    incremental tallies stay consistent."""
+    page_size = draw(st.sampled_from([4096, 65536]))
+    chunk = draw(st.sampled_from([1, 7, 300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, len(Location), -(-MAX_PAGE // chunk))
+    state = np.repeat(values, chunk)[:MAX_PAGE].astype(np.int8)
+    state[rng.choice(MAX_PAGE, len(Location), replace=False)] = np.arange(
+        len(Location)
+    )
+    alloc = Allocation(
+        AllocKind.MANAGED, MAX_PAGE * page_size,
+        SystemConfig(system_page_size=page_size),
+    )
+    for loc in list(Location)[1:]:
+        alloc.set_location(PageSet.from_mask(state == loc), loc)
+    assert np.array_equal(alloc.state, state)
+    return alloc
+
+
+@given(residency(), residency_sets)
+def test_split_counts_match_bincount(alloc, ps):
+    ps = ps.clip(alloc.n_pages)
+    want = np.bincount(alloc.state[ps.indices()], minlength=len(Location))
+    got = alloc.split_counts(ps)
+    assert got.dtype == np.int64
+    assert got.tolist() == want.tolist()
+
+
+@given(residency(), residency_sets)
+def test_touch_blocks_writes_exactly_the_touched_blocks(alloc, ps):
+    ps = ps.clip(alloc.n_pages)
+    alloc.block_last_touch[:] = -1.0
+    alloc.touch_blocks(ps, 5.0)
+    touched = np.flatnonzero(alloc.block_last_touch == 5.0).tolist()
+    assert touched == oracle_blocks(oracle(ps), alloc.block_pages)
+    assert np.count_nonzero(alloc.block_last_touch == -1.0) == (
+        alloc.n_blocks - len(touched)
+    )

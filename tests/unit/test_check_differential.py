@@ -4,7 +4,8 @@ Each test records a trace from a live system, then replays it through
 both :func:`repro.profiling.trace.replay` (the production batched path)
 and :class:`repro.check.ReferenceSystem` (a deliberately naive per-page
 executor) and requires *exact* equality of every hardware counter, the
-per-class link ledgers, and the accumulated replay time.
+link's per-class bytes and per-direction seconds, and the accumulated
+replay time.
 """
 
 import numpy as np
@@ -87,7 +88,12 @@ def test_managed_oversubscription_evictions_conform():
             gh.launch_kernel("k", [ArrayAccess.read(a), ArrayAccess.write_(b)])
             gh.cpu_phase("mix", [ArrayAccess.read(a)])
 
-    assert_conformant(record(wl, SMALL), SMALL)
+    report = assert_conformant(record(wl, SMALL), SMALL)
+    # Eviction charges the link in batches: its float ledgers, not just
+    # its bytes, are compared exactly.
+    assert report.production["counters"]["pages_evicted"] > 0
+    assert report.production["link"]["d2h_seconds"] > 0
+    assert "d2h_seconds" in report.reference["link"]
 
 
 def test_system_oversubscription_migration_conforms():

@@ -1,5 +1,6 @@
 """Unit tests for the CUDA managed memory manager."""
 
+import numpy as np
 import pytest
 
 from repro.mem.coherence import AccessShape, CoherenceFabric
@@ -11,7 +12,8 @@ from repro.mem.physical import PhysicalMemory
 from repro.mem.tlb import TlbHierarchy
 from repro.interconnect.nvlink import NvlinkC2C
 from repro.profiling.counters import HardwareCounters
-from repro.sim.config import Location, MiB, SystemConfig
+from repro.profiling.timeline import Timeline
+from repro.sim.config import Location, MiB, Processor, SystemConfig
 
 
 def make_manager(cfg):
@@ -186,3 +188,128 @@ class TestStreamingThrash:
             )
             times[page] = out.transfer_seconds
         assert times[65536] > 1.5 * times[4096]
+
+
+def per_block_evict(mgr, needed, now):
+    """The per-block eviction loop that batched charging replaced: one
+    ``streaming_time`` call and one TLB shootdown per block, in global
+    LRU order. The oracle for ``evict_bytes``."""
+    page = mgr.config.system_page_size
+    if needed <= mgr.physical.gpu.free:
+        return 0, 0.0
+    target = needed - mgr.physical.gpu.free
+    allocs = [a for a in mgr.allocations.values() if a.pages_at(Location.GPU)]
+    if not allocs:
+        return 0, 0.0
+    per_alloc_blocks = [a.lru_gpu_blocks() for a in allocs]
+    blocks = np.concatenate(per_alloc_blocks)
+    touch = np.concatenate(
+        [a.block_last_touch[b] for a, b in zip(allocs, per_alloc_blocks)]
+    )
+    counts = np.concatenate(
+        [a._gpu_block_counts[b] for a, b in zip(allocs, per_alloc_blocks)]
+    )
+    owner = np.repeat(np.arange(len(allocs)), [b.size for b in per_alloc_blocks])
+    order = np.argsort(touch, kind="stable")
+    blocks, counts, owner = blocks[order], counts[order], owner[order]
+    nbytes_each = counts * page
+    cum = np.cumsum(nbytes_each)
+    n_sel = int(np.count_nonzero(cum - nbytes_each < target))
+    blocks, counts, owner = blocks[:n_sel], counts[:n_sel], owner[:n_sel]
+    freed = int(cum[n_sel - 1]) if n_sel else 0
+    seconds = 0.0
+    for i in range(n_sel):
+        t = mgr.link.streaming_time(
+            int(nbytes_each[i]), Processor.GPU, Processor.CPU
+        )
+        seconds += t / mgr.config.eviction_bandwidth_fraction
+        seconds += mgr.tlbs.gpu.shootdown(int(counts[i]))
+    for ai in np.unique(owner):
+        alloc = allocs[ai]
+        sel = blocks[owner == ai]
+        gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
+        nbytes = gpu_pages.count * page
+        alloc.set_location(gpu_pages, Location.CPU)
+        mgr.physical.gpu.release(nbytes, tag=mgr._tag(alloc))
+        mgr.physical.cpu.reserve(nbytes, tag=mgr._tag(alloc))
+        alloc.stats.pages_evicted += gpu_pages.count
+        mgr.counters.bump(
+            eviction_bytes=nbytes,
+            migration_d2h_bytes=nbytes,
+            pages_evicted=gpu_pages.count,
+            pages_migrated_d2h=gpu_pages.count,
+            tlb_shootdowns=int(sel.size),
+        )
+    if mgr.timeline is not None and freed:
+        mgr.timeline.complete(
+            "evict-batch", now, seconds, cat="mem", track="mem/eviction",
+            bytes=freed,
+        )
+    return freed, seconds
+
+
+class TestBatchedEviction:
+    """``evict_bytes`` charges its LRU prefix as one batch; every number
+    it produces must equal the per-block loop's, floats bit for bit."""
+
+    @staticmethod
+    def oversubscribed(timeline: bool):
+        """Two GPU-resident managed allocations (about 1480 blocks) with
+        ragged per-block residency and interleaved, partly tied LRU touch
+        times; the link's seconds ledgers start non-zero."""
+        cfg = SystemConfig.scaled(1 / 32, page_size=65536)
+        mgr, phys, _ = make_manager(cfg)
+        if timeline:
+            mgr.timeline = mgr.link.timeline = Timeline(time_fn=lambda: 0.25)
+        rng = np.random.default_rng(2024)
+        allocs = []
+        for nbytes in (1500 * MiB + 3 * cfg.system_page_size, 1400 * MiB):
+            alloc = managed_alloc(cfg, mgr, nbytes=nbytes)
+            mgr.gpu_access(
+                alloc, PageSet.full(alloc.n_pages), full_shape(cfg),
+                write=True, now=0.0,
+            )
+            back = PageSet.of(
+                rng.choice(alloc.n_pages, alloc.n_pages // 10, replace=False)
+            )
+            back_bytes = back.count * cfg.system_page_size
+            alloc.set_location(back, Location.CPU)
+            phys.gpu.release(back_bytes, tag=mgr._tag(alloc))
+            phys.cpu.reserve(back_bytes, tag=mgr._tag(alloc))
+            alloc.block_last_touch[:] = rng.integers(0, 400, alloc.n_blocks) / 7
+            allocs.append(alloc)
+        mgr.link.streaming_time(12345, Processor.GPU, Processor.CPU)
+        mgr.link.streaming_time(67890, Processor.CPU, Processor.GPU)
+        return mgr, allocs
+
+    def evict_both(self, timeline: bool):
+        """The same eviction through ``evict_bytes`` and the oracle."""
+        mgr, allocs = self.oversubscribed(timeline)
+        ref, ref_allocs = self.oversubscribed(timeline)
+        needed = mgr.physical.gpu.free + 2000 * MiB
+        got = mgr.evict_bytes(needed, now=3.0)
+        want = per_block_evict(ref, needed, now=3.0)
+        assert ref.tlbs.gpu.stats.shootdowns >= 1000
+        assert got == want and type(got[1]) is float
+        for a, b in zip(allocs, ref_allocs):
+            assert np.array_equal(a.state, b.state)
+        return mgr, ref
+
+    def test_matches_per_block_loop(self):
+        mgr, ref = self.evict_both(timeline=False)
+        assert mgr.link.stats == ref.link.stats
+        assert mgr.tlbs.gpu.stats == ref.tlbs.gpu.stats
+        assert mgr.counters.total.as_dict() == ref.counters.total.as_dict()
+
+    def test_timeline_spans_match_per_block_loop(self):
+        mgr, ref = self.evict_both(timeline=True)
+
+        def spans(m):
+            return [
+                (ev.name, ev.ts, ev.dur, ev.args)
+                for ev in m.timeline.events("X", track="fabric/c2c")
+            ]
+
+        assert len(spans(ref)) >= 1000
+        assert spans(mgr) == spans(ref)
+        assert len(mgr.timeline.events()) == len(ref.timeline.events())

@@ -94,6 +94,17 @@ class TestAllocation:
         order = list(a.lru_gpu_blocks())
         assert order.index(3) < order.index(0) < order.index(2) < order.index(1)
 
+    @pytest.mark.parametrize("step_delta", [-1, 0, 1])
+    def test_touch_blocks_strided_around_block_size(self, cfg, step_delta):
+        # A stride one past the block size skips a block now and then; one
+        # short of it never does. Either way only touched blocks move.
+        a = make_alloc(cfg, nbytes=64 * 2 * 1024 * 1024, kind=AllocKind.MANAGED)
+        bp = a.block_pages
+        pages = PageSet.strided(bp - 1, a.n_pages, bp + step_delta)
+        a.touch_blocks(pages, now=1.0)
+        want = sorted({int(p) // bp for p in pages.indices()})
+        assert np.flatnonzero(a.block_last_touch == 1.0).tolist() == want
+
     def test_block_pageset_clips_to_allocation(self, cfg):
         a = make_alloc(cfg, nbytes=3 * 1024 * 1024)  # 1.5 blocks
         pages = a.block_pageset(np.array([1], dtype=np.int64))
