@@ -14,6 +14,8 @@ epoch executor target:
   plus its below-threshold early-skip;
 * one :meth:`ManagedMemoryManager.evict_bytes` over thousands of LRU
   blocks, charged as a batch rather than block by block;
+* :meth:`PageSet.of` on a sorted needle wave and on unsorted BFS gathers,
+  head to head against the numpy ``unique`` construction it replaced;
 * :class:`~repro.sim.checkpoint.SystemCheckpoint` capture/restore, the
   primitive behind incremental what-if re-simulation.
 
@@ -141,6 +143,68 @@ class TestPageSetAlgebra:
             "from_mask_chunky",
             _best(lambda: PageSet.from_mask(state == 1), number=10),
         )
+
+
+def _unique_of(ids: np.ndarray) -> PageSet:
+    """The seed construction of :meth:`PageSet.of`: numpy's ``unique``
+    (a hash table on numpy >= 2.3, a sort before), then the same
+    re-symbolisation. Kept inline as the baseline."""
+    return PageSet._from_sorted(np.unique(np.asarray(ids, dtype=np.int64)))
+
+
+class TestPageSetOf:
+    """:meth:`PageSet.of` on the page-id shapes the Rodinia apps build."""
+
+    @staticmethod
+    def needle_wave() -> np.ndarray:
+        """The largest wave of full-scale needle: the first and last 64 KB
+        page of each block row segment in 32768 rows of a 32769-column
+        ``int32`` matrix, in row order. 65536 sorted ids."""
+        cols, block, d = 32769, 256, 127
+        r = np.arange(128 * block, dtype=np.int64)
+        c0 = (d - r // block) * block
+        pairs = np.stack((r * cols + c0, r * cols + c0 + block - 1), axis=1)
+        return pairs.ravel() * 4 // 65536
+
+    @staticmethod
+    def bfs_gather() -> np.ndarray:
+        """One full-scale BFS level gather: 2^20 random edge indices into
+        96M ``int64`` edges, as 64 KB page ids. Unsorted, mostly
+        duplicates."""
+        rng = np.random.default_rng(5)
+        return rng.integers(0, 96_000_000, size=1 << 20) * 8 // 65536
+
+    def test_sorted_wave_speedup_vs_seed(self, benchmark):
+        ids = self.needle_wave()
+        assert np.array_equal(PageSet.of(ids).indices(), _unique_of(ids).indices())
+        new_t = _best(lambda: PageSet.of(ids), number=50)
+        seed_t = _best(lambda: _unique_of(ids), number=5)
+        speedup = seed_t / new_t
+        _record(
+            "pageset_of_sorted",
+            new_t,
+            ids=ids.size,
+            seed_seconds=seed_t,
+            speedup_vs_seed=round(speedup, 1),
+        )
+        benchmark(lambda: PageSet.of(ids))
+        # Sorted input skips the sort, so this holds whatever numpy's
+        # unique does inside.
+        assert speedup >= 2.0, f"only {speedup:.1f}x over the seed"
+
+    def test_unsorted_gather(self, benchmark):
+        ids = self.bfs_gather()
+        assert np.array_equal(PageSet.of(ids).indices(), _unique_of(ids).indices())
+        new_t = _best(lambda: PageSet.of(ids), repeat=3, number=3)
+        seed_t = _best(lambda: _unique_of(ids), repeat=3, number=3)
+        _record(
+            "pageset_of_unsorted",
+            new_t,
+            ids=ids.size,
+            seed_seconds=seed_t,
+            speedup_vs_seed=round(seed_t / new_t, 1),
+        )
+        benchmark(lambda: PageSet.of(ids))
 
 
 class TestSubsystemDispatch:

@@ -120,20 +120,20 @@ class Needle(Application):
         Each block covers a short row segment (``block * 4`` bytes) in each
         of its rows, so it touches one or two pages per row, scattered
         across distant rows — the irregular signature of needle.
+
+        The wave's blocks sit on consecutive block rows, so its rows form
+        one range, and row ``r`` falls in block column ``d - r // block``.
+        Each row's first and last page are emitted as a pair, row by row;
+        the matrix is row-major, so the pairs are non-decreasing and
+        :meth:`PageSet.of` skips its sort.
         """
-        i = np.arange(max(0, d - nblocks + 1), min(nblocks, d + 1))
-        j = d - i
+        lo, hi = max(0, d - nblocks + 1), min(nblocks, d + 1)
         cols = self.n + 1
-        chunks = []
-        for bi, bj in zip(i.tolist(), j.tolist()):
-            r0, r1 = bi * self.block, min((bi + 1) * self.block, cols)
-            c0, c1 = bj * self.block, min((bj + 1) * self.block, cols)
-            r = np.arange(r0, r1, dtype=np.int64)
-            first = (r * cols + c0) * 4 // arr.page_size
-            last = (r * cols + (c1 - 1)) * 4 // arr.page_size
-            chunks.append(first)
-            chunks.append(last)
-        pages = np.unique(np.concatenate(chunks))
+        r = np.arange(lo * self.block, min(hi * self.block, cols), dtype=np.int64)
+        c0 = (d - r // self.block) * self.block
+        c1 = np.minimum(c0 + self.block, cols)
+        pairs = np.stack((r * cols + c0, r * cols + c1 - 1), axis=1)
+        pages = pairs.ravel() * 4 // arr.page_size
         return PageSet.of(pages[pages < arr.n_pages])
 
     def compute(self, gh: GraceHopperSystem, mode: MemoryMode, result: AppResult):

@@ -505,8 +505,12 @@ def run_experiments_parallel(
         except KeyboardInterrupt:
             for fut in futures:
                 fut.cancel()
+            # SIGKILL, not SIGTERM: a worker forked under a Python SIGTERM
+            # handler (``_sigterm_as_interrupt`` installs one) can drop a
+            # SIGTERM that lands before it has finished starting, and the
+            # executor would then join it forever at interpreter exit.
             for proc in (getattr(pool, "_processes", None) or {}).values():
-                proc.terminate()
+                proc.kill()
             pool.shutdown(wait=False, cancel_futures=True)
             raise ExperimentInterrupted(dict(results)) from None
 

@@ -43,6 +43,9 @@ Invariants enforced
 5. **Page-table coherence** — no freed or mis-kinded allocation is
    registered, managed allocations appear in both tables and in the
    managed manager, device allocations are fully GPU-resident.
+6. **Access-counter bound** — each allocation's ``counters.peak`` is at
+   least its largest per-page count, since ``crossed`` skips its scan on
+   that bound.
 """
 
 from __future__ import annotations
@@ -255,6 +258,17 @@ class MemSanitizer:
                 details={
                     "recount_sum": int(fresh_blocks.sum()),
                     "incremental_sum": int(alloc._gpu_block_counts.sum()),
+                },
+            )
+        counters = alloc.counters
+        if counters.extra is not None and counters.extra.max() > counters.peak:
+            self._fail(
+                "counter-peak",
+                "access-counter peak bound fell below a per-page count",
+                alloc=alloc,
+                details={
+                    "peak": counters.peak,
+                    "max_extra": int(counters.extra.max()),
                 },
             )
         self._check_remote_map(alloc)

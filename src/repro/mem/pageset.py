@@ -76,8 +76,15 @@ class PageSet:
 
     @staticmethod
     def of(indices: np.ndarray | list[int]) -> "PageSet":
-        """Build from arbitrary indices (sorted and deduplicated here)."""
-        idx = np.unique(np.asarray(indices, dtype=np.int64))
+        """Build from arbitrary indices (sorted and deduplicated here).
+
+        Input that is already non-decreasing (a linear scan) skips the
+        sort; the result never aliases the caller's array.
+        """
+        idx = np.ravel(np.asarray(indices, dtype=np.int64))
+        if np.any(idx[1:] < idx[:-1]):
+            idx = np.sort(idx)
+        idx = _dedup_sorted(idx)
         if idx.size == 0:
             return PageSet.empty()
         if idx[0] < 0:
@@ -495,8 +502,10 @@ class PageSet:
             lo = self.start // g
             hi = (self.stop - 1) // g
             return np.arange(lo, hi + 1, dtype=np.int64)
+        # The block ids below come out non-decreasing: runs and indices
+        # are sorted, and floor division keeps that order.
         if self.runs is not None:
-            return np.unique(
+            return _dedup_sorted(
                 np.concatenate(
                     [
                         np.arange(lo // g, (hi - 1) // g + 1, dtype=np.int64)
@@ -508,7 +517,7 @@ class PageSet:
             return np.arange(
                 self.start // g, (self.stop - 1) // g + 1, dtype=np.int64
             )
-        return np.unique(self.indices() // g)
+        return _dedup_sorted(self.indices() // g)
 
     def clip(self, n_pages: int) -> "PageSet":
         """Restrict to valid page numbers of an ``n_pages`` allocation."""
@@ -527,6 +536,19 @@ class PageSet:
                 f"[{self.start}, {self.stop}))"
             )
         return f"PageSet({self.count} pages in [{self.start}, {self.stop}))"
+
+
+def _dedup_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a non-decreasing array, as a new array.
+
+    Keeps the first element and every element that differs from the one
+    before it: O(n). numpy's ``unique`` would sort again, or on numpy >=
+    2.3 hash, which is many times slower on the page-id arrays built here.
+    """
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _mask_to_bounds(

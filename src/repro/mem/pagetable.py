@@ -95,18 +95,29 @@ class AccessCounters:
     common case, so counts are stored as a scalar ``base`` applied to every
     page plus an optional per-page ``extra`` array that is only
     materialised by non-uniform accesses.
+
+    ``peak`` is an upper bound on ``extra``: a partial add raises it by the
+    amount added, a reset leaves it valid (no count is below the zero a
+    reset writes), and a :meth:`crossed` query over every page sets it to
+    the exact maximum. While ``base + peak`` is below the threshold,
+    :meth:`crossed` answers without reading ``extra``. The migrator asks
+    once per kernel epoch, and under irregular access (needle and bfs at
+    4 KB pages) it asks about 1-2M pages whose counters sit far below the
+    threshold.
     """
 
-    __slots__ = ("n_pages", "base", "extra")
+    __slots__ = ("n_pages", "base", "extra", "peak")
 
     def __init__(self, n_pages: int):
         self.n_pages = n_pages
         self.base: int = 0
         self.extra: np.ndarray | None = None
+        self.peak: int = 0
 
     def _materialise(self) -> np.ndarray:
         if self.extra is None:
             self.extra = np.zeros(self.n_pages, dtype=np.int64)
+            self.peak = 0
         return self.extra
 
     def add(self, pages: PageSet, amount: int) -> None:
@@ -116,6 +127,7 @@ class AccessCounters:
             self.base += int(amount)
         else:
             pages.add_at(self._materialise(), int(amount))
+            self.peak += int(amount)
 
     def value(self, page: int) -> int:
         extra = 0 if self.extra is None else int(self.extra[page])
@@ -129,7 +141,15 @@ class AccessCounters:
             return candidates if self.base >= threshold else PageSet.empty()
         # extra may hold negative entries (post-reset corrections), so the
         # full per-page value base + extra must be compared.
-        mask = candidates.view(self.extra) >= threshold - self.base
+        floor = threshold - self.base
+        if self.peak < floor:
+            return PageSet.empty()
+        values = candidates.view(self.extra)
+        if candidates.covers_all(self.n_pages):
+            self.peak = int(values.max())
+            if self.peak < floor:
+                return PageSet.empty()
+        mask = values >= floor
         if not mask.any():
             return PageSet.empty()
         if mask.all():

@@ -26,6 +26,7 @@ import importlib
 import multiprocessing
 import os
 import queue as stdlib_queue
+import signal
 import time
 import warnings
 
@@ -84,7 +85,16 @@ def default_job_runner(exp_id: str, kwargs: dict) -> dict:
 
 
 def _worker_main(conn, runner_spec: str, sanitize: bool = False) -> None:
-    """Child-side loop: recv ``(exp_id, kwargs)``, send a reply dict."""
+    """Child-side loop: recv ``(exp_id, kwargs)``, send a reply dict.
+
+    The loop also ends once the parent is gone. A forked child holds the
+    parent's end of its own pipe and of its siblings' pipes, so EOF never
+    arrives; the child watches its parent pid instead. It also inherits
+    the parent's signal handlers, and an asyncio SIGTERM handler would
+    swallow SIGTERM, so SIGTERM is reset to its default.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
     if sanitize:
         # Pin the parent's sanitize decision in the child explicitly, so
         # a pool created under REPRO_SANITIZE=1 keeps checking even if
@@ -93,6 +103,10 @@ def _worker_main(conn, runner_spec: str, sanitize: bool = False) -> None:
     runner = _resolve_runner(runner_spec)
     while True:
         try:
+            if not conn.poll(0.5):
+                if os.getppid() != parent:
+                    break
+                continue
             msg = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break

@@ -44,7 +44,7 @@ import numpy as np
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 1
+CKPT_SCHEMA = 2
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -73,6 +73,7 @@ class _AllocState:
     block_last_touch: np.ndarray
     counters_base: int
     counters_extra: np.ndarray | None
+    counters_peak: int
     stats: object
     freed: bool
     oversubscription_pinned: bool
@@ -172,6 +173,7 @@ class SystemCheckpoint:
                 block_last_touch=alloc.block_last_touch.copy(),
                 counters_base=c.base,
                 counters_extra=None if c.extra is None else c.extra.copy(),
+                counters_peak=c.peak,
                 stats=dataclasses.replace(alloc.stats),
                 freed=alloc.freed,
                 oversubscription_pinned=alloc.oversubscription_pinned,
@@ -216,6 +218,7 @@ class SystemCheckpoint:
             alloc.counters.extra = (
                 None if st.counters_extra is None else st.counters_extra.copy()
             )
+            alloc.counters.peak = st.counters_peak
             alloc.stats = dataclasses.replace(st.stats)
             alloc.freed = st.freed
             alloc.oversubscription_pinned = st.oversubscription_pinned

@@ -26,6 +26,19 @@ ops = st.lists(
             st.just(0),
         ),
         st.tuples(st.just("reset_full"), st.just(None), st.just(0)),
+        st.tuples(
+            st.just("add_index"),
+            st.lists(st.integers(0, N_PAGES - 1), min_size=1, max_size=N_PAGES),
+            st.integers(1, 500),
+        ),
+        # A query between updates, with its own threshold: it can tighten
+        # the counters' peak bound, which later updates must keep sound.
+        st.tuples(
+            st.just("crossed_range"),
+            st.tuples(st.integers(0, N_PAGES), st.integers(0, N_PAGES)),
+            st.integers(1, 1000),
+        ),
+        st.tuples(st.just("crossed_full"), st.just(None), st.integers(1, 1000)),
     ),
     max_size=20,
 )
@@ -34,8 +47,16 @@ ops = st.lists(
 def to_pageset(spec):
     if spec is None:
         return PageSet.full(N_PAGES)
+    if isinstance(spec, list):
+        return PageSet.of(spec)
     lo, hi = min(spec), max(spec)
     return PageSet.range(lo, hi)
+
+
+def assert_crossed(lazy, dense, ps, threshold):
+    crossed = lazy.crossed(ps, threshold)
+    hot = dense[ps.indices()] >= threshold
+    assert set(crossed.indices().tolist()) == set(ps.indices()[hot].tolist())
 
 
 @given(ops, st.integers(1, 1000))
@@ -46,19 +67,19 @@ def test_counters_match_dense_reference(op_list, threshold):
         ps = to_pageset(spec)
         if kind.startswith("add"):
             lazy.add(ps, amount)
-            if ps.count:
-                dense[ps.start : ps.stop] += amount
-        else:
+            dense[ps.indices()] += amount
+        elif kind.startswith("reset"):
             lazy.reset(ps)
-            if ps.count:
-                dense[ps.start : ps.stop] = 0
+            dense[ps.indices()] = 0
+        else:
+            assert_crossed(lazy, dense, ps, amount)
+        if lazy.extra is not None:
+            assert lazy.peak >= lazy.extra.max()
 
     for page in range(0, N_PAGES, 7):
         assert lazy.value(page) == dense[page]
 
-    crossed = lazy.crossed(PageSet.full(N_PAGES), threshold)
-    expect = set(np.flatnonzero(dense >= threshold).tolist())
-    assert set(int(i) for i in crossed.indices()) == expect
+    assert_crossed(lazy, dense, PageSet.full(N_PAGES), threshold)
 
 
 @given(

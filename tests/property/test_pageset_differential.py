@@ -8,10 +8,12 @@ representation transitions (range -> runs -> strided -> indices), the
 interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
 on. The residency helpers built on it (``Allocation.split_counts`` and
-``Allocation.touch_blocks``) are checked against the same oracles.
+``Allocation.touch_blocks``) are checked against the same oracles, and
+``PageSet.of`` against the sort-and-unique construction it replaced.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,3 +244,63 @@ def test_touch_blocks_writes_exactly_the_touched_blocks(alloc, ps):
     assert np.count_nonzero(alloc.block_last_touch == -1.0) == (
         alloc.n_blocks - len(touched)
     )
+
+
+# -- PageSet.of against the sort-and-unique path it replaced ---------------
+
+
+def _unique_of(ids) -> PageSet:
+    """The previous construction: numpy's unique, then ``_from_sorted``."""
+    return PageSet._from_sorted(np.unique(np.asarray(ids, dtype=np.int64)))
+
+
+def _int64(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64)
+
+
+page_ids = st.lists(st.integers(0, MAX_PAGE - 1), max_size=6 * MAX_SYMBOLIC_RUNS)
+#: Unsorted, sorted with duplicates, strictly sorted, 2-D, and sets past
+#: the symbolic-run cap in sorted and shuffled order.
+id_arrays = st.one_of(
+    page_ids.map(_int64),
+    page_ids.map(sorted).map(_int64),
+    page_ids.map(lambda v: _int64(sorted(set(v)))),
+    page_ids.map(lambda v: _int64(v[: len(v) // 2 * 2]).reshape(-1, 2)),
+    overflow_sets.map(lambda ps: ps.indices().copy()),
+    st.tuples(overflow_sets, st.randoms(use_true_random=False)).map(
+        lambda t: _int64(t[1].sample(t[0].indices().tolist(), t[0].count))
+    ),
+)
+
+
+@given(id_arrays)
+def test_of_matches_unique_path_and_oracle(ids):
+    got = PageSet.of(ids)
+    assert oracle(got) == frozenset(ids.ravel().tolist())
+    want = _unique_of(ids)
+    assert (got.start, got.stop, got.runs, got.step) == (
+        want.start, want.stop, want.runs, want.step,
+    )
+    if want.index is None:
+        assert got.index is None
+    else:
+        assert got.index.dtype == np.int64
+        assert np.array_equal(got.index, want.index)
+
+
+@given(id_arrays)
+def test_of_does_not_alias_its_input(ids):
+    ps = PageSet.of(ids)
+    before = oracle(ps)
+    ids[...] = MAX_PAGE
+    assert oracle(ps) == before
+
+
+@given(id_arrays, st.integers(-MAX_PAGE, -1), st.booleans())
+def test_of_rejects_negative_ids(ids, negative, first):
+    """A negative id is refused whether it keeps the input sorted (first)
+    or forces the sort (last)."""
+    ids = ids.ravel()
+    ids = np.concatenate(([negative], ids) if first else (ids, [negative]))
+    with pytest.raises(ValueError, match="non-negative"):
+        PageSet.of(ids)

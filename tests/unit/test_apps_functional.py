@@ -8,16 +8,23 @@ reference implementation — the functional half of the reproduction.
 import numpy as np
 import pytest
 
-from repro.apps import application_names, applications_table, get_application
+from repro.apps import (
+    application_names,
+    applications_table,
+    get_application,
+    needle,
+)
 from repro.apps.bfs import bfs_reference, build_random_csr
 from repro.apps.hotspot import stencil_reference
 from repro.apps.needle import (
+    Needle,
     needleman_wunsch_antidiagonal,
     needleman_wunsch_reference,
 )
 from repro.apps.pathfinder import pathfinder_reference
 from repro.core.porting import MemoryMode
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.pageset import PageSet
 from repro.sim.config import SystemConfig
 
 SMALL = {
@@ -142,3 +149,55 @@ class TestPhaseProtocol:
         app = get_application("qiskit", qubits=5)
         result = app.run(fresh_system(), MemoryMode.SYSTEM, materialize=True)
         assert set(result.sub_phases) == {"initialization", "computation"}
+
+
+def _per_block_wave(app, arr, d: int, nblocks: int) -> PageSet:
+    """The per-block loop that built needle's waves before they were
+    vectorised, kept as the oracle."""
+    i = np.arange(max(0, d - nblocks + 1), min(nblocks, d + 1))
+    cols = app.n + 1
+    chunks = []
+    for bi, bj in zip(i.tolist(), (d - i).tolist()):
+        r0, r1 = bi * app.block, min((bi + 1) * app.block, cols)
+        c0, c1 = bj * app.block, min((bj + 1) * app.block, cols)
+        r = np.arange(r0, r1, dtype=np.int64)
+        chunks.append((r * cols + c0) * 4 // arr.page_size)
+        chunks.append((r * cols + (c1 - 1)) * 4 // arr.page_size)
+    pages = np.unique(np.concatenate(chunks))
+    return PageSet._from_sorted(pages[pages < arr.n_pages])
+
+
+class TestNeedleWaves:
+    @pytest.mark.parametrize("page_size", [4096, 65536])
+    @pytest.mark.parametrize("block", [24, 256])
+    @pytest.mark.parametrize("n", [8, 9, 17, 255, 256, 257, 513, 2048])
+    def test_every_wave_matches_per_block_loop(
+        self, n, block, page_size, monkeypatch
+    ):
+        app = Needle(scale=(n / Needle.PAPER_DIM) ** 2, block=block)
+        assert app.n == n
+        gh = GraceHopperSystem(SystemConfig.paper_gh200(page_size=page_size))
+        app.setup(gh, MemoryMode.SYSTEM, materialize=False)
+        arr = app.itemsets.gpu_target
+        seen = []
+
+        class Recorder:
+            @staticmethod
+            def of(pages):
+                seen.append(pages.copy())
+                return PageSet.of(pages)
+
+        monkeypatch.setattr(needle, "PageSet", Recorder)
+        nblocks = -(-n // app.block)
+        for d in range(2 * nblocks - 1):
+            got = app._diagonal_pages(arr, d, nblocks)
+            want = _per_block_wave(app, arr, d, nblocks)
+            assert (got.start, got.stop, got.runs, got.step) == (
+                want.start, want.stop, want.runs, want.step,
+            ), f"wave {d}"
+            assert (got.index is None) == (want.index is None)
+            if want.index is not None:
+                assert np.array_equal(got.index, want.index), f"wave {d}"
+        # Every wave reaches PageSet.of non-decreasing, so it skips the sort.
+        assert len(seen) == 2 * nblocks - 1
+        assert all(np.all(p[1:] >= p[:-1]) for p in seen)

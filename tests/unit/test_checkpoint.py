@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.pageset import PageSet
 from repro.sim.checkpoint import (
     CheckpointStore,
     CheckpointUnavailable,
@@ -59,6 +60,27 @@ class TestRoundTrip:
             gh.launch_kernel("mut", [ArrayAccess.write_(b)], flops=1e8)
             ck.restore(gh)
             assert SystemCheckpoint.capture(gh).fingerprint() == fp
+
+    def test_restore_carries_the_counter_peak(self):
+        """Counters restored into another system report the same hot
+        pages: their peak bound comes with them, so a bound from the
+        target's own history cannot hide them."""
+        gh = make_system()
+        a, _ = warm(gh)
+        a.alloc.counters.add(PageSet.range(0, 3), 1000)
+        ck = SystemCheckpoint.capture(gh)
+
+        target = make_system()
+        warm(target, iterations=0)
+        ck.restore(target)
+        (restored,) = [
+            x for x in target.mem.system_table.allocations.values()
+            if x.name == "ck.a"
+        ]
+        want = a.alloc.counters.crossed(PageSet.full(a.alloc.n_pages), 256)
+        got = restored.counters.crossed(PageSet.full(restored.n_pages), 256)
+        assert got.count >= 3
+        assert np.array_equal(got.indices(), want.indices())
 
     def test_restored_run_continues_identically(self):
         """Divergence test: run A straight through; run B checkpoints

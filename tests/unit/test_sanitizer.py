@@ -131,6 +131,18 @@ def test_remote_without_fabric_port_detected(gh):
         gh.mem.sanitizer.check_alloc(alloc)
 
 
+def test_counter_peak_below_a_count_detected(gh):
+    a, _ = _run_kernels(gh)
+    counters = a.alloc.counters
+    from repro.mem.pageset import PageSet
+
+    counters.add(PageSet.range(0, 2), 300)
+    gh.mem.sanitizer.check_alloc(a.alloc)
+    counters.peak = 299
+    with pytest.raises(InvariantViolation, match="counter-peak"):
+        gh.mem.sanitizer.check_alloc(a.alloc)
+
+
 def test_link_class_counter_identity_detected(gh):
     _run_kernels(gh)
     gh.counters.total.add(c2c_read_bytes=12345)
