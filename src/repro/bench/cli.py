@@ -38,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return main_cluster(argv[1:])
     if argv and argv[0] == "submit":
-        from ..serve.client import main_submit
+        from ..serve.protocol import main_submit
 
         return main_submit(argv[1:])
     if argv and argv[0] == "verify":

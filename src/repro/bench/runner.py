@@ -12,8 +12,8 @@ application simulations. Two pieces make that tractable at paper scale:
   package upgrade invalidates stale entries automatically; explicit
   invalidation is available via :meth:`ResultCache.invalidate` or
   ``repro-bench run --invalidate``.
-* :func:`run_experiments_parallel` — a ``ProcessPoolExecutor`` driver
-  that fans uncached experiments out across worker processes
+* :func:`run_experiments_parallel` — fans uncached experiments out
+  across the supervised worker processes of :mod:`repro.serve`
   (experiments are independent, pure functions of their kwargs) and
   folds completed results back into the cache. Exposed on the command
   line as ``python -m repro.bench run --jobs N``.
@@ -25,7 +25,9 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import signal
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from pathlib import Path
 from typing import Iterable
 
@@ -364,12 +366,6 @@ def run_payload_cached(
     return payload
 
 
-def _pool_run(exp_id: str, kwargs: dict) -> dict:
-    """Worker-side entry point: run one experiment, return it serialised
-    (plain dicts pickle smaller and never drag simulator state along)."""
-    return _serialize(run_experiment(exp_id, **kwargs))
-
-
 def _run_supervised(
     pending: list[str],
     kwargs_for,
@@ -379,11 +375,9 @@ def _run_supervised(
     cache: ResultCache | None,
     results: dict[str, ExperimentResult],
 ) -> None:
-    """Timeout/retry path: drive the :mod:`repro.serve` supervised
-    worker pool from a thread pool, so a hung or crashed experiment is
-    killed and retried instead of stalling the whole run."""
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
+    """Drive the :mod:`repro.serve` supervised worker pool from a
+    thread pool, so a hung or crashed experiment is killed and retried
+    instead of stalling the whole run."""
     from ..serve.workers import JobFailed, SupervisedWorkerPool
 
     n_workers = min(jobs, len(pending)) or 1
@@ -433,18 +427,18 @@ def run_experiments_parallel(
     timeout: float | None = None,
     retries: int = 0,
 ) -> dict[str, ExperimentResult]:
-    """Run experiments across a process pool, serving cache hits first.
+    """Run experiments across worker processes, serving cache hits first.
 
     ``kwargs`` applies to every experiment (e.g. ``{"scale": 0.01}``);
     ``kwargs_per_exp`` layers per-experiment overrides on top. Returns
     ``{exp_id: ExperimentResult}`` in the requested order. ``jobs=1``
     runs inline (no pool), which is also the fallback for a single
-    pending experiment.
+    pending experiment without a timeout or retry budget.
 
     ``timeout`` bounds each experiment's wall time and ``retries`` is
-    the per-experiment retry budget for timeouts and worker crashes
-    (the supervised-pool path; a job past its budget raises
-    :class:`ExperimentFailure` carrying everything that did finish).
+    the per-experiment retry budget for timeouts and worker crashes (a
+    job past its budget raises :class:`ExperimentFailure` carrying
+    everything that did finish).
     Ctrl-C / SIGTERM raises :class:`ExperimentInterrupted`, likewise
     carrying the completed prefix, after cancelling pending work and
     terminating the pool.
@@ -473,11 +467,11 @@ def run_experiments_parallel(
 
     if not pending:
         pass
-    elif timeout is not None or retries > 0:
+    elif timeout is not None or retries > 0 or min(jobs, len(pending)) > 1:
         _run_supervised(
             pending, kwargs_for, jobs, timeout, retries, cache, results
         )
-    elif len(pending) <= 1 or jobs <= 1:
+    else:
         try:
             for exp_id in pending:
                 results[exp_id] = run_experiment(exp_id, **kwargs_for(exp_id))
@@ -485,55 +479,25 @@ def run_experiments_parallel(
                     cache.put(results[exp_id], **kwargs_for(exp_id))
         except KeyboardInterrupt:
             raise ExperimentInterrupted(dict(results)) from None
-    else:
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        futures = {}
-        try:
-            futures = {
-                pool.submit(_pool_run, exp_id, kwargs_for(exp_id)): exp_id
-                for exp_id in pending
-            }
-            not_done = set(futures)
-            while not_done:
-                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    exp_id = futures[fut]
-                    results[exp_id] = _deserialize(fut.result())
-                    if cache is not None:
-                        cache.put(results[exp_id], **kwargs_for(exp_id))
-            pool.shutdown()
-        except KeyboardInterrupt:
-            for fut in futures:
-                fut.cancel()
-            # SIGKILL, not SIGTERM: a worker forked under a Python SIGTERM
-            # handler (``_sigterm_as_interrupt`` installs one) can drop a
-            # SIGTERM that lands before it has finished starting, and the
-            # executor would then join it forever at interpreter exit.
-            for proc in (getattr(pool, "_processes", None) or {}).values():
-                proc.kill()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise ExperimentInterrupted(dict(results)) from None
 
     return {exp_id: results[exp_id] for exp_id in wanted if exp_id in results}
 
 
-def _sigterm_as_interrupt() -> None:
+def _sigterm_as_interrupt():
     """Route SIGTERM through the KeyboardInterrupt path so a ``kill``
     gets the same cancel-pending/terminate-pool/report-completed
-    treatment as Ctrl-C (main thread only; no-op elsewhere)."""
-    import signal
-    import threading
-
+    treatment as Ctrl-C (main thread only; no-op elsewhere). Returns
+    the previous handler for the caller to restore, or None."""
     if threading.current_thread() is not threading.main_thread():
-        return
+        return None
 
     def handler(signum, frame):
         raise KeyboardInterrupt
 
     try:
-        signal.signal(signal.SIGTERM, handler)
+        return signal.signal(signal.SIGTERM, handler)
     except (ValueError, OSError):  # pragma: no cover — exotic platforms
-        pass
+        return None
 
 
 def main_run(argv: list[str] | None = None) -> int:
@@ -653,7 +617,6 @@ def main_run(argv: list[str] | None = None) -> int:
         print(f"invalidated {removed} cached result(s) under {cache.root}")
         return 0
 
-    _sigterm_as_interrupt()
     t0 = time.perf_counter()
     exit_code = 0
     failures: dict[str, str] = {}
@@ -662,6 +625,7 @@ def main_run(argv: list[str] | None = None) -> int:
     run_kwargs = {"scale": args.scale}
     if args.mem_arch != "gh200":
         run_kwargs["mem_arch"] = args.mem_arch
+    previous_sigterm = _sigterm_as_interrupt()
     try:
         results = run_experiments_parallel(
             wanted,
@@ -683,6 +647,9 @@ def main_run(argv: list[str] | None = None) -> int:
         results = exc.completed
         failures = exc.failures
         exit_code = 1
+    finally:
+        if previous_sigterm is not None:
+            signal.signal(signal.SIGTERM, previous_sigterm)
     dt = time.perf_counter() - t0
 
     render = render_markdown if args.markdown else render_table

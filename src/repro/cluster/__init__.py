@@ -9,8 +9,9 @@ locally or addressed by ``host:port``), behind a shared
 read-through/write-back cache tier with per-replica hit/byte
 accounting, gateway-wide exactly-once coalescing, health-checked
 replica respawn with hash-ring remapping, and load-shedding policies
-(shed batch before interactive, per-tenant quotas) built on the same
-:class:`~repro.serve.queue.BoundedPriorityQueue` admission semantics.
+(shed batch before interactive, per-tenant quotas). The gateway is the
+service's own :class:`~repro.serve.frontend.Frontend` with a
+replica-forwarding ``_run``, served by the same wire protocol.
 ``repro.cluster.traffic`` proves it: a seeded bursty Zipf traffic
 generator replays ≥10⁶ requests and reports goodput + p50/p99/p999
 curves vs replica count (``repro-bench cluster bench``).
@@ -21,23 +22,17 @@ services, not around them — a replica is exactly the PR-3 service,
 untouched, and the cluster tier only routes, never alters, results.
 """
 
+from ..serve.protocol import AsyncReplicaConnection, ReplicaUnavailable
 from .gateway import (
     REASON_LOAD_SHED,
     REASON_NO_REPLICAS,
     REASON_TENANT_QUOTA,
     Gateway,
     GatewayConfig,
-    GatewayHandle,
-    GatewayMetrics,
     request_key,
     serve_gateway_tcp,
 )
-from .replicas import (
-    AsyncReplicaConnection,
-    LocalReplicaProcess,
-    Replica,
-    ReplicaUnavailable,
-)
+from .replicas import LocalReplicaProcess, Replica
 from .ring import HashRing, ring_hash
 from .shared_cache import ReplicaCacheAccount, SharedCacheTier
 from .traffic import (
@@ -57,8 +52,6 @@ __all__ = [
     "AsyncReplicaConnection",
     "Gateway",
     "GatewayConfig",
-    "GatewayHandle",
-    "GatewayMetrics",
     "HashRing",
     "LocalReplicaProcess",
     "REASON_LOAD_SHED",

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import contextlib
 import json
 import logging
 import shutil
-import signal
 import sys
 import tempfile
 
 from ..bench.runner import ResultCache
-from .gateway import Gateway, GatewayConfig, serve_gateway_tcp
+from ..serve.protocol import run_server
+from .gateway import Gateway, GatewayConfig
 from .traffic import (
     SYNTHETIC_RUNNER,
     TrafficMix,
@@ -158,22 +157,7 @@ def _main_serve(argv: list[str]) -> int:
         vnodes=args.vnodes,
     )
 
-    async def amain() -> None:
-        gateway = Gateway(config)
-        await gateway.start()
-        loop = asyncio.get_running_loop()
-        server_task = asyncio.ensure_future(
-            serve_gateway_tcp(gateway, args.host, args.port)
-        )
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, server_task.cancel)
-        try:
-            await server_task
-        except asyncio.CancelledError:
-            await gateway.shutdown()
-
-    asyncio.run(amain())
+    run_server(Gateway(config), args.host, args.port)
     return 0
 
 

@@ -1,9 +1,11 @@
 """The cluster gateway: one front door for a replica fleet.
 
-Requests enter through the same admission semantics as a single
-:class:`~repro.serve.service.SimulationService` — a
-:class:`~repro.serve.queue.BoundedPriorityQueue` with capacity and
-per-class seat limits — plus two gateway-level shedding policies:
+The gateway is the same :class:`~repro.serve.frontend.Frontend` as a
+single :class:`~repro.serve.service.SimulationService` — admission into
+a :class:`~repro.serve.queue.BoundedPriorityQueue` with capacity and
+per-class seat limits, coalescing, dispatch and settlement — with a
+replica-forwarding ``_run``, the shared cache's memory tier as its
+submit-time lookup, and two gateway-level shedding policies:
 
 * **shed batch before interactive** — once queue depth crosses
   ``shed_batch_above × capacity``, batch submissions are rejected
@@ -29,25 +31,18 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bench.runner import ResultCache
-from ..profiling.counters import Histogram
+from ..serve.frontend import Frontend
 from ..serve.metrics import logger as serve_logger
-from ..serve.queue import (
-    REASON_UNKNOWN_EXPERIMENT,
-    AdmissionError,
-    BoundedPriorityQueue,
-    Job,
-    QueueClosed,
-)
-from .replicas import (
+from ..serve.protocol import (
     AsyncReplicaConnection,
-    LocalReplicaProcess,
-    Replica,
     ReplicaUnavailable,
+    serve_tcp,
 )
+from ..serve.queue import AdmissionError, Job
+from .replicas import LocalReplicaProcess, Replica
 from .ring import HashRing
 from .shared_cache import SharedCacheTier
 
@@ -56,6 +51,11 @@ logger = serve_logger.getChild("cluster")
 REASON_TENANT_QUOTA = "tenant quota exceeded"
 REASON_LOAD_SHED = "load shed"
 REASON_NO_REPLICAS = "no healthy replicas"
+
+#: Re-route attempts after a replica connection loss.
+ROUTE_RETRIES = 5
+#: Seconds the health loop waits for a replica's ``ping`` reply.
+PING_TIMEOUT = 2.0
 
 
 def request_key(exp_id: str, kwargs: dict) -> str:
@@ -89,135 +89,33 @@ class GatewayConfig:
     #: Concurrent forwards per replica (should not exceed the replica's
     #: own queue capacity).
     max_outstanding_per_replica: int = 8
-    #: Re-route attempts after a replica connection loss.
-    route_retries: int = 5
     health_interval: float = 1.0
-    ping_timeout: float = 2.0
     #: Disk tier under the shared cache (None = memory only).
     cache: ResultCache | None = None
-    cache_max_entries: int = 65536
-    cache_max_bytes: int = 256 << 20
     known_experiments: frozenset[str] | None = None
     vnodes: int = 64
     spawn_timeout: float = 60.0
 
 
-@dataclass
-class GatewayHandle:
-    """Client-side view of one gateway submission."""
-
-    job_id: str
-    exp_id: str
-    key: str
-    future: asyncio.Future = field(repr=False)
-    coalesced: bool = False
-    cached: bool = False
-
-    async def result(self, timeout: float | None = None) -> dict:
-        """The serialised result payload (rows/notes/columns)."""
-        return await asyncio.wait_for(asyncio.shield(self.future), timeout)
-
-    def done(self) -> bool:
-        return self.future.done()
-
-
-@dataclass
-class _GatewayJob(Job):
-    tenant: str = "anon"
-
-
-class GatewayMetrics:
-    """Lifecycle counters + per-class latency (p50/p99/p999)."""
-
-    def __init__(self):
-        self.started_at = time.monotonic()
-        self.submitted = 0
-        self.accepted = 0
-        self.rejected: dict[str, int] = {}
-        self.coalesced = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.forwarded = 0
-        self.completed = 0
-        self.failed = 0
-        self.requeued = 0  # re-routed after a replica loss
-        self.latency: dict[str, Histogram] = {}
-
-    def reject(self, reason: str) -> None:
-        self.rejected[reason] = self.rejected.get(reason, 0) + 1
-
-    def record_latency(self, job_class: str, seconds: float) -> None:
-        hist = self.latency.get(job_class)
-        if hist is None:
-            hist = self.latency[job_class] = Histogram()
-        hist.record(seconds)
-
-    @property
-    def rejected_total(self) -> int:
-        return sum(self.rejected.values())
-
-    def snapshot(self) -> dict:
-        return {
-            "uptime_s": round(time.monotonic() - self.started_at, 3),
-            "jobs": {
-                "submitted": self.submitted,
-                "accepted": self.accepted,
-                "rejected": dict(self.rejected),
-                "rejected_total": self.rejected_total,
-                "coalesced": self.coalesced,
-                "forwarded": self.forwarded,
-                "completed": self.completed,
-                "failed": self.failed,
-                "requeued": self.requeued,
-            },
-            "cache_hits": {
-                "memory": self.memory_hits,
-                "disk": self.disk_hits,
-            },
-            "latency_s": {
-                cls: hist.snapshot()
-                for cls, hist in sorted(self.latency.items())
-            },
-        }
-
-
-class Gateway:
+class Gateway(Frontend):
     """Routes what-if requests across a health-checked replica fleet."""
 
+    key_fn = staticmethod(request_key)
+    job_prefix = "gw"
+    banner = "repro-cluster gateway"
+
     def __init__(self, config: GatewayConfig | None = None, **overrides):
-        self.config = config or GatewayConfig(**overrides)
-        self.metrics = GatewayMetrics()
-        self.queue = BoundedPriorityQueue(
-            self.config.capacity, self.config.class_limits
-        )
+        super().__init__(config or GatewayConfig(**overrides))
         self.ring = HashRing(vnodes=self.config.vnodes)
-        self.cache = SharedCacheTier(
-            self.config.cache,
-            max_entries=self.config.cache_max_entries,
-            max_bytes=self.config.cache_max_bytes,
-        )
+        self.cache = SharedCacheTier(self.config.cache)
         self.replicas: dict[str, Replica] = {}
-        self.inflight: dict[str, _GatewayJob] = {}
-        self.tenant_outstanding: dict[str, int] = {}
         self._replica_slots: dict[str, asyncio.Semaphore] = {}
-        self._slots: asyncio.Semaphore | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._loop_task: asyncio.Task | None = None
         self._health_task: asyncio.Task | None = None
         self._membership_changed: asyncio.Event | None = None
-        self._next_id = 0
-        self._started = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-
-    async def __aenter__(self) -> "Gateway":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.shutdown()
 
     async def start(self) -> None:
         if self._started:
@@ -237,18 +135,13 @@ class Gateway:
         )
         if not self.ring.members:
             raise RuntimeError("no replica came up")
-        total_slots = max(
-            1, cfg.max_outstanding_per_replica * len(self.replicas)
-        )
-        self._slots = asyncio.Semaphore(total_slots)
-        self._loop_task = asyncio.create_task(
-            self._dispatch_loop(), name="cluster-dispatch"
+        self._start_dispatch(
+            max(1, cfg.max_outstanding_per_replica * len(self.replicas))
         )
         if cfg.health_interval:
             self._health_task = asyncio.create_task(
                 self._health_loop(), name="cluster-health"
             )
-        self._started = True
         logger.info(
             "gateway: started (%d replicas, capacity=%d, vnodes=%d)",
             len(self.replicas), cfg.capacity, cfg.vnodes,
@@ -348,7 +241,7 @@ class Gateway:
                 )
                 if not dead:
                     try:
-                        await conn.ping(cfg.ping_timeout)
+                        await conn.ping(PING_TIMEOUT)
                     except (ReplicaUnavailable, asyncio.TimeoutError):
                         dead = True
                 if dead:
@@ -377,14 +270,6 @@ class Gateway:
         await asyncio.to_thread(replica.proc.kill)
         return pid
 
-    async def drain(self) -> None:
-        """Stop admitting; run every accepted job to completion."""
-        self.queue.close()
-        if self._loop_task is not None:
-            await self._loop_task
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
-
     async def stop(self) -> None:
         if self._health_task is not None:
             self._health_task.cancel()
@@ -406,64 +291,24 @@ class Gateway:
         await asyncio.to_thread(self.cache.close)
         self._started = False
 
-    async def shutdown(self) -> None:
-        await self.drain()
-        await self.stop()
-        logger.info("gateway: final %s",
-                    json.dumps(self.metrics.snapshot()["jobs"]))
-
     # ------------------------------------------------------------------
-    # Submission path
+    # Front hooks: memory-tier lookup, shedding policy, forwarding
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        exp_id: str,
-        kwargs: dict | None = None,
-        *,
-        job_class: str = "batch",
-        tenant: str = "anon",
-    ) -> GatewayHandle:
-        """Admit one request; raises :class:`AdmissionError` when shed.
-
-        Order of the cheap outcomes: coalesce onto an identical
-        in-flight job, answer from the shared memory cache, then apply
-        quota/shedding/queue admission. Disk read-through happens after
-        dispatch (off the event loop)."""
-        assert self._started, "call await gateway.start() first"
-        cfg = self.config
-        kwargs = dict(kwargs or {})
-        self.metrics.submitted += 1
-        if (
-            cfg.known_experiments is not None
-            and exp_id not in cfg.known_experiments
-        ):
-            self.metrics.reject(REASON_UNKNOWN_EXPERIMENT)
-            raise AdmissionError(REASON_UNKNOWN_EXPERIMENT, exp_id)
-        key = request_key(exp_id, kwargs)
-
-        inflight = self.inflight.get(key)
-        if inflight is not None:
-            inflight.waiters += 1
-            self.metrics.coalesced += 1
-            return GatewayHandle(
-                inflight.job_id, exp_id, key, inflight.future,
-                coalesced=True,
-            )
-
-        owner = self._owner_for(key)
-        payload = self.cache.get_memory(key, owner)
+    def _cached(self, exp_id: str, kwargs: dict, key: str):
+        """Memory tier only; disk read-through happens after routing
+        (off the event loop), so its hits are accounted per replica."""
+        payload = self.cache.get_memory(key, self._owner_for(key))
         if payload is not None:
             self.metrics.memory_hits += 1
-            future = asyncio.get_running_loop().create_future()
-            future.set_result(payload)
-            return GatewayHandle("cached", exp_id, key, future, cached=True)
+        return payload
 
+    def _refusal(self, job_class: str, tenant: str) -> tuple[str, str] | None:
+        cfg = self.config
         if cfg.tenant_quota is not None:
             outstanding = self.tenant_outstanding.get(tenant, 0)
             if outstanding >= cfg.tenant_quota:
-                self.metrics.reject(REASON_TENANT_QUOTA)
-                raise AdmissionError(
+                return (
                     REASON_TENANT_QUOTA,
                     f"{tenant}: {outstanding}/{cfg.tenant_quota} outstanding",
                 )
@@ -472,34 +317,12 @@ class Gateway:
             and self.queue.depth()
             >= cfg.shed_batch_above * cfg.capacity
         ):
-            self.metrics.reject(REASON_LOAD_SHED)
-            raise AdmissionError(
+            return (
                 REASON_LOAD_SHED,
                 f"queue {self.queue.depth()}/{cfg.capacity}, batch shed "
                 f"above {cfg.shed_batch_above:.0%}",
             )
-
-        self._next_id += 1
-        job = _GatewayJob(
-            exp_id=exp_id,
-            kwargs=kwargs,
-            key=key,
-            job_class=job_class,
-            job_id=f"gw-{self._next_id}",
-            future=asyncio.get_running_loop().create_future(),
-            tenant=tenant,
-        )
-        try:
-            self.queue.put_nowait(job)
-        except AdmissionError as exc:
-            self.metrics.reject(exc.reason)
-            raise
-        self.metrics.accepted += 1
-        self.inflight[key] = job
-        self.tenant_outstanding[tenant] = (
-            self.tenant_outstanding.get(tenant, 0) + 1
-        )
-        return GatewayHandle(job.job_id, exp_id, key, job.future)
+        return None
 
     def _owner_for(self, key: str) -> str:
         try:
@@ -507,41 +330,11 @@ class Gateway:
         except LookupError:
             return "?"  # empty ring: cache accounting parks on '?'
 
-    # ------------------------------------------------------------------
-    # Dispatch / forward
-    # ------------------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            try:
-                job = await self.queue.get()
-            except QueueClosed:
-                break
-            await self._slots.acquire()
-            task = asyncio.create_task(
-                self._forward_guard(job), name=f"cluster-{job.job_id}"
-            )
-            self._tasks.add(task)
-            task.add_done_callback(self._on_forward_done)
-
-    def _on_forward_done(self, task: asyncio.Task) -> None:
-        self._tasks.discard(task)
-        self._slots.release()
-        if not task.cancelled() and task.exception() is not None:
-            logger.error("cluster forward task died: %r", task.exception())
-
-    async def _forward_guard(self, job: _GatewayJob) -> None:
-        try:
-            await self._forward(job)
-        except Exception as exc:  # noqa: BLE001 — never lose a waiter
-            self._fail(job, exc)
-            raise
-
-    async def _forward(self, job: _GatewayJob) -> None:
-        cfg = self.config
-        job.started_at = time.monotonic()
+    async def _run(self, job: Job) -> None:
+        """Route by key (disk read-through on the first attempt),
+        forward to the replica, write the result back to the cache."""
         missed = False
-        for attempt in range(cfg.route_retries + 1):
+        for attempt in range(ROUTE_RETRIES + 1):
             replica = await self._route(job.key, attempt)
             if replica is None:
                 continue
@@ -602,7 +395,7 @@ class Gateway:
             job,
             AdmissionError(
                 REASON_NO_REPLICAS,
-                f"{job.exp_id} after {cfg.route_retries + 1} attempts",
+                f"{job.exp_id} after {ROUTE_RETRIES + 1} attempts",
             ),
         )
 
@@ -622,46 +415,11 @@ class Gateway:
         return None
 
     # ------------------------------------------------------------------
-    # Completion
-    # ------------------------------------------------------------------
-
-    def _settle(self, job: _GatewayJob) -> None:
-        self.inflight.pop(job.key, None)
-        left = self.tenant_outstanding.get(job.tenant, 1) - 1
-        if left <= 0:
-            self.tenant_outstanding.pop(job.tenant, None)
-        else:
-            self.tenant_outstanding[job.tenant] = left
-
-    def _resolve(self, job: _GatewayJob, payload) -> None:
-        self._settle(job)
-        self.metrics.completed += 1
-        self.metrics.record_latency(
-            job.job_class, time.monotonic() - job.submitted_at
-        )
-        if not job.future.done():
-            job.future.set_result(payload)
-
-    def _fail(self, job: _GatewayJob, exc: Exception) -> None:
-        self._settle(job)
-        self.metrics.failed += 1
-        self.metrics.record_latency(
-            job.job_class, time.monotonic() - job.submitted_at
-        )
-        if not job.future.done():
-            job.future.set_exception(exc)
-
-    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
 
     def metrics_snapshot(self) -> dict:
         snap = self.metrics.snapshot()
-        snap["queue"] = {
-            "depth": self.queue.depth(),
-            "by_class": self.queue.depth_by_class(),
-        }
-        snap["in_flight"] = len(self.inflight)
         snap["tenants"] = dict(sorted(self.tenant_outstanding.items()))
         snap["ring"] = sorted(self.ring.members)
         snap["replicas"] = {
@@ -673,6 +431,20 @@ class Gateway:
         )
         snap["shared_cache"] = self.cache.snapshot()
         return snap
+
+    async def extra_op(self, op: str) -> dict | None:
+        """The ``cluster`` wire op: ring, replicas and the shared cache."""
+        if op != "cluster":
+            return None
+        return {
+            "ring": sorted(self.ring.members),
+            "replicas": {
+                rid: replica.snapshot()
+                for rid, replica in sorted(self.replicas.items())
+            },
+            "replica_metrics": await self.replica_metrics(),
+            "shared_cache": self.cache.snapshot(),
+        }
 
     async def replica_metrics(self) -> dict[str, dict]:
         """Fetch each healthy replica's own ``metrics`` snapshot (e.g.
@@ -688,62 +460,6 @@ class Gateway:
         return out
 
 
-# ----------------------------------------------------------------------
-# TCP front (same JSON-lines protocol as ``repro-bench serve``)
-# ----------------------------------------------------------------------
-
-
-async def _handle_gateway_request(gateway: Gateway, request: dict) -> dict:
-    op = request.get("op")
-    if op == "ping":
-        return {"ok": True, "op": "ping"}
-    if op == "metrics":
-        return {"ok": True, "metrics": gateway.metrics_snapshot()}
-    if op == "cluster":
-        snap = gateway.metrics_snapshot()
-        replicas = await gateway.replica_metrics()
-        return {
-            "ok": True,
-            "ring": snap["ring"],
-            "replicas": snap["replicas"],
-            "replica_metrics": replicas,
-            "shared_cache": snap["shared_cache"],
-        }
-    if op == "submit":
-        try:
-            handle = gateway.submit(
-                request["exp_id"],
-                request.get("kwargs") or {},
-                job_class=request.get("job_class", "batch"),
-                tenant=request.get("tenant", "anon"),
-            )
-        except AdmissionError as exc:
-            return {
-                "ok": False,
-                "rejected": True,
-                "reason": exc.reason,
-                "detail": exc.detail,
-            }
-        except KeyError as exc:
-            return {"ok": False, "error": f"missing field {exc}"}
-        response = {
-            "ok": True,
-            "job_id": handle.job_id,
-            "coalesced": handle.coalesced,
-            "cached": handle.cached,
-        }
-        if request.get("wait", True):
-            try:
-                result = await handle.result(request.get("wait_timeout"))
-            except asyncio.TimeoutError:
-                return {**response, "ok": False, "error": "wait timed out"}
-            except Exception as exc:  # noqa: BLE001 — report job failure
-                return {**response, "ok": False, "error": str(exc)}
-            response["result"] = result
-        return response
-    return {"ok": False, "error": f"unknown op {op!r}"}
-
-
 async def serve_gateway_tcp(
     gateway: Gateway,
     host: str = "127.0.0.1",
@@ -751,70 +467,6 @@ async def serve_gateway_tcp(
     on_ready=None,
 ) -> None:
     """Serve the gateway until a ``shutdown`` op; drains the fleet
-    first. Protocol-compatible with :class:`~repro.serve.ServeClient`
-    (ops ``ping``/``metrics``/``submit``), plus a ``cluster`` op for
-    fleet status, and the same ``id``-pipelining as the replicas."""
-    done = asyncio.Event()
-
-    async def on_connection(reader, writer):
-        write_lock = asyncio.Lock()
-        pipelined: set[asyncio.Task] = set()
-
-        async def send(response: dict) -> None:
-            async with write_lock:
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-
-        async def respond(request: dict) -> None:
-            response = await _handle_gateway_request(gateway, request)
-            response["id"] = request["id"]
-            with contextlib.suppress(ConnectionError, OSError):
-                await send(response)
-
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    response = {"ok": False, "error": f"bad json: {exc}"}
-                else:
-                    if request.get("op") == "shutdown":
-                        done.set()
-                        response = {"ok": True, "op": "shutdown"}
-                    elif request.get("id") is not None:
-                        task = asyncio.create_task(respond(request))
-                        pipelined.add(task)
-                        task.add_done_callback(pipelined.discard)
-                        continue
-                    else:
-                        response = await _handle_gateway_request(
-                            gateway, request
-                        )
-                await send(response)
-                if done.is_set():
-                    break
-        finally:
-            for task in pipelined:
-                task.cancel()
-            if pipelined:
-                await asyncio.gather(*pipelined, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    server = await asyncio.start_server(on_connection, host, port)
-    addr = server.sockets[0].getsockname()
-    logger.info("gateway: listening on %s:%s", addr[0], addr[1])
-    print(f"repro-cluster gateway listening on {addr[0]}:{addr[1]}",
-          flush=True)
-    if on_ready is not None:
-        on_ready(addr[0], addr[1])
-    try:
-        await done.wait()
-    finally:
-        server.close()
-        await server.wait_closed()
-        await gateway.shutdown()
+    first. The serve protocol (:func:`repro.serve.protocol.serve_tcp`),
+    plus a ``cluster`` op for fleet status."""
+    await serve_tcp(gateway, host, port, on_ready)

@@ -1,19 +1,17 @@
-"""Replica fleet plumbing: process spawning and pipelined connections.
+"""Replica fleet plumbing: process spawning and the per-replica record.
 
 A replica is one :class:`~repro.serve.service.SimulationService` — either
 spawned locally as a ``repro-bench serve`` subprocess (port 0, parsed
 from its ready line) or addressed remotely as ``host:port``. The gateway
-talks to each replica over a single :class:`AsyncReplicaConnection`
-carrying many concurrent requests, correlated by the ``id`` field the
-serve protocol echoes back (see :func:`repro.serve.service.serve_tcp`).
+talks to each replica over a single
+:class:`~repro.serve.protocol.AsyncReplicaConnection` carrying many
+concurrent requests, correlated by the ``id`` field the serve protocol
+echoes back (see :func:`repro.serve.protocol.serve_tcp`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import itertools
-import json
 import os
 import subprocess
 import sys
@@ -22,113 +20,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..serve.protocol import AsyncReplicaConnection
 from .ring import ring_hash  # noqa: F401  (re-exported for convenience)
 
 _READY_PREFIX = "repro-serve listening on "
-
-
-class ReplicaUnavailable(ConnectionError):
-    """The replica's connection dropped (crash, kill, network)."""
-
-
-class AsyncReplicaConnection:
-    """One socket, many in-flight requests (id-correlated JSON lines)."""
-
-    def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
-        self._ids = itertools.count(1)
-        self._pending: dict[int, asyncio.Future] = {}
-        self._closed = False
-        self._reader_task = asyncio.create_task(
-            self._read_loop(), name="cluster-replica-reader"
-        )
-
-    @classmethod
-    async def open(
-        cls, host: str, port: int, timeout: float = 5.0
-    ) -> "AsyncReplicaConnection":
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
-        )
-        return cls(reader, writer)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._pending)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                try:
-                    line = await self._reader.readline()
-                except (ConnectionError, OSError):
-                    break  # reset by a killed replica == EOF
-                if not line:
-                    break
-                try:
-                    reply = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # protocol noise; the waiter will time out
-                future = self._pending.pop(reply.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(reply)
-        finally:
-            self._fail_pending()
-
-    def _fail_pending(self) -> None:
-        self._closed = True
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(
-                    ReplicaUnavailable("replica connection lost")
-                )
-
-    async def request(self, payload: dict,
-                      timeout: float | None = None) -> dict:
-        """Send one op; await its id-matched reply."""
-        if self._closed:
-            raise ReplicaUnavailable("replica connection closed")
-        request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        try:
-            self._writer.write(
-                json.dumps({**payload, "id": request_id}).encode() + b"\n"
-            )
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(request_id, None)
-            self._fail_pending()
-            raise ReplicaUnavailable(str(exc)) from exc
-        try:
-            return await asyncio.wait_for(future, timeout)
-        finally:
-            self._pending.pop(request_id, None)
-
-    async def ping(self, timeout: float = 2.0) -> bool:
-        reply = await self.request({"op": "ping"}, timeout)
-        return bool(reply.get("ok"))
-
-    async def metrics(self, timeout: float = 10.0) -> dict:
-        reply = await self.request({"op": "metrics"}, timeout)
-        return reply.get("metrics", {})
-
-    async def close(self) -> None:
-        self._closed = True
-        self._reader_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError, Exception):
-            await self._reader_task
-        self._writer.close()
-        with contextlib.suppress(Exception):
-            await self._writer.wait_closed()
-        self._fail_pending()
 
 
 def _repro_env() -> dict:

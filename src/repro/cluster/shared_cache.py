@@ -28,6 +28,10 @@ from dataclasses import dataclass, field
 
 from ..bench.runner import ResultCache, _deserialize, _serialize
 
+#: Default bounds of the in-memory LRU.
+MAX_ENTRIES = 65536
+MAX_BYTES = 256 << 20
+
 
 @dataclass
 class ReplicaCacheAccount:
@@ -66,8 +70,8 @@ class SharedCacheTier:
         self,
         disk: ResultCache | None = None,
         *,
-        max_entries: int = 65536,
-        max_bytes: int = 256 << 20,
+        max_entries: int = MAX_ENTRIES,
+        max_bytes: int = MAX_BYTES,
     ):
         self.disk = disk
         self.max_entries = max_entries

@@ -9,19 +9,20 @@ ones are answered from the PR-1 result cache, and a supervised
 worker-process pool runs the rest with per-job timeouts, bounded
 retries, and crash restarts — all observable through a JSON metrics
 snapshot. ``repro-bench serve`` / ``repro-bench submit`` expose it over
-TCP.
+TCP. The admission-to-settlement front (:mod:`.frontend`) and the wire
+protocol (:mod:`.protocol`) are shared with the cluster gateway.
 """
 
-from .client import ServeClient
+from .frontend import JobHandle
 from .metrics import ServiceMetrics
+from .protocol import ServeClient, serve_tcp
 from .queue import (
     AdmissionError,
     BoundedPriorityQueue,
     Job,
     QueueClosed,
 )
-from .scheduler import Scheduler
-from .service import JobHandle, ServiceConfig, SimulationService, serve_tcp
+from .service import ServiceConfig, SimulationService
 from .workers import (
     DEFAULT_RUNNER,
     JobError,
@@ -41,7 +42,6 @@ __all__ = [
     "JobFailed",
     "JobHandle",
     "QueueClosed",
-    "Scheduler",
     "ServeClient",
     "ServiceConfig",
     "ServiceMetrics",

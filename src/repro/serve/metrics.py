@@ -1,14 +1,15 @@
-"""Service observability: counters, latency histograms, log lines.
+"""Front observability: counters, latency histograms, log lines.
 
-One :class:`ServiceMetrics` instance per service. Counters cover the
-whole request lifecycle (submitted → accepted/rejected/coalesced/cached
-→ executed → completed/failed), latency is tracked as three
+One :class:`ServiceMetrics` instance per serving front (a service or the
+cluster gateway). Counters cover the whole request lifecycle (submitted
+→ accepted/rejected/coalesced/cached → executed or forwarded →
+completed/failed), latency is tracked as
 :class:`~repro.profiling.counters.Histogram` distributions (queue wait,
-execution, end-to-end), and gauges (queue depth, in-flight, worker
-restarts) are read through callbacks so a snapshot always reflects live
-state. ``snapshot()`` is the JSON surface the TCP ``metrics`` op and
-``repro-bench submit --metrics`` expose; ``log_line()`` is the periodic
-structured log record.
+execution, end-to-end overall and per job class), and gauges (queue
+depth, in-flight, worker restarts) are read through callbacks so a
+snapshot always reflects live state. ``snapshot()`` is the JSON surface
+the TCP ``metrics`` op and ``repro-bench submit --metrics`` expose;
+``log_line()`` is the periodic structured log record.
 """
 
 from __future__ import annotations
@@ -47,10 +48,16 @@ class ServiceMetrics:
         self.checkpoint_stores = 0
         self.checkpoint_restored_bytes = 0
         self.checkpoint_suffix_batches = 0
+        # The gateway's shared cache tier and replica forwarding.
+        self.memory_hits = 0
+        self.disk_hits = 0
+        self.forwarded = 0
+        self.requeued = 0  # re-routed after a replica loss
         self.queue_wait = Histogram()
         self.exec_latency = Histogram()
-        self.total_latency = Histogram()
-        # Gauge callbacks, wired by the service at start.
+        #: End-to-end latency per job class; their union is the total.
+        self.latency: dict[str, Histogram] = {}
+        # Gauge callbacks, wired by the front.
         self.queue_depth_fn: Callable[[], int] = lambda: 0
         self.queue_by_class_fn: Callable[[], dict] = dict
         self.inflight_fn: Callable[[], int] = lambda: 0
@@ -60,14 +67,36 @@ class ServiceMetrics:
     def reject(self, reason: str) -> None:
         self.rejected[reason] = self.rejected.get(reason, 0) + 1
 
+    def record_latency(self, job_class: str, seconds: float) -> None:
+        """One settled job's end-to-end latency."""
+        hist = self.latency.get(job_class)
+        if hist is None:
+            hist = self.latency[job_class] = Histogram()
+        hist.record(seconds)
+
     def note_checkpoint(self, meta: dict) -> None:
         """Fold one job's checkpoint-store telemetry into the service
-        totals (the scheduler strips it from the job payload)."""
+        totals (the service strips it from the job payload)."""
         self.checkpoint_hits += int(meta.get("hits", 0))
         self.checkpoint_misses += int(meta.get("misses", 0))
         self.checkpoint_stores += int(meta.get("stores", 0))
         self.checkpoint_restored_bytes += int(meta.get("restored_bytes", 0))
         self.checkpoint_suffix_batches += int(meta.get("batches_replayed", 0))
+
+    @property
+    def total_latency(self) -> Histogram:
+        """End-to-end latency over every job class."""
+        total = Histogram()
+        for hist in self.latency.values():
+            for idx, n in hist.buckets.items():
+                total.buckets[idx] = total.buckets.get(idx, 0) + n
+            total.count += hist.count
+            total.total += hist.total
+            total.total_sq += hist.total_sq
+        if self.latency:
+            total.min = min(hist.min for hist in self.latency.values())
+            total.max = max(hist.max for hist in self.latency.values())
+        return total
 
     @property
     def rejected_total(self) -> int:
@@ -110,16 +139,22 @@ class ServiceMetrics:
                 "rejected_total": self.rejected_total,
                 "coalesced": self.coalesced,
                 "executed": self.executed,
+                "forwarded": self.forwarded,
                 "completed": self.completed,
                 "failed": self.failed,
                 "cancelled": self.cancelled,
                 "timeouts": self.timeouts,
                 "retries": self.retries,
+                "requeued": self.requeued,
             },
             "cache": {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "hit_ratio": round(self.cache_hit_ratio(), 4),
+            },
+            "cache_hits": {
+                "memory": self.memory_hits,
+                "disk": self.disk_hits,
             },
             "checkpoint": {
                 "hits": self.checkpoint_hits,
@@ -132,6 +167,10 @@ class ServiceMetrics:
                 "queue_wait": self.queue_wait.snapshot(),
                 "execution": self.exec_latency.snapshot(),
                 "total": self.total_latency.snapshot(),
+                **{
+                    cls: hist.snapshot()
+                    for cls, hist in sorted(self.latency.items())
+                },
             },
             "rates": {
                 "arrival_rps": round(self.arrival_rate(), 3),

@@ -39,7 +39,7 @@ class AdmissionError(RuntimeError):
 
 
 class QueueClosed(RuntimeError):
-    """``get()`` on a drained-and-empty queue (the scheduler's stop
+    """``get()`` on a drained-and-empty queue (the dispatch loop's stop
     signal)."""
 
 
@@ -48,7 +48,7 @@ class Job:
     """One accepted what-if request (possibly shared by many waiters).
 
     Identical concurrent submissions coalesce onto a single ``Job``: the
-    scheduler keeps one in-flight entry per ``key`` and every duplicate
+    front keeps one in-flight entry per ``key`` and every duplicate
     submission just bumps ``waiters`` and shares ``future``.
     """
 
@@ -65,6 +65,8 @@ class Job:
     attempts: int = 0
     waiters: int = 1
     cancelled: bool = False
+    #: Submitting client, for the gateway's per-tenant quotas.
+    tenant: str = "anon"
 
     @property
     def queue_wait(self) -> float:

@@ -1,36 +1,35 @@
-"""`repro.serve` service facade and TCP endpoint.
+"""`repro.serve` service facade and CLI.
 
-:class:`SimulationService` is the in-process API: ``submit()`` applies
-admission control and coalescing and returns a :class:`JobHandle` whose
-``result()`` awaits the shared outcome; ``drain()`` stops admitting and
-delivers every accepted job; ``metrics_snapshot()`` is the JSON
-observability surface. ``serve_tcp`` wraps a service in a
-newline-delimited-JSON protocol (ops: ``submit``, ``metrics``, ``ping``,
-``shutdown``) for the ``repro-bench serve`` / ``submit`` CLI pair.
+:class:`SimulationService` is the in-process API: a
+:class:`~repro.serve.frontend.Frontend` whose jobs run on a supervised
+worker pool, behind the on-disk result cache. ``submit()`` applies
+admission control and coalescing and returns a
+:class:`~repro.serve.frontend.JobHandle` whose ``result()`` awaits the
+shared outcome; ``drain()`` stops admitting and delivers every accepted
+job; ``metrics_snapshot()`` is the JSON observability surface.
+:func:`repro.serve.protocol.serve_tcp` puts a service on the wire for the
+``repro-bench serve`` / ``submit`` CLI pair.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import json
 import logging
-import signal
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 
-from ..bench.harness import ExperimentResult
-from ..bench.runner import ResultCache, _serialize, cache_key
-from .metrics import ServiceMetrics, logger
-from .queue import (
-    REASON_UNKNOWN_EXPERIMENT,
-    AdmissionError,
-    BoundedPriorityQueue,
-    Job,
+from ..bench.runner import ResultCache, _deserialize, _serialize, cache_key
+from .frontend import Frontend
+from .metrics import logger
+from .protocol import run_server
+from .queue import Job
+from .workers import (
+    DEFAULT_RUNNER,
+    JobFailed,
+    SupervisedWorkerPool,
+    WorkerTimeout,
 )
-from .scheduler import Scheduler
-from .workers import DEFAULT_RUNNER, SupervisedWorkerPool
-
-_UNSET = object()
 
 
 @dataclass
@@ -56,25 +55,7 @@ class ServiceConfig:
     timeline: object | None = None
 
 
-@dataclass
-class JobHandle:
-    """Client-side view of one submission."""
-
-    job_id: str
-    exp_id: str
-    key: str
-    future: asyncio.Future = field(repr=False)
-    coalesced: bool = False  # shared an identical in-flight job
-    cached: bool = False  # served from the result cache at submit
-
-    async def result(self, timeout: float | None = None) -> ExperimentResult:
-        return await asyncio.wait_for(asyncio.shield(self.future), timeout)
-
-    def done(self) -> bool:
-        return self.future.done()
-
-
-class SimulationService:
+class SimulationService(Frontend):
     """Concurrent what-if simulation service (asyncio).
 
     Lifecycle: ``await start()`` → ``submit()`` / ``cancel()`` →
@@ -82,61 +63,41 @@ class SimulationService:
     Also usable as an async context manager.
     """
 
-    def __init__(self, config: ServiceConfig | None = None, **overrides):
-        self.config = config or ServiceConfig(**overrides)
-        self.metrics = ServiceMetrics()
-        if self.config.timeline is not None:
-            self.timeline = self.config.timeline
-        else:
-            import time as _time
+    key_fn = staticmethod(cache_key)
+    banner = "repro-serve"
+    encode_result = staticmethod(_serialize)
 
+    def __init__(self, config: ServiceConfig | None = None, **overrides):
+        super().__init__(config or ServiceConfig(**overrides))
+        cfg = self.config
+        self.default_timeout = cfg.default_timeout
+        self.default_retries = cfg.default_retries
+        if cfg.timeline is not None:
+            self.timeline = cfg.timeline
+        else:
             from ..profiling.timeline import maybe_timeline
 
             self.timeline = maybe_timeline(
-                None, _time.monotonic, name="serve", tag_os_ids=True
+                None, time.monotonic, name="serve", tag_os_ids=True
             )
-        self.queue = BoundedPriorityQueue(
-            self.config.capacity, self.config.class_limits
-        )
         self.pool: SupervisedWorkerPool | None = None
-        self.scheduler: Scheduler | None = None
-        self._jobs: dict[str, Job] = {}  # job_id -> job, for cancel()
-        self._next_id = 0
         self._metrics_task: asyncio.Task | None = None
-        self._started = False
-
-    async def __aenter__(self) -> "SimulationService":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.shutdown()
 
     async def start(self) -> None:
         if self._started:
             return
         cfg = self.config
-        self.pool = await asyncio.to_thread(
+        self.pool = pool = await asyncio.to_thread(
             SupervisedWorkerPool, cfg.workers, cfg.runner_spec
         )
-        scheduler = Scheduler(
-            self.queue, self.pool, self.metrics, cfg.cache,
-            timeline=self.timeline,
-        )
-        self.scheduler = scheduler
-        pool = self.pool  # gauges must survive stop() clearing self.pool
-        m = self.metrics
-        m.queue_depth_fn = self.queue.depth
-        m.queue_by_class_fn = self.queue.depth_by_class
-        m.inflight_fn = lambda: len(scheduler.inflight)
-        m.worker_restarts_fn = lambda: pool.restarts
-        m.workers_fn = lambda: len(pool)
-        self.scheduler.start()
+        # The gauges must survive stop() clearing self.pool.
+        self.metrics.worker_restarts_fn = lambda: pool.restarts
+        self.metrics.workers_fn = lambda: len(pool)
+        self._start_dispatch(len(pool))
         if cfg.metrics_interval:
             self._metrics_task = asyncio.create_task(
                 self._metrics_loop(), name="serve-metrics"
             )
-        self._started = True
         logger.info(
             "serve: started (workers=%d capacity=%d cache=%s)",
             cfg.workers, cfg.capacity,
@@ -148,95 +109,90 @@ class SimulationService:
             await asyncio.sleep(self.config.metrics_interval)
             self.metrics.log_line()
 
-    # ------------------------------------------------------------------
-    # Submission path
-    # ------------------------------------------------------------------
+    def _cached(self, exp_id: str, kwargs: dict, key: str):
+        cache = self.config.cache
+        if cache is None:
+            return None
+        hit = cache.get(exp_id, **kwargs)
+        if hit is not None:
+            self.metrics.cache_hits += 1
+        return hit
 
-    def submit(
-        self,
-        exp_id: str,
-        kwargs: dict | None = None,
-        *,
-        job_class: str = "batch",
-        timeout: float | None = _UNSET,  # type: ignore[assignment]
-        retries: int = _UNSET,  # type: ignore[assignment]
-    ) -> JobHandle:
-        """Admit one what-if job; raises :class:`AdmissionError` when the
-        service cannot take it (queue full, class limit, draining,
-        unknown experiment/class). Identical in-flight submissions
-        coalesce onto one execution; previously completed ones are
-        answered from the result cache."""
-        assert self._started, "call await service.start() first"
-        cfg = self.config
-        kwargs = dict(kwargs or {})
-        self.metrics.submitted += 1
-        if (
-            cfg.known_experiments is not None
-            and exp_id not in cfg.known_experiments
-        ):
-            self.metrics.reject(REASON_UNKNOWN_EXPERIMENT)
-            raise AdmissionError(REASON_UNKNOWN_EXPERIMENT, exp_id)
-        key = cache_key(exp_id, kwargs)
-
-        inflight = self.scheduler.inflight.get(key)
-        if inflight is not None and not inflight.cancelled:
-            inflight.waiters += 1
-            self.metrics.coalesced += 1
-            return JobHandle(
-                inflight.job_id, exp_id, key, inflight.future, coalesced=True
+    async def _run(self, job: Job) -> None:
+        """Cache check, then the worker pool; the result is written back
+        to the cache."""
+        self.metrics.queue_wait.record(job.queue_wait)
+        if self.timeline is not None:
+            self.timeline.complete(
+                "queue-wait", job.submitted_at, job.queue_wait,
+                cat="serve", track="serve/queue",
+                job_id=job.job_id, exp_id=job.exp_id,
+                job_class=job.job_class,
             )
-
-        if cfg.cache is not None:
-            hit = cfg.cache.get(exp_id, **kwargs)
+        # Sequential dedup: an identical job may have completed (and been
+        # cached) while this one sat in the queue.
+        cache = self.config.cache
+        if cache is not None:
+            hit = await asyncio.to_thread(cache.get, job.exp_id, **job.kwargs)
             if hit is not None:
                 self.metrics.cache_hits += 1
-                future = asyncio.get_running_loop().create_future()
-                future.set_result(hit)
-                return JobHandle("cached", exp_id, key, future, cached=True)
+                self._resolve(job, hit)
+                return
+            self.metrics.cache_misses += 1
 
-        self._next_id += 1
-        job = Job(
-            exp_id=exp_id,
-            kwargs=kwargs,
-            key=key,
-            job_class=job_class,
-            timeout=cfg.default_timeout if timeout is _UNSET else timeout,
-            retries=cfg.default_retries if retries is _UNSET else retries,
-            job_id=f"job-{self._next_id}",
-            future=asyncio.get_running_loop().create_future(),
-        )
+        self.metrics.executed += 1
+
+        def on_retry(exp_id: str, attempt: int, exc: Exception) -> None:
+            # Runs on the pool thread; int bumps are atomic under the GIL.
+            if isinstance(exc, WorkerTimeout):
+                self.metrics.timeouts += 1
+            self.metrics.retries += 1
+            job.attempts = attempt + 1
+            logger.warning(
+                "retrying %s (%s, attempt %d): %s",
+                job.job_id, exp_id, attempt + 2, exc,
+            )
+
         try:
-            self.queue.put_nowait(job)
-        except AdmissionError as exc:
-            self.metrics.reject(exc.reason)
-            raise
-        self.metrics.accepted += 1
-        self.scheduler.inflight[key] = job
-        self._jobs[job.job_id] = job
-        return JobHandle(job.job_id, exp_id, key, job.future)
+            payload = await asyncio.to_thread(
+                self.pool.run_with_retry,
+                job.exp_id,
+                job.kwargs,
+                timeout=job.timeout,
+                retries=job.retries,
+                on_retry=on_retry,
+                timeline=self.timeline,
+                job_id=job.job_id,
+            )
+        except JobFailed as exc:
+            if "timed out" in exc.reason:
+                self.metrics.timeouts += 1  # the final, non-retried attempt
+            job.attempts = exc.attempts
+            self._dispatch_span(job, "failed")
+            self._fail(job, exc)
+            return
+        self._dispatch_span(job, "completed")
+        if isinstance(payload, dict):
+            # Side-channel from checkpoint-aware runners (the what-if
+            # replayer): stripped before deserialisation so cached
+            # payloads stay pure results.
+            ckpt_meta = payload.pop("_checkpoint", None)
+            if ckpt_meta:
+                self.metrics.note_checkpoint(ckpt_meta)
+        result = _deserialize(payload)
+        if cache is not None:
+            await asyncio.to_thread(cache.put, result, **job.kwargs)
+        self._resolve(job, result)
 
-    def cancel(self, job_id: str) -> bool:
-        """Cancel a still-queued job (in-flight executions are left to
-        finish — their result still feeds the cache and any co-waiters).
-        Returns True if the job was marked cancelled."""
-        job = self._jobs.get(job_id)
-        if job is None or job.started_at is not None or job.future.done():
-            return False
-        job.cancelled = True
-        return True
-
-    def metrics_snapshot(self) -> dict:
-        return self.metrics.snapshot()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    async def drain(self) -> None:
-        """Stop admitting (new submissions are rejected with
-        ``service draining``) and run every accepted job to completion."""
-        if self.scheduler is not None:
-            await self.scheduler.drain()
+    def _dispatch_span(self, job: Job, outcome: str) -> None:
+        if self.timeline is not None:
+            start = job.started_at
+            self.timeline.complete(
+                "dispatch", start, time.monotonic() - start,
+                cat="serve", track="serve/dispatch",
+                job_id=job.job_id, exp_id=job.exp_id,
+                attempts=job.attempts, outcome=outcome,
+            )
 
     async def stop(self) -> None:
         if self._metrics_task is not None:
@@ -248,137 +204,6 @@ class SimulationService:
             await asyncio.to_thread(self.pool.close)
             self.pool = None
         self._started = False
-
-    async def shutdown(self) -> None:
-        """Graceful: drain accepted work, stop workers, log final
-        metrics."""
-        await self.drain()
-        await self.stop()
-        logger.info("serve: final %s", self.metrics.log_line())
-
-
-# ----------------------------------------------------------------------
-# TCP endpoint (newline-delimited JSON)
-# ----------------------------------------------------------------------
-
-
-async def _handle_request(service: SimulationService, request: dict) -> dict:
-    op = request.get("op")
-    if op == "ping":
-        return {"ok": True, "op": "ping"}
-    if op == "metrics":
-        return {"ok": True, "metrics": service.metrics_snapshot()}
-    if op == "submit":
-        try:
-            handle = service.submit(
-                request["exp_id"],
-                request.get("kwargs") or {},
-                job_class=request.get("job_class", "batch"),
-                timeout=request.get("timeout", _UNSET),
-                retries=request.get("retries", _UNSET),
-            )
-        except AdmissionError as exc:
-            return {
-                "ok": False,
-                "rejected": True,
-                "reason": exc.reason,
-                "detail": exc.detail,
-            }
-        except KeyError as exc:
-            return {"ok": False, "error": f"missing field {exc}"}
-        response = {
-            "ok": True,
-            "job_id": handle.job_id,
-            "coalesced": handle.coalesced,
-            "cached": handle.cached,
-        }
-        if request.get("wait", True):
-            try:
-                result = await handle.result(request.get("wait_timeout"))
-            except asyncio.TimeoutError:
-                return {**response, "ok": False, "error": "wait timed out"}
-            except Exception as exc:  # noqa: BLE001 — report job failure
-                return {**response, "ok": False, "error": str(exc)}
-            response["result"] = _serialize(result)
-        return response
-    return {"ok": False, "error": f"unknown op {op!r}"}
-
-
-async def serve_tcp(
-    service: SimulationService,
-    host: str = "127.0.0.1",
-    port: int = 8642,
-    on_ready=None,
-) -> None:
-    """Serve until a ``shutdown`` op (or cancellation); drains first.
-    ``on_ready(host, port)`` fires once the socket is bound (pass
-    ``port=0`` to let the OS pick)."""
-    done = asyncio.Event()
-
-    async def on_connection(reader, writer):
-        # Requests carrying an ``id`` are answered concurrently (the
-        # reply echoes the id, and ordering is no longer guaranteed), so
-        # one connection can pipeline many in-flight submits — the
-        # cluster gateway's replica links depend on this. Requests
-        # without an id keep the original strict request/reply order.
-        write_lock = asyncio.Lock()
-        pipelined: set[asyncio.Task] = set()
-
-        async def send(response: dict) -> None:
-            async with write_lock:
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-
-        async def respond(request: dict) -> None:
-            response = await _handle_request(service, request)
-            response["id"] = request["id"]
-            with contextlib.suppress(ConnectionError, OSError):
-                await send(response)
-
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    response = {"ok": False, "error": f"bad json: {exc}"}
-                else:
-                    if request.get("op") == "shutdown":
-                        done.set()
-                        response = {"ok": True, "op": "shutdown"}
-                    elif request.get("id") is not None:
-                        task = asyncio.create_task(respond(request))
-                        pipelined.add(task)
-                        task.add_done_callback(pipelined.discard)
-                        continue
-                    else:
-                        response = await _handle_request(service, request)
-                await send(response)
-                if done.is_set():
-                    break
-        finally:
-            for task in pipelined:
-                task.cancel()
-            if pipelined:
-                await asyncio.gather(*pipelined, return_exceptions=True)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    server = await asyncio.start_server(on_connection, host, port)
-    addr = server.sockets[0].getsockname()
-    logger.info("serve: listening on %s:%s", addr[0], addr[1])
-    print(f"repro-serve listening on {addr[0]}:{addr[1]}", flush=True)
-    if on_ready is not None:
-        on_ready(addr[0], addr[1])
-    try:
-        await done.wait()
-    finally:
-        server.close()
-        await server.wait_closed()
-        await service.shutdown()
 
 
 def main_serve(argv: list[str] | None = None) -> int:
@@ -444,12 +269,10 @@ def main_serve(argv: list[str] | None = None) -> int:
         class_limits["batch"] = args.batch_limit
     timeline = None
     if args.timeline:
-        import time as _time
-
         from ..profiling.timeline import Timeline
 
         timeline = Timeline(
-            time_fn=_time.monotonic, name="serve", tag_os_ids=True
+            time_fn=time.monotonic, name="serve", tag_os_ids=True
         )
     config = ServiceConfig(
         workers=args.workers,
@@ -466,27 +289,11 @@ def main_serve(argv: list[str] | None = None) -> int:
         timeline=timeline,
     )
 
-    async def amain() -> None:
-        service = SimulationService(config)
-        await service.start()
-        loop = asyncio.get_running_loop()
-        server_task = asyncio.ensure_future(
-            serve_tcp(service, args.host, args.port)
-        )
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            with contextlib.suppress(NotImplementedError):
-                loop.add_signal_handler(sig, server_task.cancel)
-        try:
-            await server_task
-        except asyncio.CancelledError:
-            logger.info("serve: signal received, draining")
-            await service.shutdown()
-        if timeline is not None:
-            from ..profiling.timeline import export_perfetto
+    run_server(SimulationService(config), args.host, args.port)
+    if timeline is not None:
+        from ..profiling.timeline import export_perfetto
 
-            out = export_perfetto([timeline], args.timeline)
-            logger.info("serve: wrote %d-event timeline to %s",
-                        len(timeline), out)
-
-    asyncio.run(amain())
+        out = export_perfetto([timeline], args.timeline)
+        logger.info("serve: wrote %d-event timeline to %s",
+                    len(timeline), out)
     return 0

@@ -4,9 +4,9 @@ A :class:`WorkerProcess` owns one child process running a job loop over
 a pipe; the parent can bound how long it waits for a reply and, on a
 hang or crash, kill and respawn the child without losing the rest of the
 pool. :class:`SupervisedWorkerPool` layers acquisition, retry, and
-restart accounting on top; both the asyncio service scheduler and the
-synchronous ``run_experiments_parallel(timeout=, retries=)`` path drive
-it (the latter via threads).
+restart accounting on top; both the asyncio service and the
+synchronous ``run_experiments_parallel`` drive it (the latter via
+threads).
 
 The code a worker runs is named by a ``"module:function"`` spec resolved
 *in the child*, so tests and demos can substitute their own job body;
@@ -233,7 +233,7 @@ class SupervisedWorkerPool:
     """A fixed-size pool of :class:`WorkerProcess` with retry/restart.
 
     Thread-safe: workers are handed out through a queue, so the asyncio
-    scheduler (via ``asyncio.to_thread``) and the parallel runner (via a
+    service (via ``asyncio.to_thread``) and the parallel runner (via a
     thread pool) can both drive :meth:`run_with_retry` concurrently.
     """
 

@@ -331,8 +331,8 @@ def whatif_job_runner(exp_id: str, kwargs: dict) -> dict:
       (default: the bench cache root's ``checkpoints/``).
 
     Returns a serialised :class:`~repro.bench.harness.ExperimentResult`
-    payload with a ``"_checkpoint"`` metadata side-channel the scheduler
-    strips into its service metrics.
+    payload with a ``"_checkpoint"`` metadata side-channel the service
+    strips into its metrics.
     """
     from ..bench.harness import ExperimentResult
     from ..bench.runner import _serialize

@@ -121,7 +121,7 @@ class TestInterrupt:
         def interrupted_wait(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(runner, "wait", interrupted_wait)
+        monkeypatch.setattr(runner, "as_completed", interrupted_wait)
         with pytest.raises(ExperimentInterrupted) as exc:
             run_experiments_parallel(
                 ["expA", "expB", "expC"], jobs=2, cache=cache
@@ -149,6 +149,12 @@ class TestInterrupt:
             run_experiments_parallel(["expA", "expB", "expC"], jobs=1)
         assert set(exc.value.completed) == {"expA"}
         assert calls == ["expA", "expB"]
+
+
+def test_in_process_run_restores_the_sigterm_handler():
+    before = signal.getsignal(signal.SIGTERM)
+    assert cli_main(["run", "table1", "--jobs", "1", "--no-cache"]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestCacheCli:

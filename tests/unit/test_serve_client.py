@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from repro.serve.client import IDEMPOTENT_OPS, ServeClient
+from repro.serve.protocol import IDEMPOTENT_OPS, ServeClient
 
 
 def _flaky_server(listener: socket.socket, drop_first: int) -> None:

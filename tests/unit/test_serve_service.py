@@ -9,9 +9,11 @@ across process boundaries.
 """
 
 import asyncio
+import gc
 import json
 import multiprocessing
 import time
+import weakref
 
 import pytest
 
@@ -263,6 +265,25 @@ class TestDrain:
                 with pytest.raises(asyncio.CancelledError):
                     await doomed.result(1)
             assert svc.metrics_snapshot()["jobs"]["cancelled"] == 1
+
+        run(body())
+
+
+class TestJobRetention:
+    def test_settled_results_are_released(self):
+        """The service keeps no settled job: once the callers drop their
+        handles, every result is garbage."""
+
+        async def body():
+            async with make_service(workers=2) as svc:
+                refs = []
+                for i in range(20):
+                    handle = svc.submit(f"job{i}", {})
+                    refs.append(weakref.ref(await handle.result(5)))
+                del handle
+                await svc.drain()
+                gc.collect()
+                assert [ref() for ref in refs] == [None] * len(refs)
 
         run(body())
 
