@@ -15,6 +15,7 @@ import time
 
 from .experiments import experiment_ids, run_experiment
 from .report import render_markdown, render_table
+from .trace_cmd import parse_scale
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,9 +82,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--scale",
-        type=float,
+        type=parse_scale,
         default=1.0,
-        help="problem/machine scale factor (1.0 = the paper's testbed)",
+        help="problem/machine scale factor (accepts 1/64; 1.0 = the "
+        "paper's testbed)",
     )
     parser.add_argument(
         "--markdown", action="store_true", help="emit Markdown tables"

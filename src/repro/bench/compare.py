@@ -2,8 +2,9 @@
 
 Pairs with :mod:`repro.bench.export`: load two JSON documents produced by
 ``repro-bench ... --json`` and report per-cell relative deltas, flagging
-any change beyond a threshold — the tool CI uses to catch unintended
-shifts in the reproduced figures.
+any change beyond a threshold. :func:`diff_results` is also the cell
+comparison behind ``repro-bench verify``'s mismatch report
+(:func:`repro.check.golden.describe_divergence`).
 """
 
 from __future__ import annotations

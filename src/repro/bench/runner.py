@@ -506,6 +506,7 @@ def main_run(argv: list[str] | None = None) -> int:
     import time
 
     from .report import render_markdown, render_table
+    from .trace_cmd import parse_scale
 
     parser = argparse.ArgumentParser(
         prog="repro-bench run",
@@ -529,8 +530,9 @@ def main_run(argv: list[str] | None = None) -> int:
         help="worker processes (default: CPU count)",
     )
     parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="problem/machine scale factor (1.0 = the paper's testbed)",
+        "--scale", type=parse_scale, default=1.0,
+        help="problem/machine scale factor (accepts 1/64; 1.0 = the "
+        "paper's testbed)",
     )
     parser.add_argument(
         "--timeout", type=float, metavar="SECONDS",

@@ -119,27 +119,63 @@ def write_golden(fingerprint: dict, golden_dir=None) -> Path:
     return path
 
 
-def _first_divergence(expected: dict, actual: dict) -> str:
-    """Human-oriented hint: the first field/row where payloads differ."""
-    for key in ("title", "columns", "notes"):
-        if expected.get(key) != actual.get(key):
-            return f"field {key!r} differs"
+def _cell_value(value):
+    """A canonical cell read back as a number where it is one (a NaN
+    stays a string, so it is compared as text)."""
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            return value
+        return number if number == number else value
+    return value
+
+
+def _as_result(payload: dict):
+    from ..bench.harness import ExperimentResult
+
+    rows = [
+        {col: _cell_value(v) for col, v in row.items()}
+        for row in payload.get("rows", [])
+    ]
+    return ExperimentResult(
+        payload.get("exp_id", ""), payload.get("title", ""), rows=rows
+    )
+
+
+def describe_divergence(expected: dict, actual: dict) -> str:
+    """Every difference between two fingerprint payloads, one per line:
+    title, columns and notes, the row count, and each changed cell.
+    Numeric cells are compared by :func:`repro.bench.compare.diff_results`
+    at the payloads' 12 significant digits."""
+    from ..bench.compare import diff_results
+
+    lines = [
+        f"field {key!r} differs"
+        for key in ("title", "columns", "notes")
+        if expected.get(key) != actual.get(key)
+    ]
     exp_rows = expected.get("rows", [])
     act_rows = actual.get("rows", [])
     if len(exp_rows) != len(act_rows):
-        return f"row count {len(exp_rows)} -> {len(act_rows)}"
+        lines.append(f"row count {len(exp_rows)} -> {len(act_rows)}")
+    deltas = diff_results(_as_result(expected), _as_result(actual))
+    lines += [
+        f"row {d.row} column {d.column!r}: {d.before:.12g} -> {d.after:.12g}"
+        for d in deltas
+    ]
+    numeric = {(d.row, d.column) for d in deltas}
+    # diff_results covers cells numeric on both sides; report every
+    # other changed one.
     for i, (e, a) in enumerate(zip(exp_rows, act_rows)):
-        if e != a:
-            cols = sorted(
-                set(e) | set(a),
-                key=lambda c: (e.get(c) == a.get(c), c),
-            )
-            col = cols[0] if cols else "?"
-            return (
-                f"row {i} column {col!r}: "
-                f"{e.get(col)!r} -> {a.get(col)!r}"
-            )
-    return "payloads equal but digests differ (format change?)"
+        for col in sorted(set(e) | set(a)):
+            if e.get(col) != a.get(col) and (i, col) not in numeric:
+                lines.append(
+                    f"row {i} column {col!r}: {e.get(col)!r} -> {a.get(col)!r}"
+                )
+    if not lines:
+        return "payloads equal but digests differ (format change?)"
+    return "\n".join(lines)
 
 
 def verify_experiments(
@@ -150,8 +186,9 @@ def verify_experiments(
 
     Returns one report dict per experiment with ``status`` in
     ``{"ok", "mismatch", "missing", "updated"}``; ``mismatch`` and
-    ``missing`` entries carry a ``detail`` string. Non-default backends
-    verify against their own golden set (``tests/golden/<backend>/``).
+    ``missing`` entries carry a ``detail`` string (for a mismatch, one
+    line per difference). Non-default backends verify against their own
+    golden set (``tests/golden/<backend>/``).
     """
     from ..bench.experiments import experiment_ids
 
@@ -177,7 +214,7 @@ def verify_experiments(
             report.update(
                 status="mismatch",
                 expected=expected["digest"],
-                detail=_first_divergence(expected, actual),
+                detail=describe_divergence(expected, actual),
             )
         reports.append(report)
     return reports
@@ -253,7 +290,7 @@ def main_verify(argv=None) -> int:
             line += f"  ({r['digest'][:12]})"
         else:
             failed += 1
-            line += f"\n    {r['detail']}"
+            line += "\n    " + r["detail"].replace("\n", "\n    ")
             if "expected" in r:
                 line += (
                     f"\n    expected {r['expected'][:12]} "

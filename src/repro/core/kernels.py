@@ -122,8 +122,6 @@ class KernelExecutor:
         self.gpu = gpu
         self.cpu = cpu
         self.counters = counters
-        self.kernel_log: list[KernelRecord] = []
-        self.phase_log: list[PhaseRecord] = []
 
     # -- GPU kernels ------------------------------------------------------------
 
@@ -178,7 +176,7 @@ class KernelExecutor:
         start = self.clock.now
         self.clock.advance(duration, activity=f"kernel:{name}")
         self.counters.end_kernel(self.clock.now)
-        rec = KernelRecord(
+        return KernelRecord(
             name=name,
             start=start,
             duration=duration,
@@ -187,16 +185,6 @@ class KernelExecutor:
             migrated_bytes=migrated,
             context_init_seconds=ctx_time,
         )
-        self.kernel_log.append(rec)
-        self.clock.record(
-            "kernel",
-            name=name,
-            duration=duration,
-            hbm_bytes=total.hbm_bytes,
-            remote_bytes=total.remote_bytes,
-            faults_s=round(total.fault_seconds, 9),
-        )
-        return rec
 
     # -- CPU phases ------------------------------------------------------------------
 
@@ -227,6 +215,4 @@ class KernelExecutor:
         )
         start = self.clock.now
         self.clock.advance(duration, activity=f"cpu:{name}")
-        rec = PhaseRecord(name=name, start=start, duration=duration, result=total)
-        self.phase_log.append(rec)
-        return rec
+        return PhaseRecord(name=name, start=start, duration=duration, result=total)

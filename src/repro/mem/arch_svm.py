@@ -102,12 +102,10 @@ class SvmFaultHandler(FaultHandler):
             # driver round-trip over the link, not an SMMU replay.
             self.smmu.stats.replayable_faults += n
             self.smmu.stats.page_walks += n
-            alloc.stats.gpu_faults += n
             self.counters.bump(gpu_replayable_faults=n)
             out.seconds += n * self.config.svm_fault_cost
         else:
             out.seconds += self.smmu.cpu_first_touch_fault(n)
-            alloc.stats.cpu_faults += n
             self.counters.bump(cpu_page_faults=n)
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
@@ -174,7 +172,6 @@ class SvmArchitecture(MemoryArchitecture):
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             seconds += t
             seconds += mem.tlbs.gpu.shootdown(take.count)
-            victim.stats.pages_evicted += take.count
             mem.counters.bump(
                 eviction_bytes=nbytes,
                 migration_d2h_bytes=nbytes,
@@ -206,7 +203,6 @@ class SvmArchitecture(MemoryArchitecture):
         if n_stale:
             mem.smmu.stats.replayable_faults += n_stale
             mem.smmu.stats.page_walks += n_stale
-            alloc.stats.gpu_faults += n_stale
             mem.counters.bump(gpu_replayable_faults=n_stale)
             res.fault_seconds += n_stale * cfg.svm_fault_cost
 
@@ -229,7 +225,6 @@ class SvmArchitecture(MemoryArchitecture):
                 t = cfg.svm_transfer_time(nbytes)
                 mem.link.account_external(nbytes, Processor.CPU, t, "migration")
                 res.transfer_seconds += t
-                alloc.stats.pages_migrated_to_gpu += fit.count
                 mem.counters.bump(
                     migration_h2d_bytes=nbytes,
                     pages_migrated_h2d=fit.count,
@@ -246,7 +241,6 @@ class SvmArchitecture(MemoryArchitecture):
                 )
                 mem.link.account_external(nbytes, Processor.GPU, t_out, "dma")
                 res.transfer_seconds += t_in + t_out
-                alloc.stats.pages_evicted += rest.count
                 mem.counters.bump(
                     migration_h2d_bytes=nbytes,
                     migration_d2h_bytes=nbytes,
@@ -270,11 +264,6 @@ class SvmArchitecture(MemoryArchitecture):
             **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
         )
         res.consumed_bytes = shape.useful_bytes * pages.count
-        if alloc.kind is AllocKind.SYSTEM:
-            alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-            alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-            alloc.stats.local_read_bytes += 0 if write else local_bytes
-            alloc.stats.local_write_bytes += local_bytes if write else 0
         return res
 
     def _cpu_access(self, mem, alloc, pages, shape, write):
@@ -291,7 +280,6 @@ class SvmArchitecture(MemoryArchitecture):
         gpu_set = alloc.subset(pages, Location.GPU)
         if gpu_set:
             n = gpu_set.count
-            alloc.stats.cpu_faults += n
             mem.counters.bump(cpu_page_faults=n)
             res.fault_seconds += n * cfg.svm_fault_cost
             nbytes = n * page_size
@@ -302,7 +290,6 @@ class SvmArchitecture(MemoryArchitecture):
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             res.transfer_seconds += t
             res.fault_seconds += mem.tlbs.gpu.shootdown(n)
-            alloc.stats.pages_migrated_to_cpu += n
             mem.counters.bump(
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=n,
@@ -323,11 +310,6 @@ class SvmArchitecture(MemoryArchitecture):
             **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
         )
         res.consumed_bytes = shape.useful_bytes * pages.count
-        if alloc.kind is AllocKind.SYSTEM:
-            alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-            alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-            alloc.stats.local_read_bytes += 0 if write else local_bytes
-            alloc.stats.local_write_bytes += local_bytes if write else 0
         return res
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
@@ -388,7 +370,6 @@ class SvmArchitecture(MemoryArchitecture):
             mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.CPU, t, "migration")
-            alloc.stats.pages_migrated_to_gpu += fit.count
             mem.counters.bump(
                 migration_h2d_bytes=nbytes, pages_migrated_h2d=fit.count
             )

@@ -84,7 +84,6 @@ class NullMigrator:
         self.link = link
         self.tlbs = tlbs
         self.counters = counters
-        self.notifications_seen = 0
         self.fabric_port = None
 
     def record_gpu_accesses(self, alloc, pages, accesses_per_page) -> None:
@@ -136,11 +135,9 @@ class UpmFaultHandler(FaultHandler):
         if accessor is Processor.GPU:
             self.smmu.stats.replayable_faults += n
             self.smmu.stats.page_walks += n
-            alloc.stats.gpu_faults += n
             self.counters.bump(gpu_replayable_faults=n)
         else:
             self.smmu.stats.cpu_faults += n
-            alloc.stats.cpu_faults += n
             self.counters.bump(cpu_page_faults=n)
         out.seconds += n * self.config.upm_fault_cost
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
@@ -231,10 +228,6 @@ class UpmArchitecture(MemoryArchitecture):
             )
 
         res.consumed_bytes = shape.useful_bytes * pages.count
-        alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-        alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-        alloc.stats.local_read_bytes += 0 if write else local_bytes
-        alloc.stats.local_write_bytes += local_bytes if write else 0
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):

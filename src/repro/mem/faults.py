@@ -103,11 +103,9 @@ class FaultHandler:
         n = unmapped.count
         if accessor is Processor.GPU:
             out.seconds += self.smmu.gpu_first_touch_fault(n)
-            alloc.stats.gpu_faults += n
             self.counters.bump(gpu_replayable_faults=n)
         else:
             out.seconds += self.smmu.cpu_first_touch_fault(n)
-            alloc.stats.cpu_faults += n
             self.counters.bump(cpu_page_faults=n)
 
         # Anonymous pages are zeroed in the fault path (clear_page);

@@ -12,8 +12,8 @@ observation:
   full, first-touch *evicts* least-recently-used managed blocks (the
   init-phase eviction observed for the 34-qubit run in Section 7).
 * **GPU access to CPU-resident pages** raises GMMU far-faults; the driver
-  migrates data at the tree-prefetcher's effective granularity, evicting
-  LRU blocks when necessary. Larger system pages amplify evict/
+  migrates data in 2 MB fault batches (``managed_migration_granularity``),
+  evicting LRU blocks when necessary. Larger system pages amplify evict/
   migrate-back traffic (Figure 13's 3x slower 64 KB compute at 30 qubits).
 * **Natural oversubscription** (one allocation larger than GPU memory):
   after the initial fill-and-evict, the driver stops migrating and leaves
@@ -38,7 +38,6 @@ from .gmmu import Gmmu
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
-from .prefetch import TreePrefetcher
 from .tlb import TlbHierarchy
 
 
@@ -86,7 +85,6 @@ class ManagedMemoryManager:
         self.tlbs = tlbs
         self.fabric = fabric
         self.counters = counters
-        self.prefetcher = TreePrefetcher(config)
         #: Optional structured event timeline (wired by the runtime).
         self.timeline = None
         #: All live managed allocations, for cross-allocation LRU eviction.
@@ -176,7 +174,6 @@ class ManagedMemoryManager:
             alloc.set_location(gpu_pages, Location.CPU)
             self.physical.gpu.release(nbytes, tag=self._tag(alloc))
             self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
-            alloc.stats.pages_evicted += gpu_pages.count
             self.counters.bump(
                 eviction_bytes=nbytes,
                 migration_d2h_bytes=nbytes,
@@ -286,7 +283,6 @@ class ManagedMemoryManager:
                 efficiency=self.config.managed_remote_eff(),
             )
             out.remote_bytes += shape.useful_bytes * cpu_part.count
-        alloc.stats.managed_faults += 1
 
     def _on_demand_migrate(
         self,
@@ -314,11 +310,14 @@ class ManagedMemoryManager:
         rest = cpu_pages.difference(move)
         if move:
             moved_bytes = self._page_bytes(move.count)
-            # One serviced fault batch per 2 MB block: the tree prefetcher
-            # escalates to full-block moves almost immediately on dense
-            # fault streams, so the effective fault-driven migration rate
-            # is ~2 MB per farfault_cost + transfer (≈ 65 GB/s, matching
-            # measured UVM migration throughput).
+            # One serviced fault batch per 2 MB block
+            # (managed_migration_granularity). The driver's tree prefetcher
+            # starts at 64 KB and escalates to full-block moves as faults
+            # cluster. That escalation is not modelled: the model charges
+            # the full-block moves dense fault streams reach almost at once.
+            # The effective fault-driven migration rate is ~2 MB per
+            # farfault_cost + transfer (≈ 65 GB/s, matching measured UVM
+            # migration throughput).
             batches = -(-moved_bytes // self.config.managed_migration_granularity)
             out.fault_seconds += self.gmmu.far_fault(batches) + evict_t
             effective = int(moved_bytes * thrash)
@@ -333,7 +332,6 @@ class ManagedMemoryManager:
             # paper's Figure 10 note: even iteration 1 reads from GPU
             # memory in the managed version).
             out.hbm_bytes += shape.useful_bytes * move.count
-            alloc.stats.pages_migrated_to_gpu += move.count
             self.counters.bump(
                 migration_h2d_bytes=effective,
                 pages_migrated_h2d=move.count,
@@ -380,8 +378,6 @@ class ManagedMemoryManager:
         out.hbm_bytes += shape.useful_bytes * pages.count
         out.evicted_bytes += effective
         out.migrated_bytes += effective
-        alloc.stats.pages_migrated_to_gpu += pages.count
-        alloc.stats.pages_evicted += pages.count
         self.counters.bump(
             migration_h2d_bytes=effective,
             migration_d2h_bytes=effective,
@@ -434,7 +430,6 @@ class ManagedMemoryManager:
             alloc.set_location(unmapped, Location.CPU)
             self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
             out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
-            alloc.stats.cpu_faults += unmapped.count
             self.counters.bump(cpu_page_faults=unmapped.count)
 
         n_gpu = int(counts[Location.GPU])
@@ -455,7 +450,6 @@ class ManagedMemoryManager:
                 len(victim.blocks(alloc.block_pages))
             ) + self.tlbs.gpu.shootdown(victim.count)
             out.migrated_bytes += nbytes
-            alloc.stats.pages_migrated_to_cpu += victim.count
             self.counters.bump(
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=victim.count,
@@ -499,7 +493,6 @@ class ManagedMemoryManager:
             self.physical.gpu.reserve(moved, tag=self._tag(alloc))
             seconds += self.link.streaming_time(moved, Processor.CPU, Processor.GPU)
             alloc.touch_blocks(move, now)
-            alloc.stats.pages_migrated_to_gpu += move.count
             self.counters.bump(
                 migration_h2d_bytes=moved, pages_migrated_h2d=move.count
             )

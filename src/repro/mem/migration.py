@@ -45,7 +45,6 @@ class MigrationReport:
 
     pages_migrated: int = 0
     bytes_migrated: int = 0
-    ranges: int = 0
     transfer_seconds: float = 0.0
     stall_seconds: float = 0.0
 
@@ -66,7 +65,6 @@ class AccessCounterMigrator:
         self.link = link
         self.tlbs = tlbs
         self.counters = counters
-        self.notifications_seen = 0
         #: Duck-typed fabric port on multi-superchip nodes (see
         #: :class:`~repro.topology.ShardedSystem`); ``None`` keeps the
         #: single-superchip behaviour untouched.
@@ -156,7 +154,6 @@ class AccessCounterMigrator:
             hot = alloc.counters.crossed(pages, self.config.migration_threshold)
             if not hot:
                 continue
-            self.notifications_seen += 1
             self.counters.bump(migration_notifications=1)
             # Notifications are per VA *region*: the driver migrates the
             # pages belonging to the associated region (Section 2.2.1), so
@@ -201,10 +198,8 @@ class AccessCounterMigrator:
         shootdown = self.tlbs.ats_tbu.shootdown(pages.count)
         report.pages_migrated += pages.count
         report.bytes_migrated += nbytes
-        report.ranges += 1
         report.transfer_seconds += transfer + self.config.migration_range_cost
         report.stall_seconds += stall + shootdown
-        alloc.stats.pages_migrated_to_gpu += pages.count
         self.counters.bump(
             migration_h2d_bytes=nbytes,
             pages_migrated_h2d=pages.count,
@@ -241,10 +236,8 @@ class AccessCounterMigrator:
         shootdown = self.tlbs.ats_tbu.shootdown(pages.count)
         report.pages_migrated += pages.count
         report.bytes_migrated += nbytes
-        report.ranges += 1
         report.transfer_seconds += transfer + self.config.migration_range_cost
         report.stall_seconds += stall + shootdown
-        alloc.stats.pages_migrated_to_gpu += pages.count
         self.counters.bump(
             migration_h2d_bytes=nbytes,
             pages_migrated_h2d=pages.count,

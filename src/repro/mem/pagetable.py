@@ -22,7 +22,6 @@ that uniform sweeps over millions of pages cost O(1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -173,22 +172,6 @@ class AccessCounters:
 _alloc_ids = itertools.count(1)
 
 
-@dataclass
-class AllocationStats:
-    """Per-allocation traffic and event tallies."""
-
-    gpu_faults: int = 0
-    cpu_faults: int = 0
-    managed_faults: int = 0
-    pages_migrated_to_gpu: int = 0
-    pages_migrated_to_cpu: int = 0
-    pages_evicted: int = 0
-    remote_read_bytes: int = 0
-    remote_write_bytes: int = 0
-    local_read_bytes: int = 0
-    local_write_bytes: int = 0
-
-
 class Allocation:
     """One virtual allocation and its per-page physical state."""
 
@@ -221,7 +204,6 @@ class Allocation:
         self._loc_counts = np.zeros(len(Location), dtype=np.int64)
         self._loc_counts[Location.UNMAPPED] = self.n_pages
         self.counters = AccessCounters(self.n_pages)
-        self.stats = AllocationStats()
         self.freed = False
         #: Simulated-time of last GPU touch per 2 MB block, for LRU
         #: eviction of managed memory.

@@ -329,11 +329,6 @@ class MemorySubsystem:
                                 else "lpddr_read_bytes"
                             ): local_bytes
                         })
-                    if kind is AllocKind.SYSTEM:
-                        if write:
-                            alloc.stats.local_write_bytes += local_bytes
-                        else:
-                            alloc.stats.local_read_bytes += local_bytes
                     total.consumed_bytes += local_bytes
                     continue
                 total.merge(
@@ -439,10 +434,6 @@ class MemorySubsystem:
                 )
 
         res.consumed_bytes = shape.useful_bytes * pages.count
-        alloc.stats.remote_read_bytes += 0 if write else res.remote_bytes
-        alloc.stats.remote_write_bytes += res.remote_bytes if write else 0
-        alloc.stats.local_read_bytes += 0 if write else local_bytes
-        alloc.stats.local_write_bytes += local_bytes if write else 0
         return res
 
     def _device_access(

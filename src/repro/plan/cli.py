@@ -22,21 +22,16 @@ import sys
 import time
 
 from ..bench.runner import ResultCache, RunRecord, register_run_hook, unregister_run_hook
+from ..bench.trace_cmd import parse_scale
 from .calibrate import calibratable_ids, calibrate_many, load_calibrated
 from .model import MixModel, parse_mix
 from .queueing import estimate, geometric_burst_arrival_scv
 from .solver import solve_min_replicas
 
 
-def _parse_scale(text: str) -> float:
-    from ..bench.trace_cmd import parse_scale
-
-    return parse_scale(text)
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scale", type=_parse_scale, default=1.0, metavar="S",
+        "--scale", type=parse_scale, default=1.0, metavar="S",
         help="calibration scale (accepts 1/64; default 1.0 = the paper "
         "testbed; vectors are cached per scale)",
     )

@@ -32,7 +32,7 @@ class FaultSummary:
 
 
 class NsightTrace:
-    """A post-mortem view over counters and the clock's trace log."""
+    """A post-mortem view over counters and the clock's timeline."""
 
     def __init__(
         self,
@@ -72,10 +72,20 @@ class NsightTrace:
         ]
 
     def migration_events(self) -> list[dict]:
-        """Migration/eviction activity entries from the clock trace."""
-        rows = []
-        for ev in self.clock.events("activity"):
-            name = ev.payload.get("name", "")
-            if name.startswith(("prefetch:", "free:")) or "migrat" in name:
-                rows.append({"time": ev.time, **ev.payload})
-        return rows
+        """Migration/eviction activity spans from the clock's timeline.
+
+        Like the real tool, this needs tracing switched on: build the
+        system with ``SystemConfig(timeline=True)`` (or under
+        ``REPRO_TIMELINE=1`` / a ``TimelineSession``).
+        """
+        timeline = self.clock.timeline
+        if timeline is None:
+            raise RuntimeError(
+                "migration_events needs a timeline: build the system with "
+                "timeline=True, REPRO_TIMELINE=1 or a TimelineSession"
+            )
+        return [
+            {"time": s.end, "name": s.name, "duration": s.duration}
+            for s in timeline.spans(track="sim/activity")
+            if s.name.startswith(("prefetch:", "free:")) or "migrat" in s.name
+        ]

@@ -217,29 +217,40 @@ class TraceRecorder:
         self._original = None
 
 
-def replay(
-    trace: AccessTrace, gh, *, epoch_every: int = 1
-) -> dict[str, float]:
-    """Replay a trace onto a fresh :class:`GraceHopperSystem`.
+class TraceReplayer:
+    """Re-issues recorded access batches onto one system, in order.
 
-    Allocations are recreated by name/kind/size on first appearance;
-    access batches are re-issued in order, servicing migrations every
-    ``epoch_every`` GPU batches. Returns summary metrics.
+    Allocations are recreated by name/kind/size on first appearance, and
+    migrations are serviced every ``epoch_every`` GPU batches. The
+    one per-record step behind :func:`replay` and
+    :func:`repro.sim.whatif.incremental_replay`.
     """
-    allocs: dict[str, object] = {}
-    gpu_batches = 0
-    t0 = gh.now
-    for rec in trace:
-        alloc = allocs.get(rec.alloc_name)
+
+    def __init__(self, gh, epoch_every: int = 1):
+        self.gh = gh
+        self.epoch_every = max(epoch_every, 1)
+        self.allocs: dict[str, object] = {}
+        #: GPU batches issued so far (drives the epoch cadence).
+        self.gpu_batches = 0
+
+    def allocation(self, rec: TraceRecord):
+        """The allocation ``rec`` targets, created on first sight."""
+        alloc = self.allocs.get(rec.alloc_name)
         if alloc is None:
-            alloc = gh.mem.allocate(
+            alloc = self.gh.mem.allocate(
                 AllocKind(rec.alloc_kind), rec.alloc_bytes, name=rec.alloc_name
             )
-            allocs[rec.alloc_name] = alloc
+            self.allocs[rec.alloc_name] = alloc
+        return alloc
+
+    def step(self, rec: TraceRecord) -> None:
+        """Re-issue one batch and advance the clock by its cost."""
+        gh = self.gh
+        alloc = self.allocation(rec)
         proc = Processor(rec.processor)
         if proc is Processor.GPU:
-            gpu_batches += 1
-            if gpu_batches % max(epoch_every, 1) == 0:
+            self.gpu_batches += 1
+            if self.gpu_batches % self.epoch_every == 0:
                 gh.mem.begin_epoch()
         result = gh.mem.access(
             proc, alloc, rec.pageset(), rec.shape(),
@@ -253,9 +264,23 @@ def replay(
             + result.lpddr_bytes / gh.config.cpu_memory_bandwidth
         )
         gh.clock.advance(cost, activity=f"replay:{rec.alloc_name}")
+
+
+def replay(
+    trace: AccessTrace, gh, *, epoch_every: int = 1
+) -> dict[str, float]:
+    """Replay a trace onto a fresh :class:`GraceHopperSystem`.
+
+    Access batches are re-issued in order through a
+    :class:`TraceReplayer`. Returns summary metrics.
+    """
+    replayer = TraceReplayer(gh, epoch_every)
+    t0 = gh.now
+    for rec in trace:
+        replayer.step(rec)
     return {
         "replay_seconds": gh.now - t0,
-        "allocations": len(allocs),
+        "allocations": len(replayer.allocs),
         "batches": len(trace),
         "c2c_read_bytes": gh.counters.total.c2c_read_bytes,
         "pages_migrated_h2d": gh.counters.total.pages_migrated_h2d,

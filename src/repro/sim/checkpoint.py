@@ -21,8 +21,6 @@ to pickles under the bench cache root for cross-process reuse, with a
 
 Fidelity rules (enforced by :meth:`SystemCheckpoint.capture`):
 
-* no scheduled events may be pending (delayed notifications, async
-  prefetch completions) — the event queue cannot be serialised portably;
 * no tick listeners may be registered (the memory profiler samples
   relative wall-in-sim offsets a rewind would corrupt);
 * no kernel may be in flight on the counter capture facility.
@@ -44,7 +42,7 @@ import numpy as np
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 2
+CKPT_SCHEMA = 3
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -74,7 +72,6 @@ class _AllocState:
     counters_base: int
     counters_extra: np.ndarray | None
     counters_peak: int
-    stats: object
     freed: bool
     oversubscription_pinned: bool
     remote_pages_by_node: dict
@@ -103,8 +100,6 @@ class SystemCheckpoint:
     def __init__(self):
         self.schema = CKPT_SCHEMA
         self.clock_now: float = 0.0
-        self.clock_seq: int = 0
-        self.trace_events: list = []
         self.counters_total = None
         self.kernel_records: list = []
         self.pools: dict[str, _PoolState] = {}
@@ -112,7 +107,6 @@ class SystemCheckpoint:
         self.tlbs: dict[str, object] = {}
         self.smmu = None
         self.gmmu = None
-        self.migrator_notifications: int = 0
         self.allocs: dict[str, _AllocState] = {}
 
     # -- capture -----------------------------------------------------------
@@ -122,10 +116,6 @@ class SystemCheckpoint:
         """Snapshot ``gh``; raises :class:`CheckpointUnavailable` when the
         system holds state a restore could not reproduce exactly."""
         clock = gh.clock
-        if clock.pending_events():
-            raise CheckpointUnavailable(
-                f"{clock.pending_events()} scheduled event(s) pending"
-            )
         if clock._listeners:
             raise CheckpointUnavailable("tick listeners registered")
         counters = gh.counters
@@ -135,8 +125,6 @@ class SystemCheckpoint:
 
         ck = cls()
         ck.clock_now = clock.now
-        ck.clock_seq = clock._seq
-        ck.trace_events = list(clock.trace)
         ck.counters_total = total.snapshot()
         ck.kernel_records = list(counters.kernel_records)
 
@@ -153,7 +141,6 @@ class SystemCheckpoint:
             ck.tlbs[name] = dataclasses.replace(getattr(mem.tlbs, name).stats)
         ck.smmu = dataclasses.replace(mem.smmu.stats)
         ck.gmmu = dataclasses.replace(mem.gmmu.stats)
-        ck.migrator_notifications = mem.migrator.notifications_seen
 
         for alloc in _all_allocations(mem):
             if alloc.name in ck.allocs:
@@ -174,7 +161,6 @@ class SystemCheckpoint:
                 counters_base=c.base,
                 counters_extra=None if c.extra is None else c.extra.copy(),
                 counters_peak=c.peak,
-                stats=dataclasses.replace(alloc.stats),
                 freed=alloc.freed,
                 oversubscription_pinned=alloc.oversubscription_pinned,
                 remote_pages_by_node=dict(alloc.remote_pages_by_node),
@@ -219,7 +205,6 @@ class SystemCheckpoint:
                 None if st.counters_extra is None else st.counters_extra.copy()
             )
             alloc.counters.peak = st.counters_peak
-            alloc.stats = dataclasses.replace(st.stats)
             alloc.freed = st.freed
             alloc.oversubscription_pinned = st.oversubscription_pinned
             alloc.remote_pages_by_node = dict(st.remote_pages_by_node)
@@ -240,7 +225,6 @@ class SystemCheckpoint:
             getattr(mem.tlbs, name).stats = dataclasses.replace(self.tlbs[name])
         mem.smmu.stats = dataclasses.replace(self.smmu)
         mem.gmmu.stats = dataclasses.replace(self.gmmu)
-        mem.migrator.notifications_seen = self.migrator_notifications
 
         counters = gh.counters
         counters._total = self.counters_total.snapshot()
@@ -248,12 +232,7 @@ class SystemCheckpoint:
         counters.kernel_records = list(self.kernel_records)
         counters._kernel_start_snapshot = None
 
-        clock = gh.clock
-        clock._now = self.clock_now
-        clock._seq = self.clock_seq
-        clock._queue.clear()
-        clock.trace.clear()
-        clock.trace.extend(self.trace_events)
+        gh.clock._now = self.clock_now
 
     # -- identity ----------------------------------------------------------
 
@@ -284,8 +263,6 @@ class SystemCheckpoint:
         scalars = {
             "schema": self.schema,
             "now": repr(self.clock_now),
-            "seq": self.clock_seq,
-            "trace_len": len(self.trace_events),
             "counters": _as_jsonable(self.counters_total),
             "kernel_records": len(self.kernel_records),
             "pools": {
@@ -295,7 +272,6 @@ class SystemCheckpoint:
             "tlbs": {k: _as_jsonable(v) for k, v in sorted(self.tlbs.items())},
             "smmu": _as_jsonable(self.smmu),
             "gmmu": _as_jsonable(self.gmmu),
-            "notifications": self.migrator_notifications,
         }
         h.update(json.dumps(scalars, sort_keys=True, default=repr).encode())
         for name in sorted(self.allocs):
@@ -307,7 +283,6 @@ class SystemCheckpoint:
                         "kind": st.kind,
                         "nbytes": st.nbytes,
                         "base": st.counters_base,
-                        "stats": _as_jsonable(st.stats),
                         "freed": st.freed,
                         "pinned": st.oversubscription_pinned,
                         "remote": {

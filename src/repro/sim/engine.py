@@ -1,4 +1,4 @@
-"""Discrete-event simulation engine.
+"""Simulation clock.
 
 The simulator advances a global clock in *activity intervals* (an
 allocation call, a CPU initialisation loop, a kernel launch, a migration
@@ -6,45 +6,21 @@ window). Within an interval the memory model is evaluated with vectorised
 numpy batch operations rather than per-access events — a million-page
 kernel epoch is one batch — which is what makes paper-scale problems
 (a 34-qubit, 128 GB statevector is two million 64 KB pages) tractable in
-pure Python.
+pure Python. Delayed mechanisms are serviced at interval boundaries:
+access-counter notifications between kernel epochs
+(:meth:`~repro.mem.subsystem.MemorySubsystem.begin_epoch`), and an
+explicit prefetch is charged as its own interval.
 
-Two event facilities complement the batch path:
-
-* a classic priority event queue (:meth:`SimClock.schedule` /
-  :meth:`SimClock.run_until`) used by delayed actions such as
-  access-counter notifications and asynchronous prefetch completions;
-* *tick listeners*, callbacks invoked at fixed simulated-time periods
-  while the clock advances — the memory-utilisation profiler of
-  Section 3.2 registers one with a 100 ms period.
+*Tick listeners* complement the interval path: callbacks invoked at
+fixed simulated-time periods while the clock advances — the
+memory-utilisation profiler of Section 3.2 registers one with a 100 ms
+period. Activity intervals are recorded only when a
+:class:`~repro.profiling.timeline.Timeline` is attached.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
-
-
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    action: Callable[[], None] = field(compare=False)
-    label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-
-@dataclass
-class TraceEvent:
-    """One record in the simulation trace (Nsight-style timeline entry)."""
-
-    time: float
-    kind: str
-    payload: dict[str, Any] = field(default_factory=dict)
-
-    def __repr__(self) -> str:  # compact, log-friendly
-        inner = ", ".join(f"{k}={v}" for k, v in self.payload.items())
-        return f"<{self.kind} @ {self.time * 1e3:.3f} ms {inner}>"
+from typing import Callable
 
 
 class TickListener:
@@ -68,23 +44,13 @@ class TickListener:
             self.callback(self.next_fire)
             self.next_fire += self.period
 
-    def reset(self, now: float = 0.0) -> None:
-        """Re-arm relative to ``now`` (the clock rewound or restarted)."""
-        self.next_fire = now + self.period
-
 
 class SimClock:
-    """Simulated wall clock with an event queue and trace log."""
+    """Simulated wall clock with periodic tick listeners."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[_ScheduledEvent] = []
-        #: Event tie-break sequence. A plain integer (not an iterator) so
-        #: epoch checkpoints can capture and restore it.
-        self._seq = 0
         self._listeners: list[TickListener] = []
-        self.trace: list[TraceEvent] = []
-        self.trace_enabled = True
         #: Optional :class:`repro.profiling.Timeline` (wired by the
         #: runtime when timelines are requested; ``None`` keeps the
         #: advance hot path emission-free).
@@ -99,62 +65,21 @@ class SimClock:
     def advance(self, dt: float, activity: str | None = None) -> float:
         """Advance the clock by ``dt`` seconds of activity.
 
-        Due events scheduled within the interval fire at their own
-        timestamps (in order), and periodic listeners catch up. Returns the
-        new time.
+        Periodic listeners catch up, and a named ``activity`` becomes a
+        span on the attached timeline's ``sim/activity`` track. Returns
+        the new time.
         """
         if dt < 0:
             raise ValueError(f"cannot advance clock by negative dt={dt}")
         target = self._now + dt
-        self._drain_until(target)
         self._now = target
         for listener in self._listeners:
             listener.catch_up(self._now)
-        if activity and self.trace_enabled:
-            self.record("activity", name=activity, duration=dt)
         if activity and self.timeline is not None:
             self.timeline.complete(
                 activity, target - dt, dt, cat="sim", track="sim/activity"
             )
         return self._now
-
-    def _drain_until(self, target: float) -> None:
-        while self._queue and self._queue[0].time <= target:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            self._now = max(self._now, ev.time)
-            for listener in self._listeners:
-                listener.catch_up(self._now)
-            ev.action()
-
-    # -- events ----------------------------------------------------------
-
-    def schedule(
-        self, delay: float, action: Callable[[], None], label: str = ""
-    ) -> _ScheduledEvent:
-        """Schedule ``action`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule events in the past")
-        ev = _ScheduledEvent(self._now + delay, self._seq, action, label)
-        self._seq += 1
-        heapq.heappush(self._queue, ev)
-        return ev
-
-    def cancel(self, event: _ScheduledEvent) -> None:
-        event.cancelled = True
-
-    def run_until(self, t: float) -> None:
-        """Fire all events up to ``t`` and move the clock there."""
-        if t < self._now:
-            raise ValueError("run_until target is in the past")
-        self._drain_until(t)
-        self._now = t
-        for listener in self._listeners:
-            listener.catch_up(self._now)
-
-    def pending_events(self) -> int:
-        return sum(1 for ev in self._queue if not ev.cancelled)
 
     # -- listeners ---------------------------------------------------------
 
@@ -168,32 +93,6 @@ class SimClock:
 
     def remove_tick_listener(self, listener: TickListener) -> None:
         self._listeners.remove(listener)
-
-    # -- tracing -----------------------------------------------------------
-
-    def record(self, kind: str, **payload: Any) -> None:
-        if self.trace_enabled:
-            self.trace.append(TraceEvent(self._now, kind, payload))
-
-    def events(self, kind: str | None = None) -> Iterator[TraceEvent]:
-        for ev in self.trace:
-            if kind is None or ev.kind == kind:
-                yield ev
-
-    def reset(self) -> None:
-        self._now = 0.0
-        self._queue.clear()
-        # Listeners stay registered — their owners (e.g. the memory
-        # profiler) outlive a reset and would otherwise silently stop
-        # sampling on the next run (and crash trying to deregister).
-        # Re-arm each one relative to the rewound clock instead.
-        for listener in self._listeners:
-            listener.reset(0.0)
-        self.trace.clear()
-        # Restart the tie-break sequence too, so event ordering is
-        # reproducible across back-to-back runs in one process (pooled
-        # experiment workers reuse the interpreter).
-        self._seq = 0
 
 
 class Stopwatch:

@@ -36,7 +36,7 @@ import hashlib
 import time
 from typing import Iterable, Sequence
 
-from ..mem.pagetable import AllocKind
+from ..profiling.trace import TraceReplayer
 from ..sim.config import Processor, SystemConfig
 from .checkpoint import CheckpointStore, CheckpointUnavailable, SystemCheckpoint
 
@@ -186,20 +186,10 @@ def incremental_replay(
     )
 
     gh = GraceHopperSystem(config)
-    allocs: dict[str, object] = {}
-
-    def _ensure_alloc(rec):
-        alloc = allocs.get(rec.alloc_name)
-        if alloc is None:
-            alloc = gh.mem.allocate(
-                AllocKind(rec.alloc_kind), rec.alloc_bytes, name=rec.alloc_name
-            )
-            allocs[rec.alloc_name] = alloc
-        return alloc
+    replayer = TraceReplayer(gh, epoch_every)
 
     # -- fast-forward: restore the deepest matching checkpoint -------------
     start_index = 0
-    gpu_batches = 0
     restored_epoch = 0
     if store is not None:
         by_ordinal = sorted(boundaries.items())  # (index, epoch), ascending
@@ -211,7 +201,7 @@ def incremental_replay(
                 continue
             t0 = time.perf_counter()
             for rec in records[:i_e]:
-                _ensure_alloc(rec)
+                replayer.allocation(rec)
             try:
                 ckpt.restore(gh)
             except CheckpointUnavailable:
@@ -226,7 +216,7 @@ def incremental_replay(
                     restored_bytes=ckpt.nbytes,
                 )
             start_index = i_e
-            gpu_batches = e * max(epoch_every, 1) - 1
+            replayer.gpu_batches = e * replayer.epoch_every - 1
             restored_epoch = e
             break
         if restored_epoch == 0 and boundaries:
@@ -239,9 +229,8 @@ def incremental_replay(
     t_replay = time.perf_counter()
     if start_index == 0:
         for iv in by_epoch.get(0, ()):
-            iv.apply(gh, allocs)
+            iv.apply(gh, replayer.allocs)
     for i in range(start_index, len(records)):
-        rec = records[i]
         e = boundaries.get(i)
         if e is not None:
             if (
@@ -256,25 +245,8 @@ def incremental_replay(
                 except CheckpointUnavailable:
                     store.skipped += 1
             for iv in by_epoch.get(e, ()):
-                iv.apply(gh, allocs)
-        alloc = _ensure_alloc(rec)
-        proc = Processor(rec.processor)
-        if proc is Processor.GPU:
-            gpu_batches += 1
-            if gpu_batches % max(epoch_every, 1) == 0:
-                gh.mem.begin_epoch()
-        result = gh.mem.access(
-            proc, alloc, rec.pageset(), rec.shape(),
-            write=rec.write, now=gh.now,
-        )
-        cost = (
-            result.fault_seconds
-            + result.remote_seconds
-            + result.transfer_seconds
-            + result.hbm_bytes / gh.config.hbm_bandwidth
-            + result.lpddr_bytes / gh.config.cpu_memory_bandwidth
-        )
-        gh.clock.advance(cost, activity=f"replay:{rec.alloc_name}")
+                iv.apply(gh, replayer.allocs)
+        replayer.step(records[i])
     if tl is not None:
         tl.complete(
             "checkpoint-replay",
@@ -292,7 +264,7 @@ def incremental_replay(
         fingerprint = None
     summary = {
         "replay_seconds": gh.now,
-        "allocations": len(allocs),
+        "allocations": len(replayer.allocs),
         "batches": len(records),
         "batches_replayed": len(records) - start_index,
         "epochs": len(boundaries),

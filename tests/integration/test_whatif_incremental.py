@@ -123,6 +123,34 @@ class TestExactness:
             Intervention.coerce((1, "overclock", {}))
 
 
+class TestCheckpointSize:
+    def test_spill_does_not_grow_with_replay_position(self, tmp_path):
+        """A checkpoint holds the system's state, not the replay's
+        history, so a late epoch spills no more than an early one.
+        Counter migration is off: per-page access counters materialise
+        only while a migration is pending, which would change the state
+        itself over the first epochs."""
+        config = SystemConfig.scaled(
+            SCALE, page_size=PAGE, migration_enable=False
+        )
+        gh = GraceHopperSystem(config)
+        with TraceRecorder(gh.mem) as rec:
+            a = gh.malloc(np.float32, (1 << 19,), name="w.in")
+            b = gh.malloc(np.float32, (1 << 19,), name="w.out")
+            gh.cpu_phase("init", [ArrayAccess.write_(a), ArrayAccess.write_(b)])
+            for it in range(60):
+                gh.launch_kernel(
+                    f"s{it}", [ArrayAccess.read(a), ArrayAccess.write_(b)],
+                    flops=1e8,
+                )
+        incremental_replay(
+            rec.trace, config, epoch_every=1, store=CheckpointStore(tmp_path)
+        )
+        sizes = [p.stat().st_size for p in tmp_path.glob("*.ckpt")]
+        assert len(sizes) == 120
+        assert max(sizes) <= 1.1 * min(sizes)
+
+
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="worker tests rely on fork",

@@ -14,7 +14,7 @@ from repro.check import (
     verify_experiments,
     write_golden,
 )
-from repro.check.golden import _first_divergence, main_verify
+from repro.check.golden import describe_divergence, main_verify
 
 FAST = "table1"  # cheapest registered experiment
 
@@ -96,10 +96,27 @@ def test_verify_statuses(tmp_path):
 def test_first_divergence_hints():
     a = {"title": "t", "columns": ["x"], "notes": [], "rows": [{"x": 1}]}
     b = dict(a, rows=[{"x": 2}])
-    assert "row 0 column 'x'" in _first_divergence(a, b)
-    assert "row count" in _first_divergence(a, dict(a, rows=[]))
-    assert "field 'title'" in _first_divergence(a, dict(a, title="u"))
-    assert "digests" in _first_divergence(a, dict(a))
+    assert "row 0 column 'x'" in describe_divergence(a, b)
+    assert "row count" in describe_divergence(a, dict(a, rows=[]))
+    assert "field 'title'" in describe_divergence(a, dict(a, title="u"))
+    assert "digests" in describe_divergence(a, dict(a))
+
+
+def test_divergence_lists_every_changed_cell():
+    """A golden with two changed cells reports both, each at the
+    fingerprint's 12 significant digits, plus changed non-numeric cells."""
+    golden = result_fingerprint(_result(rows=[
+        {"x": 1, "t": 0.125, "tag": "a"}, {"x": 2, "t": 0.25, "tag": "b"},
+    ]))
+    changed = result_fingerprint(_result(rows=[
+        {"x": 1, "t": 0.5, "tag": "a"}, {"x": 3, "t": 0.25, "tag": "c"},
+    ]))
+    lines = describe_divergence(golden, changed).splitlines()
+    assert lines == [
+        "row 0 column 't': 0.125 -> 0.5",
+        "row 1 column 'x': 2 -> 3",
+        "row 1 column 'tag': 'b' -> 'c'",
+    ]
 
 
 def test_main_verify_cli(tmp_path, capsys):
@@ -126,4 +143,4 @@ def test_committed_goldens_match_current_model():
     fp = compute_fingerprint(FAST)
     stored = load_golden(FAST)
     assert stored is not None, "tests/golden/table1.json missing"
-    assert stored["digest"] == fp["digest"], _first_divergence(stored, fp)
+    assert stored["digest"] == fp["digest"], describe_divergence(stored, fp)

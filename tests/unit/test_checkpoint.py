@@ -48,7 +48,6 @@ class TestRoundTrip:
 
         ck.restore(gh)
         assert SystemCheckpoint.capture(gh).fingerprint() == fp
-        assert gh.clock._seq == ck.clock_seq
         assert gh.now == ck.clock_now
 
     def test_restore_is_repeatable(self):
@@ -120,13 +119,6 @@ class TestRoundTrip:
 
 
 class TestGuards:
-    def test_pending_events_block_capture(self):
-        gh = make_system()
-        warm(gh)
-        gh.clock.schedule(1.0, lambda: None, label="pending")
-        with pytest.raises(CheckpointUnavailable, match="pending"):
-            SystemCheckpoint.capture(gh)
-
     def test_tick_listeners_block_capture(self):
         gh = make_system()
         warm(gh)

@@ -5,7 +5,6 @@ import pytest
 from repro.devices.cache import GpuCacheModel
 from repro.devices.cpu import CpuDevice
 from repro.devices.gpu import GpuDevice
-from repro.mem.prefetch import BASIC_BLOCK_BYTES, TreePrefetcher
 from repro.sim.config import SystemConfig
 
 GB = 10**9
@@ -101,29 +100,3 @@ class TestCacheModel:
     def test_l1l2_time_floor(self, cfg):
         cache = GpuCacheModel(cfg)
         assert cache.l1l2_time_floor(int(cfg.l1l2_bandwidth)) == pytest.approx(1.0)
-
-
-class TestTreePrefetcher:
-    def test_cold_block_uses_basic_granularity(self, cfg):
-        pf = TreePrefetcher(cfg)
-        assert pf.effective_granularity(0.0) == BASIC_BLOCK_BYTES
-
-    def test_granularity_escalates_with_residency(self, cfg):
-        pf = TreePrefetcher(cfg)
-        cold = pf.effective_granularity(0.1)
-        warm = pf.effective_granularity(0.6)
-        hot = pf.effective_granularity(0.99)
-        assert cold < warm <= hot
-        assert hot <= cfg.managed_migration_granularity
-
-    def test_rejects_bad_fraction(self, cfg):
-        with pytest.raises(ValueError):
-            TreePrefetcher(cfg).effective_granularity(1.5)
-
-    def test_fault_batches(self, cfg):
-        pf = TreePrefetcher(cfg)
-        assert pf.fault_batches(0, 0.0) == 0
-        assert pf.fault_batches(BASIC_BLOCK_BYTES * 4, 0.0) == 4
-        assert pf.fault_batches(
-            cfg.managed_migration_granularity, 0.99
-        ) == 1

@@ -1,4 +1,4 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the simulation clock."""
 
 import pytest
 
@@ -18,73 +18,6 @@ class TestClockAdvance:
     def test_advance_rejects_negative(self):
         with pytest.raises(ValueError):
             SimClock().advance(-1)
-
-    def test_advance_records_activity(self):
-        clock = SimClock()
-        clock.advance(0.1, activity="kernel")
-        acts = list(clock.events("activity"))
-        assert len(acts) == 1
-        assert acts[0].payload["name"] == "kernel"
-
-    def test_trace_can_be_disabled(self):
-        clock = SimClock()
-        clock.trace_enabled = False
-        clock.advance(0.1, activity="x")
-        assert not clock.trace
-
-
-class TestScheduledEvents:
-    def test_events_fire_in_order(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule(2.0, lambda: fired.append("b"))
-        clock.schedule(1.0, lambda: fired.append("a"))
-        clock.advance(3.0)
-        assert fired == ["a", "b"]
-
-    def test_event_does_not_fire_early(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule(5.0, lambda: fired.append(1))
-        clock.advance(4.9)
-        assert not fired
-        clock.advance(0.2)
-        assert fired == [1]
-
-    def test_cancelled_event_does_not_fire(self):
-        clock = SimClock()
-        fired = []
-        ev = clock.schedule(1.0, lambda: fired.append(1))
-        clock.cancel(ev)
-        clock.advance(2.0)
-        assert not fired
-        assert clock.pending_events() == 0
-
-    def test_schedule_rejects_negative_delay(self):
-        with pytest.raises(ValueError):
-            SimClock().schedule(-0.1, lambda: None)
-
-    def test_same_time_events_fifo(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule(1.0, lambda: fired.append("first"))
-        clock.schedule(1.0, lambda: fired.append("second"))
-        clock.advance(1.0)
-        assert fired == ["first", "second"]
-
-    def test_run_until(self):
-        clock = SimClock()
-        fired = []
-        clock.schedule(1.0, lambda: fired.append(1))
-        clock.run_until(2.0)
-        assert fired == [1]
-        assert clock.now == 2.0
-
-    def test_run_until_rejects_past(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        with pytest.raises(ValueError):
-            clock.run_until(0.5)
 
 
 class TestTickListeners:
@@ -116,15 +49,6 @@ class TestTickListeners:
         with pytest.raises(ValueError):
             SimClock().add_tick_listener(0.0, lambda t: None)
 
-    def test_listener_fires_during_scheduled_events(self):
-        clock = SimClock()
-        seen = []
-        clock.add_tick_listener(0.1, lambda t: seen.append(("tick", round(t, 3))))
-        clock.schedule(0.25, lambda: seen.append(("event", round(clock.now, 3))))
-        clock.advance(0.3)
-        assert ("tick", 0.1) in seen and ("tick", 0.2) in seen
-        assert seen.index(("tick", 0.2)) < seen.index(("event", 0.25))
-
 
 class TestStopwatch:
     def test_measures_span(self):
@@ -142,11 +66,3 @@ class TestStopwatch:
         with w:
             clock.advance(0.25)
         assert w.elapsed == pytest.approx(0.5)
-
-    def test_reset(self):
-        clock = SimClock()
-        clock.advance(1.0)
-        clock.schedule(5.0, lambda: None)
-        clock.reset()
-        assert clock.now == 0.0
-        assert clock.pending_events() == 0

@@ -94,11 +94,6 @@ class TestKernelLaunch:
         gh.launch_kernel("cb", [], compute=lambda: hit.append(1))
         assert hit == [1]
 
-    def test_kernel_log_grows(self, gh):
-        gh.launch_kernel("a", [])
-        gh.launch_kernel("b", [])
-        assert [r.name for r in gh.executor.kernel_log] == ["a", "b"]
-
 
 class TestCpuPhase:
     def test_single_thread_bandwidth_bound(self, gh):

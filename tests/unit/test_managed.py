@@ -232,7 +232,6 @@ def per_block_evict(mgr, needed, now):
         alloc.set_location(gpu_pages, Location.CPU)
         mgr.physical.gpu.release(nbytes, tag=mgr._tag(alloc))
         mgr.physical.cpu.reserve(nbytes, tag=mgr._tag(alloc))
-        alloc.stats.pages_evicted += gpu_pages.count
         mgr.counters.bump(
             eviction_bytes=nbytes,
             migration_d2h_bytes=nbytes,

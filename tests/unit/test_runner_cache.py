@@ -31,6 +31,14 @@ def _fake_experiment(exp_id):
     return run
 
 
+def _recording_scale(seen: list):
+    def run(scale=1.0, **kwargs):
+        seen.append(scale)
+        return ExperimentResult("expA", "fake expA", rows=[{"scale": scale}])
+
+    return run
+
+
 @pytest.fixture
 def fake_registry(monkeypatch):
     """Replace the experiment registry with three fast fakes that count
@@ -203,6 +211,20 @@ class TestCli:
         rc = cli_main(["expA"])
         assert rc == 0
         assert "fake expA" in capsys.readouterr().out
+
+    def test_classic_cli_scale_accepts_a_fraction(self, fake_registry):
+        seen = []
+        fake_registry["expA"] = _recording_scale(seen)
+        assert cli_main(["expA", "--scale", "1/64"]) == 0
+        assert seen == [1 / 64]
+
+    def test_run_scale_accepts_a_fraction(self, fake_registry, tmp_path):
+        seen = []
+        fake_registry["expA"] = _recording_scale(seen)
+        rc = cli_main(["run", "expA", "--scale", "1/64", "--jobs", "1",
+                       "--cache-dir", str(tmp_path / "c")])
+        assert rc == 0
+        assert seen == [1 / 64]
 
 
 class TestStatsNonMutating:

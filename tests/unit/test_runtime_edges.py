@@ -68,13 +68,21 @@ class TestFreeSemantics:
 
 
 class TestNsightViews:
-    def test_migration_events_surface_prefetch(self, gh):
+    def test_migration_events_surface_prefetch(self):
+        gh = GraceHopperSystem(
+            SystemConfig.scaled(1 / 128, page_size=65536, timeline=True)
+        )
         arr = gh.cuda_malloc_managed(np.uint8, (4 * MiB,))
         gh.cpu_phase("init", [ArrayAccess.write_(arr)])
         gh.prefetch_to_gpu(arr)
         trace = NsightTrace(gh.clock, gh.counters, gh.mem)
         events = trace.migration_events()
         assert any("prefetch" in e.get("name", "") for e in events)
+
+    def test_migration_events_need_a_timeline(self, gh):
+        trace = NsightTrace(gh.clock, gh.counters, gh.mem)
+        with pytest.raises(RuntimeError, match="timeline"):
+            trace.migration_events()
 
     def test_kernel_timeline_ordering(self, gh):
         gh.launch_kernel("first", [])

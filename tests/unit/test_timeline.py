@@ -3,8 +3,7 @@
 Covers the emission API (span nesting, ring-buffer overflow, os-id
 tagging in serve workers), the analysis API (attribution, critical
 path), the Perfetto exporter/validator, opt-in gating (config / env /
-session), the disabled-mode no-op guarantee, the
-``SimClock.reset``-keeps-tick-listeners regression, and one real model
+session), the disabled-mode no-op guarantee, and one real model
 behaviour pinned by span ordering: delayed migration lands only after
 the access-counter threshold crossing.
 """
@@ -20,7 +19,6 @@ import pytest
 import repro.profiling.timeline as tlmod
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
-from repro.profiling.memprofiler import MemoryProfiler
 from repro.profiling.timeline import (
     Timeline,
     TimelineSession,
@@ -30,7 +28,6 @@ from repro.profiling.timeline import (
     validate_perfetto,
 )
 from repro.sim.config import MiB, SystemConfig
-from repro.sim.engine import SimClock
 from tests.helpers.timeline import (
     assert_ordering,
     assert_span_within,
@@ -298,38 +295,6 @@ class TestGating:
         assert gh.mem.timeline is gh.timeline
         assert gh.mem.managed.timeline is gh.timeline
         assert gh.mem.link.timeline is gh.timeline
-
-
-# ----------------------------------------------------------------------
-# SimClock.reset keeps tick listeners (regression)
-# ----------------------------------------------------------------------
-
-
-class TestClockResetListeners:
-    def test_reset_rearms_listeners(self):
-        clock = SimClock()
-        fired = []
-        clock.add_tick_listener(1.0, fired.append)
-        clock.advance(2.5)
-        assert fired == [1.0, 2.0]
-        clock.reset()
-        fired.clear()
-        # Before the fix reset() dropped the listener entirely: no
-        # samples on the next run and remove_tick_listener() raised.
-        clock.advance(1.5)
-        assert fired == [1.0]
-
-    def test_profiler_survives_reset_between_runs(self):
-        gh = GraceHopperSystem(SystemConfig.scaled(1 / 64))
-        profiler = MemoryProfiler(gh.clock, gh.mem, period=0.1)
-        profiler.start()
-        gh.clock.advance(0.35)
-        first_run = len(profiler.profile.samples)
-        assert first_run >= 3
-        gh.clock.reset()
-        gh.clock.advance(0.25)
-        assert len(profiler.profile.samples) > first_run
-        profiler.stop()  # raised ValueError before the fix
 
 
 # ----------------------------------------------------------------------
