@@ -86,11 +86,17 @@ class UnifiedArray:
         return self.pages_of_elements(row_start * cols, row_stop * cols)
 
     def pages_of_indices(self, element_indices: np.ndarray) -> PageSet:
-        """Pages backing scattered flat element indices (gathers)."""
+        """Pages backing scattered flat element indices (gathers).
+
+        Element ``i`` lies on page ``(i * itemsize) // page_size``; the
+        division runs in place on the byte offsets, so the page ids are
+        the only array built.
+        """
         idx = np.asarray(element_indices, dtype=np.int64)
         if idx.size == 0:
             return PageSet.empty()
-        pages = (idx * self.itemsize) // self.page_size
+        pages = idx * self.itemsize
+        pages //= self.page_size
         return PageSet.of(pages)
 
     def bytes_per_page(self, fraction: float = 1.0) -> int:

@@ -39,6 +39,15 @@ import numpy as np
 #: the O(runs) python-level bookkeeping stops paying for itself.
 MAX_SYMBOLIC_RUNS = 64
 
+#: :meth:`PageSet.of` dedups unsorted ids through a one-byte-per-page
+#: occupancy map when their span is at most this many times their count,
+#: so the map never outweighs the eight-byte ids themselves.
+MAP_SPAN_PER_ID = 8
+
+#: Ids offset per step while filling the occupancy map (bounds the
+#: temporary to 512 KB whatever the input size).
+_MAP_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class PageSet:
@@ -78,18 +87,31 @@ class PageSet:
     def of(indices: np.ndarray | list[int]) -> "PageSet":
         """Build from arbitrary indices (sorted and deduplicated here).
 
-        Input that is already non-decreasing (a linear scan) skips the
-        sort; the result never aliases the caller's array.
+        Which dedup runs depends only on the input:
+
+        * non-decreasing input (one linear compare) keeps each id that
+          differs from the one before it;
+        * unsorted input whose span ``[min, max]`` is at most
+          :data:`MAP_SPAN_PER_ID` times the id count marks an occupancy
+          map over the span, which takes no more bytes than the ids;
+        * wider unsorted input is sorted, then deduped linearly.
+
+        Each gives the same set in the same representation, never aliases
+        the caller's array, and refuses negative ids.
         """
         idx = np.ravel(np.asarray(indices, dtype=np.int64))
-        if np.any(idx[1:] < idx[:-1]):
-            idx = np.sort(idx)
-        idx = _dedup_sorted(idx)
         if idx.size == 0:
             return PageSet.empty()
-        if idx[0] < 0:
+        unsorted = bool(np.any(idx[1:] < idx[:-1]))
+        lo = int(idx.min()) if unsorted else int(idx[0])
+        if lo < 0:
             raise ValueError("page indices must be non-negative")
-        return PageSet._from_sorted(idx)
+        if unsorted:
+            hi = int(idx.max())
+            if hi - lo < MAP_SPAN_PER_ID * idx.size:
+                return _dedup_by_map(idx, lo, hi)
+            idx = np.sort(idx)
+        return PageSet._from_sorted(_dedup_sorted(idx))
 
     @staticmethod
     def strided(start: int, stop: int, step: int) -> "PageSet":
@@ -549,6 +571,19 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def _dedup_by_map(a: np.ndarray, lo: int, hi: int) -> "PageSet":
+    """The set of the values of ``a``, all in ``[lo, hi]``.
+
+    Marks each value in a boolean map over the span and reads the set
+    back from the map's runs: O(n + span), no sort. The ids are offset in
+    chunks of :data:`_MAP_CHUNK`, so no temporary is larger than ``a``.
+    """
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    for i in range(0, a.size, _MAP_CHUNK):
+        seen[a[i : i + _MAP_CHUNK] - lo] = True
+    return PageSet.from_mask(seen, base=lo)
 
 
 def _mask_to_bounds(

@@ -147,11 +147,13 @@ class MemorySubsystem:
                 self.gpu_table.register(alloc)
                 self.managed.register(alloc)
         elif kind is AllocKind.DEVICE:
-            self.gpu_table.register(alloc)
+            # Reserve first: an allocation that does not fit raises
+            # OutOfMemoryError and leaves no trace in the page tables.
             self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), f"dev:{alloc.aid}")
-        else:  # pinned / numa
-            self.system_table.register(alloc)
+            self.gpu_table.register(alloc)
+        else:  # pinned / numa, reserved first likewise
             self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
+            self.system_table.register(alloc)
         if self.sanitizer is not None:
             self.sanitizer.after_alloc(alloc)
         return alloc

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.runtime import GraceHopperSystem
+from ..core.unified_array import UnifiedArray
+from ..mem.physical import OutOfMemoryError
 from ..sim.config import MiB, Processor
 
 
@@ -30,17 +32,31 @@ class CommScopeResult:
         return self.bandwidth / self.theoretical
 
 
+#: The default transfer sizes, smallest first.
+DEFAULT_SIZES = (1 * MiB, 16 * MiB, 256 * MiB, 1024 * MiB)
+
+
 def run_commscope(
     gh: GraceHopperSystem,
     *,
     sizes: list[int] | None = None,
 ) -> list[CommScopeResult]:
-    """Sweep pinned-memory cudaMemcpy transfers in both directions."""
-    sizes = sizes or [1 * MiB, 16 * MiB, 256 * MiB, 1024 * MiB]
+    """Sweep pinned-memory cudaMemcpy transfers in both directions.
+
+    The default sweep ends at the first size whose host and device
+    buffers the allocator cannot place, so a capacity-scaled system
+    reports its asymptotic rate at the largest size it holds. Explicit
+    ``sizes`` run as given, and raise ``OutOfMemoryError`` when one does
+    not fit.
+    """
     results: list[CommScopeResult] = []
-    for nbytes in sizes:
-        host = gh.cuda_malloc_host(np.uint8, (nbytes,), name="cs_host")
-        dev = gh.cuda_malloc(np.uint8, (nbytes,), name="cs_dev")
+    for nbytes in sizes or DEFAULT_SIZES:
+        try:
+            host, dev = _buffers(gh, nbytes)
+        except OutOfMemoryError:
+            if sizes:
+                raise
+            break
         for direction in ("h2d", "d2h"):
             t0 = gh.now
             if direction == "h2d":
@@ -60,6 +76,19 @@ def run_commscope(
         gh.free(host)
         gh.free(dev)
     return results
+
+
+def _buffers(
+    gh: GraceHopperSystem, nbytes: int
+) -> tuple[UnifiedArray, UnifiedArray]:
+    """A pinned host buffer and a device buffer of ``nbytes``; when the
+    device buffer does not fit, the host buffer is freed again."""
+    host = gh.cuda_malloc_host(np.uint8, (nbytes,), name="cs_host")
+    try:
+        return host, gh.cuda_malloc(np.uint8, (nbytes,), name="cs_dev")
+    except OutOfMemoryError:
+        gh.free(host)
+        raise
 
 
 def asymptotic_bandwidth(

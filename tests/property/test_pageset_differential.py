@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.pageset import MAX_SYMBOLIC_RUNS, PageSet
+from repro.mem import pageset
+from repro.mem.pageset import MAP_SPAN_PER_ID, MAX_SYMBOLIC_RUNS, PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.sim.config import Location, SystemConfig
 
@@ -259,8 +260,29 @@ def _int64(values) -> np.ndarray:
 
 
 page_ids = st.lists(st.integers(0, MAX_PAGE - 1), max_size=6 * MAX_SYMBOLIC_RUNS)
-#: Unsorted, sorted with duplicates, strictly sorted, 2-D, and sets past
-#: the symbolic-run cap in sorted and shuffled order.
+
+
+def _dense(t) -> np.ndarray:
+    """Ids folded into a span no wider than their count, from ``base``,
+    with the largest put first so that the input is unsorted."""
+    values, base = t
+    ids = _int64(values) % len(values) + base
+    return np.concatenate(([ids.max()], ids))
+
+
+#: Unsorted ids whose span is within :data:`MAP_SPAN_PER_ID` times their
+#: count, starting anywhere from 1 up to 2^40: the occupancy-map side.
+dense_ids = st.tuples(
+    page_ids.filter(lambda v: len(v) >= 2), st.integers(1, 1 << 40)
+).map(_dense)
+#: A few unsorted ids across a span near 2^40: the sort side (a map over
+#: that span would need a terabyte).
+sparse_ids = st.lists(st.integers(0, 1 << 40), max_size=64).map(
+    lambda v: _int64(v + [1 << 40, 3])
+)
+#: Unsorted, sorted with duplicates, strictly sorted, 2-D, sets past the
+#: symbolic-run cap in sorted and shuffled order, dense and sparse
+#: unsorted ids, and dense 2-D ids.
 id_arrays = st.one_of(
     page_ids.map(_int64),
     page_ids.map(sorted).map(_int64),
@@ -270,6 +292,9 @@ id_arrays = st.one_of(
     st.tuples(overflow_sets, st.randoms(use_true_random=False)).map(
         lambda t: _int64(t[1].sample(t[0].indices().tolist(), t[0].count))
     ),
+    dense_ids,
+    sparse_ids,
+    dense_ids.map(lambda a: a[: a.size // 2 * 2].reshape(2, -1)),
 )
 
 
@@ -304,3 +329,45 @@ def test_of_rejects_negative_ids(ids, negative, first):
     ids = np.concatenate(([negative], ids) if first else (ids, [negative]))
     with pytest.raises(ValueError, match="non-negative"):
         PageSet.of(ids)
+
+
+@given(dense_ids, st.integers(-MAX_PAGE, -1), st.integers(0, 1 << 20))
+def test_of_rejects_a_negative_id_among_dense_ids(ids, negative, at):
+    """A negative id inside an unsorted array whose span would otherwise
+    take the occupancy map is refused too."""
+    ids = np.insert(ids - ids.min(), at % (ids.size + 1), negative)
+    with pytest.raises(ValueError, match="non-negative"):
+        PageSet.of(ids)
+
+
+@pytest.mark.parametrize(
+    "ids, by_map",
+    [
+        # A span of exactly MAP_SPAN_PER_ID pages per id: the map.
+        (np.array([7, 7 + MAP_SPAN_PER_ID * 3 - 1, 12]), True),
+        # One page wider: the sort.
+        (np.array([7, 7 + MAP_SPAN_PER_ID * 3, 12]), False),
+        # Non-decreasing: the linear dedup, whatever the span.
+        (np.array([3, 3, 4, 1 << 40]), False),
+        # More ids than one map chunk, unsorted within a 4096-page span.
+        (np.arange(1 << 20, 0, -1) % 4096 + 9, True),
+        (np.array([1 << 40, 5, 1 << 39, 5]), False),
+    ],
+)
+def test_span_rule_picks_the_map_for_dense_unsorted_ids(monkeypatch, ids, by_map):
+    calls = []
+    real = pageset._dedup_by_map
+
+    def spy(a, lo, hi):
+        calls.append(hi - lo + 1)
+        return real(a, lo, hi)
+
+    monkeypatch.setattr(pageset, "_dedup_by_map", spy)
+    got, want = PageSet.of(ids), _unique_of(ids)
+    assert bool(calls) == by_map
+    # The map holds one byte per page of the span: never more than the ids.
+    assert all(span <= MAP_SPAN_PER_ID * ids.size for span in calls)
+    assert (got.start, got.stop, got.runs) == (want.start, want.stop, want.runs)
+    if want.index is not None:
+        assert got.index.dtype == np.int64
+        assert np.array_equal(got.index, want.index)

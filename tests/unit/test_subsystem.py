@@ -5,6 +5,7 @@ import pytest
 from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import AllocKind
+from repro.mem.physical import OutOfMemoryError
 from repro.mem.subsystem import MemorySubsystem
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import Location, MiB, Processor, SystemConfig
@@ -41,6 +42,18 @@ class TestLifecycle:
         assert mem.physical.gpu.used > before
         mem.free(a)
         assert mem.physical.gpu.used == before
+
+    @pytest.mark.parametrize(
+        "kind, pool", [(AllocKind.DEVICE, "gpu"), (AllocKind.HOST_PINNED, "cpu")]
+    )
+    def test_allocation_that_does_not_fit_leaves_no_trace(self, mem, kind, pool):
+        pool = getattr(mem.physical, pool)
+        used = pool.used
+        with pytest.raises(OutOfMemoryError):
+            mem.allocate(kind, pool.free + 1)
+        assert pool.used == used
+        assert not mem.gpu_table.live_allocations()
+        assert not mem.system_table.live_allocations()
 
     def test_double_free_raises(self, mem):
         a = mem.allocate(AllocKind.SYSTEM, 1 * MiB)

@@ -1,9 +1,12 @@
 """Unit tests for UnifiedArray element-to-page mapping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.unified_array import UnifiedArray
+from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.sim.config import SystemConfig
 
@@ -79,6 +82,52 @@ class TestPageMapping:
     def test_pages_of_indices_empty(self, cfg):
         arr = make_array(cfg)
         assert not arr.pages_of_indices(np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("page_size", [4096, 65536])
+    @pytest.mark.parametrize(
+        "dtype",
+        [np.uint8, np.int32, np.float32, np.int64, np.float64, np.complex128,
+         # 12-byte elements, which straddle pages.
+         np.dtype([("a", np.int32), ("b", np.float64)], align=False)],
+    )
+    def test_pages_of_indices_matches_the_byte_offset_form(self, page_size, dtype):
+        arr = make_array(
+            SystemConfig(system_page_size=page_size), dtype, (40 * page_size,)
+        )
+        per_page = page_size / arr.itemsize
+        edges = (np.arange(1, arr.n_pages) * per_page).astype(np.int64)
+        idx = np.concatenate(
+            (edges - 1, edges, [arr.size - 1, arr.size, arr.size + 7 * page_size])
+        )
+        np.random.default_rng(3).shuffle(idx)
+        # The whole gather in three orders, a lone id 0, and each boundary
+        # pair alone (a pair whose ids map to one page shows up only here).
+        pairs = np.stack((edges - 1, edges), axis=1)
+        for ids in (idx, idx[::-1], np.sort(idx), np.array([0]), *pairs):
+            got = arr.pages_of_indices(ids)
+            want = PageSet.of((ids * arr.itemsize) // page_size)
+            assert (got.start, got.stop, got.runs, got.step) == (
+                want.start, want.stop, want.runs, want.step,
+            )
+            assert (got.index is None) == (want.index is None)
+            if got.index is not None:
+                assert got.index.dtype == np.int64
+                assert np.array_equal(got.index, want.index)
+
+    def test_gather_builds_no_id_array_beyond_the_page_ids(self):
+        """A Gups-shaped gather (2^20 unsorted ids over 1024 pages) maps
+        and dedups with the page ids as its only id-sized array."""
+        arr = make_array(SystemConfig(system_page_size=4096), np.uint64, (1 << 19,))
+        ids = np.random.default_rng(5).integers(0, arr.size, size=1 << 20)
+        tracemalloc.start()
+        try:
+            ps = arr.pages_of_indices(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.is_range and ps.count == arr.n_pages
+        # The page ids, plus a one-byte sortedness mask and small chunks.
+        assert peak < 1.25 * ids.nbytes
 
     def test_bytes_per_page_fraction(self, cfg):
         arr = make_array(cfg)

@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.bench.experiments import run_experiment
+from repro.bench.harness import make_config
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.physical import OutOfMemoryError
 from repro.sim.config import MiB, Processor, SystemConfig
-from repro.workloads.commscope import asymptotic_bandwidth, run_commscope
+from repro.workloads.commscope import (
+    DEFAULT_SIZES,
+    asymptotic_bandwidth,
+    run_commscope,
+)
 from repro.workloads.patterns import (
     irregular_gather,
     mixed_pattern,
@@ -69,6 +76,30 @@ class TestCommScope:
         results = run_commscope(gh, sizes=[1 * MiB])
         with pytest.raises(ValueError):
             asymptotic_bandwidth(results, "loopback")
+
+    @pytest.mark.parametrize(
+        "mem_arch, largest",
+        # At 1/128 the split device pool holds 768 MiB, less than the
+        # 1 GiB transfer; upm's unified pool holds 4.5 GiB.
+        [("gh200", 256 * MiB), ("svm", 256 * MiB), ("upm", 1024 * MiB)],
+    )
+    def test_sec21_below_golden_scale_uses_the_largest_size_that_fits(
+        self, mem_arch, largest
+    ):
+        gh = GraceHopperSystem(make_config(1 / 128, mem_arch=mem_arch))
+        pools = (gh.mem.physical.cpu, gh.mem.physical.gpu)
+        used = [pool.used for pool in pools]
+        ran = {r.nbytes for r in run_commscope(gh)}
+        assert ran == {n for n in DEFAULT_SIZES if n <= largest}
+        # The host buffer of the size that did not fit is freed too.
+        assert [pool.used for pool in pools] == used
+        res = run_experiment("sec21", scale=1 / 128, mem_arch=mem_arch)
+        assert len(res.rows) == 4
+        assert all(row["measured_gb_s"] > 0 for row in res.rows)
+
+    def test_explicit_sizes_that_do_not_fit_raise(self, gh):
+        with pytest.raises(OutOfMemoryError):
+            run_commscope(gh, sizes=[1 * MiB, 4096 * MiB])
 
 
 class TestPatterns:
