@@ -26,7 +26,7 @@ from ..mem.pagetable import Allocation, AllocKind
 from ..mem.pageset import PageSet
 from ..mem.subsystem import MemorySubsystem
 from ..profiling.counters import HardwareCounters
-from ..sim.config import Processor, SystemConfig
+from ..sim.config import Processor, SystemConfig, check_migration_threshold
 from ..sim.engine import SimClock
 from .kernels import ArrayAccess, KernelExecutor, KernelRecord, PhaseRecord
 from .unified_array import UnifiedArray
@@ -245,8 +245,7 @@ class GraceHopperSystem:
 
     def set_migration_threshold(self, threshold: int) -> None:
         """Tune the access-counter notification threshold (Section 2.2.1)."""
-        if threshold <= 0:
-            raise ValueError("threshold must be positive")
+        check_migration_threshold(threshold)
         self.config.migration_threshold = threshold
 
     # -- oversubscription helpers (Section 3.2) ----------------------------------------------

@@ -2,15 +2,15 @@
 
 The fault/migration/physical-layout behaviour is pluggable per
 :class:`~repro.mem.arch.MemoryArchitecture` backend — ``gh200`` (the
-paper's split-pool testbed, default) and ``upm`` (MI300A-style unified
-physical memory) ship in-tree; ``SystemConfig.mem_arch`` selects one.
+paper's split-pool testbed, default), ``upm`` (MI300A-style unified
+physical memory) and ``svm`` (a discrete GPU sharing virtual memory over
+a PCIe-class link) ship in-tree; ``SystemConfig.mem_arch`` selects one.
 """
 
 from .arch import (
     MemoryArchitecture,
     architecture_descriptions,
     architecture_names,
-    register_architecture,
     resolve_arch,
 )
 from .arch_gh200 import GH200Architecture
@@ -41,7 +41,6 @@ __all__ = [
     "MemoryArchitecture",
     "architecture_descriptions",
     "architecture_names",
-    "register_architecture",
     "resolve_arch",
     "GH200Architecture",
     "NullMigrator",

@@ -40,18 +40,13 @@ under this backend. The counter vocabulary keeps the Grace names:
 from __future__ import annotations
 
 from ..sim.config import Location, Processor
-from .arch import MemoryArchitecture, register_architecture
+from .arch import MemoryArchitecture
 from .arch_upm import NullMigrator
 from .faults import FaultHandler, FaultOutcome
 from .pagetable import AllocKind
 from .pageset import PageSet
 from .physical import OutOfMemoryError, PhysicalMemory
 from .subsystem import AccessResult
-
-
-def _tag_of(alloc) -> str:
-    prefix = "mng:" if alloc.kind is AllocKind.MANAGED else "sys:"
-    return f"{prefix}{alloc.aid}"
 
 
 class SvmFaultHandler(FaultHandler):
@@ -64,9 +59,6 @@ class SvmFaultHandler(FaultHandler):
     the *service* path that differs), keeping the sanitizer's exact
     fault-conservation invariants backend-independent.
     """
-
-    def _tag(self, alloc) -> str:
-        return _tag_of(alloc)
 
     def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
         out = FaultOutcome()
@@ -91,7 +83,7 @@ class SvmFaultHandler(FaultHandler):
                     f"{nbytes} bytes still to place"
                 )
             alloc.set_location(cpu_part, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             out.pages_on_cpu = cpu_part.count
         if spill_part:
             out.pages_on_cpu += self._spill_to_peers(alloc, spill_part)
@@ -111,7 +103,6 @@ class SvmFaultHandler(FaultHandler):
         return out
 
 
-@register_architecture
 class SvmArchitecture(MemoryArchitecture):
     """Discrete-GPU SVM backend: split pools over a PCIe-class link."""
 
@@ -121,19 +112,11 @@ class SvmArchitecture(MemoryArchitecture):
         "a PCIe-class link, page-fault-only sharing (no cacheline remote "
         "access), eager fault-driven migration with device-pool eviction"
     )
-
-    # -- construction ------------------------------------------------------
-
-    def make_physical(self, config):
-        return PhysicalMemory(config)
-
-    def make_fault_handler(self, config, physical, smmu, counters):
-        return SvmFaultHandler(config, physical, smmu, counters)
-
-    def make_migrator(self, config, physical, link, tlbs, counters):
-        # Migration *is* the access mechanism (eager, on-fault); there is
-        # no deferred access-counter policy to service between epochs.
-        return NullMigrator(config, physical, link, tlbs, counters)
+    physical_cls = PhysicalMemory
+    fault_handler_cls = SvmFaultHandler
+    # Migration *is* the access mechanism (eager, on-fault); there is no
+    # deferred access-counter policy to service between epochs.
+    migrator_cls = NullMigrator
 
     # -- eviction ----------------------------------------------------------
 
@@ -164,10 +147,7 @@ class SvmArchitecture(MemoryArchitecture):
             take = cand.take_first(-(-target // page_size))
             if not take:
                 continue
-            nbytes = take.count * page_size
-            victim.set_location(take, Location.CPU)
-            gpu.release(nbytes, tag=_tag_of(victim))
-            mem.physical.cpu.reserve(nbytes, tag=_tag_of(victim))
+            nbytes = mem.physical.move(victim, take, Location.CPU)
             t = cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             seconds += t
@@ -184,9 +164,6 @@ class SvmArchitecture(MemoryArchitecture):
 
     # -- access paths ------------------------------------------------------
 
-    def local_location(self, processor: Processor) -> Location:
-        return Location.GPU if processor is Processor.GPU else Location.CPU
-
     def _gpu_access(self, mem, alloc, pages, shape, write):
         cfg = mem.config
         page_size = cfg.system_page_size
@@ -195,10 +172,7 @@ class SvmArchitecture(MemoryArchitecture):
         # start each raise their own fault (freshly faulted pages already
         # paid theirs in first_touch).
         counts = alloc.split_counts(pages)
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, Processor.GPU)
-            res.fault_seconds += fault.seconds
+        mem.first_touch(res, Processor.GPU, alloc, pages)
         n_stale = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
         if n_stale:
             mem.smmu.stats.replayable_faults += n_stale
@@ -218,10 +192,7 @@ class SvmArchitecture(MemoryArchitecture):
             fit = move.take_first(mem.physical.gpu.free // page_size)
             rest = move.difference(fit)
             if fit:
-                nbytes = fit.count * page_size
-                alloc.set_location(fit, Location.GPU)
-                mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
-                mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
+                nbytes = mem.physical.move(alloc, fit, Location.GPU)
                 t = cfg.svm_transfer_time(nbytes)
                 mem.link.account_external(nbytes, Processor.CPU, t, "migration")
                 res.transfer_seconds += t
@@ -251,29 +222,16 @@ class SvmArchitecture(MemoryArchitecture):
                 )
 
         n_far = int(counts[Location.REMOTE])
-        if n_far and mem.fabric_port is not None:
-            wire = mem.fabric.remote_traffic(Processor.GPU, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, Processor.GPU
-            )
-
-        local_bytes = shape.useful_bytes * (pages.count - n_far)
-        res.hbm_bytes += local_bytes
-        mem.counters.bump(
-            **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
+        mem.peer_access(res, Processor.GPU, alloc, shape, n_far)
+        mem.charge_local(
+            res, Processor.GPU, shape.useful_bytes * (pages.count - n_far), write
         )
-        res.consumed_bytes = shape.useful_bytes * pages.count
         return res
 
     def _cpu_access(self, mem, alloc, pages, shape, write):
         cfg = mem.config
-        page_size = cfg.system_page_size
         res = AccessResult()
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, Processor.CPU)
-            res.fault_seconds += fault.seconds
+        mem.first_touch(res, Processor.CPU, alloc, pages)
 
         # Device-resident pages fault host-side and migrate back over
         # the link — the ping-pong cost the eager policy cannot avoid.
@@ -282,10 +240,7 @@ class SvmArchitecture(MemoryArchitecture):
             n = gpu_set.count
             mem.counters.bump(cpu_page_faults=n)
             res.fault_seconds += n * cfg.svm_fault_cost
-            nbytes = n * page_size
-            alloc.set_location(gpu_set, Location.CPU)
-            mem.physical.gpu.release(nbytes, tag=_tag_of(alloc))
-            mem.physical.cpu.reserve(nbytes, tag=_tag_of(alloc))
+            nbytes = mem.physical.move(alloc, gpu_set, Location.CPU)
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             res.transfer_seconds += t
@@ -297,19 +252,10 @@ class SvmArchitecture(MemoryArchitecture):
             )
 
         n_far = int(alloc.split_counts(pages)[Location.REMOTE])
-        if n_far and mem.fabric_port is not None:
-            wire = mem.fabric.remote_traffic(Processor.CPU, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, Processor.CPU
-            )
-
-        local_bytes = shape.useful_bytes * (pages.count - n_far)
-        res.lpddr_bytes += local_bytes
-        mem.counters.bump(
-            **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
+        mem.peer_access(res, Processor.CPU, alloc, shape, n_far)
+        mem.charge_local(
+            res, Processor.CPU, shape.useful_bytes * (pages.count - n_far), write
         )
-        res.consumed_bytes = shape.useful_bytes * pages.count
         return res
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
@@ -327,21 +273,17 @@ class SvmArchitecture(MemoryArchitecture):
         return self._cpu_access(mem, alloc, pages, shape, write)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
-        cfg = mem.config
         res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
         if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
+            mem.charge_local(
+                res, processor, shape.useful_bytes * pages.count, write
             )
         else:
             # Pinned host memory stays host-resident; the GPU reads it by
             # DMA over the link at page granularity (classic zero-copy,
             # minus the cacheline-coherent path GH200 adds).
             wire = mem.fabric.remote_traffic(processor, shape, pages.count)
-            t = cfg.svm_transfer_time(wire)
+            t = mem.config.svm_transfer_time(wire)
             mem.link.account_external(wire, Processor.CPU, t, "remote")
             res.remote_bytes = wire
             res.remote_seconds = t
@@ -349,9 +291,6 @@ class SvmArchitecture(MemoryArchitecture):
                 **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
             )
         return res
-
-    def host_register(self, mem, alloc) -> float:
-        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         cfg = mem.config
@@ -364,10 +303,7 @@ class SvmArchitecture(MemoryArchitecture):
         )
         fit = cpu_pages.take_first(mem.physical.gpu.free // page_size)
         if fit:
-            nbytes = fit.count * page_size
-            alloc.set_location(fit, Location.GPU)
-            mem.physical.cpu.release(nbytes, tag=_tag_of(alloc))
-            mem.physical.gpu.reserve(nbytes, tag=_tag_of(alloc))
+            nbytes = mem.physical.move(alloc, fit, Location.GPU)
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.CPU, t, "migration")
             mem.counters.bump(
@@ -375,6 +311,3 @@ class SvmArchitecture(MemoryArchitecture):
             )
             seconds += t
         return seconds
-
-    def oversubscription_reference_free(self, mem) -> int:
-        return mem.physical.gpu.free

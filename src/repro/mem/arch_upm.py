@@ -39,11 +39,10 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ..sim.config import Location, Processor, SystemConfig
-from .arch import MemoryArchitecture, register_architecture
+from .arch import MemoryArchitecture
 from .faults import FaultHandler, FaultOutcome
-from .managed import ManagedOutcome
 from .migration import MigrationReport
-from .pagetable import AllocKind
+from .pagetable import TAG_PREFIX, AllocKind
 from .physical import MemoryPool, OutOfMemoryError, PhysicalMemory
 from .subsystem import AccessResult
 
@@ -78,12 +77,7 @@ class NullMigrator:
     backend-specific branches.
     """
 
-    def __init__(self, config, physical, link, tlbs, counters):
-        self.config = config
-        self.physical = physical
-        self.link = link
-        self.tlbs = tlbs
-        self.counters = counters
+    def __init__(self, *_components):
         self.fabric_port = None
 
     def record_gpu_accesses(self, alloc, pages, accesses_per_page) -> None:
@@ -107,10 +101,6 @@ class UpmFaultHandler(FaultHandler):
     backend-independent.
     """
 
-    def _tag(self, alloc) -> str:
-        prefix = "mng:" if alloc.kind is AllocKind.MANAGED else "sys:"
-        return f"{prefix}{alloc.aid}"
-
     def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
         out = FaultOutcome()
         if not unmapped:
@@ -121,7 +111,7 @@ class UpmFaultHandler(FaultHandler):
         spill = unmapped.difference(fit)
         if fit:
             alloc.set_location(fit, Location.GPU)
-            pool.reserve(fit.count * page_size, tag=self._tag(alloc))
+            pool.reserve(fit.count * page_size, tag=alloc.tag)
             out.pages_on_gpu = fit.count
         if spill:
             if self.fabric_port is None or alloc.kind is not AllocKind.SYSTEM:
@@ -149,12 +139,11 @@ class UpmFaultHandler(FaultHandler):
             return 0.0
         nbytes = unmapped.count * self.config.system_page_size
         alloc.set_location(unmapped, Location.GPU)
-        self.physical.gpu.reserve(nbytes, tag=self._tag(alloc))
+        self.physical.gpu.reserve(nbytes, tag=alloc.tag)
         zero = nbytes / self.config.fault_zeroing_bandwidth
         return self.smmu.bulk_populate(unmapped.count) + zero
 
 
-@register_architecture
 class UpmArchitecture(MemoryArchitecture):
     """Single-pool, migration-free MI300A-style backend."""
 
@@ -163,19 +152,9 @@ class UpmArchitecture(MemoryArchitecture):
         "AMD MI300A-style unified physical memory: one CPU+GPU pool, no "
         "migration or eviction, uniform first-touch fault economics"
     )
-
-    # -- construction ------------------------------------------------------
-
-    def make_physical(self, config):
-        return UnifiedPhysicalMemory(config)
-
-    def make_fault_handler(self, config, physical, smmu, counters):
-        return UpmFaultHandler(config, physical, smmu, counters)
-
-    def make_migrator(self, config, physical, link, tlbs, counters):
-        return NullMigrator(config, physical, link, tlbs, counters)
-
-    # -- access paths ------------------------------------------------------
+    physical_cls = UnifiedPhysicalMemory
+    fault_handler_cls = UpmFaultHandler
+    migrator_cls = NullMigrator
 
     def local_location(self, processor: Processor) -> Location:
         # Every mapped page lives in the one pool; the batched fast path
@@ -185,103 +164,32 @@ class UpmArchitecture(MemoryArchitecture):
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
         res = AccessResult()
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            fault = mem.faults.first_touch(alloc, unmapped, processor)
-            res.fault_seconds += fault.seconds
-            if mem.timeline is not None:
-                mem.timeline.complete(
-                    "first-touch", mem.timeline.now(), fault.seconds,
-                    cat="mem", track="mem/fault",
-                    alloc=alloc.name, processor=processor.name,
-                    pages=unmapped.count,
-                    pages_on_gpu=fault.pages_on_gpu,
-                    pages_on_cpu=fault.pages_on_cpu,
-                )
-
+        mem.first_touch(res, processor, alloc, pages)
         counts = alloc.split_counts(pages)
         n_local = (
             int(counts[Location.GPU])
             + int(counts[Location.CPU])
             + int(counts[Location.CPU_PINNED])
         )
-        local_bytes = shape.useful_bytes * n_local
-        if processor is Processor.GPU:
-            res.hbm_bytes += local_bytes
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
-            )
-        else:
-            res.lpddr_bytes += local_bytes
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-            )
-
-        n_far = int(counts[Location.REMOTE])
-        if n_far and mem.fabric_port is not None:
-            # Pages spilled to a peer chip's pool: fabric-grain access,
-            # but never migrated home (no migrator to pull them).
-            wire = mem.fabric.remote_traffic(processor, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += mem.fabric_port.remote_access(
-                wire, alloc, processor
-            )
-
-        res.consumed_bytes = shape.useful_bytes * pages.count
+        mem.charge_local(res, processor, shape.useful_bytes * n_local, write)
+        # Pages spilled to a peer chip's pool: fabric-grain access, but
+        # never migrated home (no migrator to pull them).
+        mem.peer_access(res, processor, alloc, shape, int(counts[Location.REMOTE]))
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
-        out = ManagedOutcome()
+        # Same path as system memory: uniform fault economics is the
+        # point of the design. Only the LRU bookkeeping differs.
         if processor is Processor.GPU:
             alloc.touch_blocks(pages, now)
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            # Same handler as system memory: uniform fault economics is
-            # the point of the design.
-            fault = mem.faults.first_touch(alloc, unmapped, processor)
-            out.fault_seconds += fault.seconds
-
-        counts = alloc.split_counts(pages)
-        n_local = (
-            int(counts[Location.GPU])
-            + int(counts[Location.CPU])
-            + int(counts[Location.CPU_PINNED])
-        )
-        local_bytes = shape.useful_bytes * n_local
-        if processor is Processor.GPU:
-            out.hbm_bytes += local_bytes
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
-            )
-        else:
-            out.lpddr_bytes += local_bytes
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
-            )
-        return mem._from_managed(out, pages, shape)
+        return self.system_access(mem, processor, alloc, pages, shape, write)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
+        # "Pinned host memory" is the same pool the GPU computes from:
+        # zero-copy at the GPU roofline, no C2C hop.
         res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
-        if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            mem.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
-            )
-        else:
-            # "Pinned host memory" is the same pool the GPU computes
-            # from: zero-copy at the GPU roofline, no C2C hop.
-            res.hbm_bytes = useful
-            mem.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): useful}
-            )
+        mem.charge_local(res, processor, shape.useful_bytes * pages.count, write)
         return res
-
-    def host_register(self, mem, alloc) -> float:
-        from .pageset import PageSet
-
-        return mem.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:
         # Everything already lives in the one pool; prefetch is free.
@@ -292,9 +200,9 @@ class UpmArchitecture(MemoryArchitecture):
         # of the configured size would have free. Balloon sizing against
         # this keeps oversubscription ratios comparable across backends.
         cfg = mem.config
+        dev = TAG_PREFIX[AllocKind.DEVICE] + ":"
         dev_bytes = sum(
-            n for tag, n in mem.physical.gpu.by_tag.items()
-            if tag.startswith("dev:")
+            n for tag, n in mem.physical.gpu.by_tag.items() if tag.startswith(dev)
         )
         return max(
             cfg.gpu_memory_bytes - cfg.gpu_driver_baseline_bytes - dev_bytes, 0

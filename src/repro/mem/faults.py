@@ -48,9 +48,6 @@ class FaultHandler:
         #: fail-on-CPU-exhaustion behaviour).
         self.fabric_port = None
 
-    def _tag(self, alloc: Allocation) -> str:
-        return f"sys:{alloc.aid}"
-
     def first_touch(
         self, alloc: Allocation, unmapped: PageSet, accessor: Processor
     ) -> FaultOutcome:
@@ -79,7 +76,7 @@ class FaultHandler:
         if gpu_part:
             nbytes = gpu_part.count * page_size
             alloc.set_location(gpu_part, Location.GPU)
-            self.physical.gpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.gpu.reserve(nbytes, tag=alloc.tag)
             out.pages_on_gpu = gpu_part.count
         if cpu_part:
             spill_part = PageSet.empty()
@@ -95,7 +92,7 @@ class FaultHandler:
             if cpu_part:
                 nbytes = cpu_part.count * page_size
                 alloc.set_location(cpu_part, Location.CPU)
-                self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+                self.physical.cpu.reserve(nbytes, tag=alloc.tag)
                 out.pages_on_cpu = cpu_part.count
             if spill_part:
                 out.pages_on_cpu += self._spill_to_peers(alloc, spill_part)
@@ -128,7 +125,7 @@ class FaultHandler:
             nbytes = take.count * page_size
             alloc.set_location(take, Location.REMOTE)
             alloc.add_remote(node, take.count)
-            pool.reserve(nbytes, tag=self._tag(alloc))
+            pool.reserve(nbytes, tag=alloc.tag)
             self.counters.bump(pages_spilled_remote=take.count)
             placed += take.count
             pages = pages.difference(take)
@@ -147,6 +144,6 @@ class FaultHandler:
             return 0.0
         nbytes = unmapped.count * self.config.system_page_size
         alloc.set_location(unmapped, Location.CPU)
-        self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+        self.physical.cpu.reserve(nbytes, tag=alloc.tag)
         zero = nbytes / self.config.fault_zeroing_bandwidth
         return self.smmu.bulk_populate(unmapped.count) + zero

@@ -26,8 +26,6 @@ observation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..interconnect.nvlink import NvlinkC2C
@@ -38,31 +36,8 @@ from .gmmu import Gmmu
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
+from .subsystem import AccessResult
 from .tlb import TlbHierarchy
-
-
-@dataclass
-class ManagedOutcome:
-    """Cost components of one managed-memory access batch."""
-
-    fault_seconds: float = 0.0
-    transfer_seconds: float = 0.0  # on-demand migration on the critical path
-    remote_seconds: float = 0.0  # remote-mapped access time
-    hbm_bytes: int = 0
-    lpddr_bytes: int = 0
-    remote_bytes: int = 0
-    evicted_bytes: int = 0
-    migrated_bytes: int = 0
-
-    def merge(self, other: "ManagedOutcome") -> None:
-        self.fault_seconds += other.fault_seconds
-        self.transfer_seconds += other.transfer_seconds
-        self.remote_seconds += other.remote_seconds
-        self.hbm_bytes += other.hbm_bytes
-        self.lpddr_bytes += other.lpddr_bytes
-        self.remote_bytes += other.remote_bytes
-        self.evicted_bytes += other.evicted_bytes
-        self.migrated_bytes += other.migrated_bytes
 
 
 class ManagedMemoryManager:
@@ -98,9 +73,6 @@ class ManagedMemoryManager:
         self.allocations.pop(alloc.aid, None)
 
     # -- helpers ------------------------------------------------------------
-
-    def _tag(self, alloc: Allocation) -> str:
-        return f"mng:{alloc.aid}"
 
     def _page_bytes(self, n_pages: int) -> int:
         return n_pages * self.config.system_page_size
@@ -170,10 +142,7 @@ class ManagedMemoryManager:
             alloc = allocs[ai]
             sel = blocks[owner == ai]
             gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
-            nbytes = self._page_bytes(gpu_pages.count)
-            alloc.set_location(gpu_pages, Location.CPU)
-            self.physical.gpu.release(nbytes, tag=self._tag(alloc))
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            nbytes = self.physical.move(alloc, gpu_pages, Location.CPU)
             self.counters.bump(
                 eviction_bytes=nbytes,
                 migration_d2h_bytes=nbytes,
@@ -198,8 +167,8 @@ class ManagedMemoryManager:
         *,
         write: bool,
         now: float,
-    ) -> ManagedOutcome:
-        out = ManagedOutcome()
+    ) -> AccessResult:
+        out = AccessResult()
         counts = alloc.split_counts(pages)
         alloc.touch_blocks(pages, now)
 
@@ -222,7 +191,7 @@ class ManagedMemoryManager:
         if n_cpu:
             cpu_pages = alloc.subset(pages, Location.CPU)
             if alloc.oversubscription_pinned:
-                self._remote_access(alloc, cpu_pages, shape, out, write)
+                self._remote_access(cpu_pages, shape, out)
             else:
                 self._on_demand_migrate(alloc, cpu_pages, shape, out, now)
 
@@ -230,7 +199,7 @@ class ManagedMemoryManager:
         n_pinned = int(counts[Location.CPU_PINNED])
         if n_pinned:
             self._remote_access(
-                alloc, alloc.subset(pages, Location.CPU_PINNED), shape, out, write
+                alloc.subset(pages, Location.CPU_PINNED), shape, out
             )
 
         self._account(out, write)
@@ -241,7 +210,7 @@ class ManagedMemoryManager:
         alloc: Allocation,
         pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
         now: float,
     ) -> None:
         pages = alloc.subset(pages.align_down(alloc.block_pages).clip(alloc.n_pages),
@@ -259,7 +228,7 @@ class ManagedMemoryManager:
         if gpu_part:
             got = self._page_bytes(gpu_part.count)
             alloc.set_location(gpu_part, Location.GPU)
-            self.physical.gpu.reserve(got, tag=self._tag(alloc))
+            self.physical.gpu.reserve(got, tag=alloc.tag)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
             out.fault_seconds += self.gmmu.create_ptes(n_blocks)
             out.hbm_bytes += shape.useful_bytes * gpu_part.count
@@ -273,7 +242,7 @@ class ManagedMemoryManager:
                 else Location.CPU
             )
             alloc.set_location(cpu_part, loc)
-            self.physical.cpu.reserve(spill, tag=self._tag(alloc))
+            self.physical.cpu.reserve(spill, tag=alloc.tag)
             out.fault_seconds += self.gmmu.far_fault(
                 len(cpu_part.blocks(alloc.block_pages))
             )
@@ -289,16 +258,15 @@ class ManagedMemoryManager:
         alloc: Allocation,
         cpu_pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
         now: float,
     ) -> None:
         if self._naturally_oversubscribed(alloc):
             # The driver gives up on migrating an allocation that cannot
             # fit: remote-map it instead (Section 7, 34-qubit behaviour).
             alloc.oversubscription_pinned = True
-            nbytes = self._page_bytes(cpu_pages.count)
             alloc.set_location(cpu_pages, Location.CPU_PINNED)
-            self._remote_access(alloc, cpu_pages, shape, out, write=False)
+            self._remote_access(cpu_pages, shape, out)
             return
         nbytes = self._page_bytes(cpu_pages.count)
         _, evict_t = self.evict_bytes(nbytes + self._headroom(), now)
@@ -309,7 +277,7 @@ class ManagedMemoryManager:
         move = cpu_pages.take_first(fit_pages)
         rest = cpu_pages.difference(move)
         if move:
-            moved_bytes = self._page_bytes(move.count)
+            moved_bytes = self.physical.move(alloc, move, Location.GPU)
             # One serviced fault batch per 2 MB block
             # (managed_migration_granularity). The driver's tree prefetcher
             # starts at 64 KB and escalates to full-block moves as faults
@@ -324,10 +292,6 @@ class ManagedMemoryManager:
             out.transfer_seconds += self.link.streaming_time(
                 effective, Processor.CPU, Processor.GPU
             )
-            alloc.set_location(move, Location.GPU)
-            self.physical.cpu.release(moved_bytes, tag=self._tag(alloc))
-            self.physical.gpu.reserve(moved_bytes, tag=self._tag(alloc))
-            out.migrated_bytes += effective
             # Data lands in GPU memory and is then read locally (the
             # paper's Figure 10 note: even iteration 1 reads from GPU
             # memory in the managed version).
@@ -345,7 +309,7 @@ class ManagedMemoryManager:
         alloc: Allocation,
         pages: PageSet,
         shape: AccessShape,
-        out: ManagedOutcome,
+        out: AccessResult,
     ) -> None:
         """Evict+migrate churn for the part of a working set that cannot
         fit in GPU memory (simulated-oversubscription behaviour of
@@ -376,8 +340,6 @@ class ManagedMemoryManager:
         # resident (Figure 10's observation that managed reads come from
         # GPU memory even while pages migrate).
         out.hbm_bytes += shape.useful_bytes * pages.count
-        out.evicted_bytes += effective
-        out.migrated_bytes += effective
         self.counters.bump(
             migration_h2d_bytes=effective,
             migration_d2h_bytes=effective,
@@ -395,12 +357,7 @@ class ManagedMemoryManager:
             )
 
     def _remote_access(
-        self,
-        alloc: Allocation,
-        pages: PageSet,
-        shape: AccessShape,
-        out: ManagedOutcome,
-        write: bool,
+        self, pages: PageSet, shape: AccessShape, out: AccessResult
     ) -> None:
         wire = self.fabric.remote_traffic(Processor.GPU, shape, pages.count)
         out.remote_seconds += self.link.remote_access_time(
@@ -418,8 +375,8 @@ class ManagedMemoryManager:
         *,
         write: bool,
         now: float,
-    ) -> ManagedOutcome:
-        out = ManagedOutcome()
+    ) -> AccessResult:
+        out = AccessResult()
         counts = alloc.split_counts(pages)
 
         n_unmapped = int(counts[Location.UNMAPPED])
@@ -428,7 +385,7 @@ class ManagedMemoryManager:
             unmapped = alloc.subset(pages, Location.UNMAPPED)
             nbytes = self._page_bytes(unmapped.count)
             alloc.set_location(unmapped, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
             out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
             self.counters.bump(cpu_page_faults=unmapped.count)
 
@@ -439,17 +396,13 @@ class ManagedMemoryManager:
             gpu_pages = alloc.subset(pages, Location.GPU)
             blocks = gpu_pages.align_down(alloc.block_pages).clip(alloc.n_pages)
             victim = alloc.subset(blocks, Location.GPU)
-            nbytes = self._page_bytes(victim.count)
-            alloc.set_location(victim, Location.CPU)
-            self.physical.gpu.release(nbytes, tag=self._tag(alloc))
-            self.physical.cpu.reserve(nbytes, tag=self._tag(alloc))
+            nbytes = self.physical.move(alloc, victim, Location.CPU)
             out.transfer_seconds += self.link.streaming_time(
                 nbytes, Processor.GPU, Processor.CPU
             )
             out.fault_seconds += self.gmmu.far_fault(
                 len(victim.blocks(alloc.block_pages))
             ) + self.tlbs.gpu.shootdown(victim.count)
-            out.migrated_bytes += nbytes
             self.counters.bump(
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=victim.count,
@@ -487,10 +440,7 @@ class ManagedMemoryManager:
         )
         move = movable.take_first(fit_pages)
         if move:
-            moved = self._page_bytes(move.count)
-            alloc.set_location(move, Location.GPU)
-            self.physical.cpu.release(moved, tag=self._tag(alloc))
-            self.physical.gpu.reserve(moved, tag=self._tag(alloc))
+            moved = self.physical.move(alloc, move, Location.GPU)
             seconds += self.link.streaming_time(moved, Processor.CPU, Processor.GPU)
             alloc.touch_blocks(move, now)
             self.counters.bump(
@@ -500,7 +450,7 @@ class ManagedMemoryManager:
 
     # -- accounting ------------------------------------------------------------------
 
-    def _account(self, out: ManagedOutcome, write: bool) -> None:
+    def _account(self, out: AccessResult, write: bool) -> None:
         if write:
             self.counters.bump(
                 hbm_write_bytes=out.hbm_bytes, c2c_write_bytes=out.remote_bytes

@@ -182,13 +182,10 @@ class AccessCounterMigrator:
         pages = pages.take_first(fit_pages)
         if not pages:
             return 0
-        nbytes = pages.count * page_size
-        alloc.set_location(pages, Location.GPU)
+        nbytes = self.physical.move(alloc, pages, Location.GPU)
         alloc.counters.reset(pages.align_down(
             max(1, self.config.gpu_page_size // self.config.system_page_size)
         ).clip(alloc.n_pages))
-        self.physical.cpu.release(nbytes, tag=f"sys:{alloc.aid}")
-        self.physical.gpu.reserve(nbytes, tag=f"sys:{alloc.aid}")
         transfer = self.link.migration_time(nbytes, Processor.CPU, Processor.GPU)
         stall = (
             nbytes
@@ -225,9 +222,9 @@ class AccessCounterMigrator:
         nbytes = pages.count * page_size
         for node, n_from_node in alloc.drop_remote(pages.count):
             node_bytes = n_from_node * page_size
-            self.fabric_port.pool(node).release(node_bytes, tag=f"sys:{alloc.aid}")
+            self.fabric_port.pool(node).release(node_bytes, tag=alloc.tag)
             transfer += self.fabric_port.migrate_in(node_bytes, node)
-        self.physical.gpu.reserve(nbytes, tag=f"sys:{alloc.aid}")
+        self.physical.gpu.reserve(nbytes, tag=alloc.tag)
         stall = (
             nbytes
             * self.config.migration_stall_factor

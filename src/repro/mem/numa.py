@@ -124,10 +124,6 @@ class NumaAllocator:
         self.physical = physical
         self.topology = NumaTopology(config)
 
-    def _tag(self, alloc: Allocation) -> str:
-        prefix = "sys" if alloc.kind is AllocKind.SYSTEM else "pin"
-        return f"{prefix}:{alloc.aid}"
-
     def place(
         self,
         alloc: Allocation,
@@ -144,7 +140,7 @@ class NumaAllocator:
         page = self.config.system_page_size
         if policy is NumaPolicy.BIND:
             nbytes = unmapped.count * page
-            self.physical.pool(node.location).reserve(nbytes, self._tag(alloc))
+            self.physical.pool(node.location).reserve(nbytes, alloc.tag)
             alloc.set_location(unmapped, node.location)
             return
         if policy is NumaPolicy.PREFERRED:
@@ -153,7 +149,7 @@ class NumaAllocator:
             first = unmapped.take_first(fit_pages)
             rest = unmapped.difference(first)
             if first:
-                pool.reserve(first.count * page, self._tag(alloc))
+                pool.reserve(first.count * page, alloc.tag)
                 alloc.set_location(first, node.location)
             if rest:
                 other = (
@@ -162,7 +158,7 @@ class NumaAllocator:
                     else NumaNode.CPU_DDR
                 )
                 self.physical.pool(other.location).reserve(
-                    rest.count * page, self._tag(alloc)
+                    rest.count * page, alloc.tag
                 )
                 alloc.set_location(rest, other.location)
             return
@@ -171,10 +167,10 @@ class NumaAllocator:
             even = PageSet.of(idx[::2])
             odd = PageSet.of(idx[1::2])
             if even:
-                self.physical.cpu.reserve(even.count * page, self._tag(alloc))
+                self.physical.cpu.reserve(even.count * page, alloc.tag)
                 alloc.set_location(even, Location.CPU)
             if odd:
-                self.physical.gpu.reserve(odd.count * page, self._tag(alloc))
+                self.physical.gpu.reserve(odd.count * page, alloc.tag)
                 alloc.set_location(odd, Location.GPU)
             return
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover

@@ -47,6 +47,18 @@ class AllocKind(Enum):
     NUMA_CPU = "numa-cpu"
 
 
+#: Pool-ledger tag prefix per kind: the bytes an allocation holds in a
+#: :class:`~repro.mem.physical.MemoryPool` are charged under
+#: ``<prefix>:<aid>`` (:attr:`Allocation.tag`).
+TAG_PREFIX = {
+    AllocKind.SYSTEM: "sys",
+    AllocKind.MANAGED: "mng",
+    AllocKind.DEVICE: "dev",
+    AllocKind.HOST_PINNED: "pin",
+    AllocKind.NUMA_CPU: "pin",
+}
+
+
 #: Rows of the paper's Table 1, regenerated by the Table 1 benchmark.
 MEMORY_TYPE_TABLE = [
     {
@@ -191,6 +203,8 @@ class Allocation:
         self.nbytes = int(nbytes)
         self.config = config
         self.name = name or f"alloc{self.aid}"
+        #: The key this allocation's bytes carry in every pool ledger.
+        self.tag = f"{TAG_PREFIX[kind]}:{self.aid}"
         self.page_size = config.system_page_size
         self.n_pages = config.pages_for(nbytes)
         self.state = np.zeros(self.n_pages, dtype=np.int8)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..sim.config import Location, Processor, SystemConfig
+from .pagetable import Allocation
+from .pageset import PageSet
 
 
 class OutOfMemoryError(RuntimeError):
@@ -36,9 +38,6 @@ class MemoryPool:
     def free(self) -> int:
         return self.capacity - self.used
 
-    def can_fit(self, nbytes: int) -> bool:
-        return nbytes <= self.free
-
     def reserve(self, nbytes: int, tag: str = "anon") -> None:
         if nbytes < 0:
             raise ValueError("cannot reserve a negative size")
@@ -50,17 +49,6 @@ class MemoryPool:
         self.used += nbytes
         self.by_tag[tag] = self.by_tag.get(tag, 0) + nbytes
         self.peak = max(self.peak, self.used)
-
-    def reserve_up_to(self, nbytes: int, tag: str = "anon") -> int:
-        """Reserve as much of ``nbytes`` as fits; returns the granted size.
-
-        First-touch placement uses this: a GPU first-touch lands on the GPU
-        node while capacity lasts and spills to the CPU node afterwards.
-        """
-        granted = min(max(nbytes, 0), self.free)
-        if granted:
-            self.reserve(granted, tag)
-        return granted
 
     def release(self, nbytes: int, tag: str = "anon") -> None:
         if nbytes < 0:
@@ -100,7 +88,14 @@ class PhysicalMemory:
     def gpu_free_memory(self) -> int:
         return self.gpu.free
 
-    def transfer(self, nbytes: int, src: Location, dst: Location, tag: str) -> None:
-        """Move byte accounting between nodes (page migration/eviction)."""
-        self.pool(src).release(nbytes, tag)
-        self.pool(dst).reserve(nbytes, tag)
+    def move(self, alloc: Allocation, pages: PageSet, dst: Location) -> int:
+        """Migrate or evict ``pages`` of ``alloc`` to ``dst``: residency
+        and both pool ledgers move together. Every page must sit in the
+        other pool (on a unified layout that is the same pool, so only
+        residency changes). Returns the bytes moved."""
+        nbytes = pages.count * self.config.system_page_size
+        alloc.set_location(pages, dst)
+        to = self.pool(dst)
+        (self.cpu if to is self.gpu else self.gpu).release(nbytes, alloc.tag)
+        to.reserve(nbytes, alloc.tag)
+        return nbytes

@@ -2,15 +2,18 @@
 
 Dispatches every access batch by allocation kind:
 
-* **system** (``malloc``) — first-touch fault handling through the SMMU,
-  then cacheline-granularity local/remote traffic with access-counter
-  updates feeding the delayed migration engine (Sections 2.1-2.2);
-* **managed** (``cudaMallocManaged``) — delegated to
-  :class:`~repro.mem.managed.ManagedMemoryManager` (Section 2.3);
-* **device** (``cudaMalloc``) — GPU-local only; CPU access is rejected,
-  matching the non-coherent row of Table 1;
-* **host-pinned / numa** — CPU-resident; GPU accesses are zero-copy
-  remote reads over NVLink-C2C.
+* **system** (``malloc``), **managed** (``cudaMallocManaged``) and
+  **host-pinned / numa** — to the selected
+  :class:`~repro.mem.arch.MemoryArchitecture` backend, which decides
+  fault placement, migration and remote-access economics;
+* **device** (``cudaMalloc``) — GPU-local only on every backend; CPU
+  access is rejected, matching the non-coherent row of Table 1.
+
+The accounting every backend shares lives here: :class:`AccessResult`,
+local-traffic charging (:meth:`MemorySubsystem.charge_local`),
+first-touch servicing with its timeline span
+(:meth:`MemorySubsystem.first_touch`) and peer-chip fabric access
+(:meth:`MemorySubsystem.peer_access`).
 
 The kernel executor calls :meth:`begin_epoch` before each launch so the
 driver can service pending access-counter notifications (migrations land
@@ -29,7 +32,6 @@ from ..sim.config import Location, Processor, SystemConfig
 from .arch import resolve_arch
 from .coherence import AccessShape, CoherenceFabric
 from .gmmu import Gmmu
-from .managed import ManagedMemoryManager, ManagedOutcome
 from .migration import MigrationReport
 from .pagetable import (
     Allocation,
@@ -74,8 +76,8 @@ class MemorySubsystem:
         #: The memory-architecture backend (strategy object) selected by
         #: ``config.mem_arch``; owns the physical layout, fault path,
         #: migration policy, and per-kind access economics.
-        self.arch = resolve_arch(config.mem_arch)
-        self.physical = self.arch.make_physical(config)
+        self.arch = arch = resolve_arch(config.mem_arch)
+        self.physical = arch.physical_cls(config)
         self.link = NvlinkC2C(config)
         self.copy_engine = CopyEngine(config, self.link)
         self.tlbs = TlbHierarchy(config)
@@ -84,12 +86,15 @@ class MemorySubsystem:
         self.fabric = CoherenceFabric(config)
         self.system_table = SystemPageTable(config)
         self.gpu_table = GpuPageTable(config)
-        self.faults = self.arch.make_fault_handler(
+        self.faults = arch.fault_handler_cls(
             config, self.physical, self.smmu, counters
         )
-        self.migrator = self.arch.make_migrator(
+        self.migrator = arch.migrator_cls(
             config, self.physical, self.link, self.tlbs, counters
         )
+        # managed.py builds on this module's AccessResult.
+        from .managed import ManagedMemoryManager
+
         self.managed = ManagedMemoryManager(
             config,
             self.physical,
@@ -149,10 +154,10 @@ class MemorySubsystem:
         elif kind is AllocKind.DEVICE:
             # Reserve first: an allocation that does not fit raises
             # OutOfMemoryError and leaves no trace in the page tables.
-            self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), f"dev:{alloc.aid}")
+            self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), alloc.tag)
             self.gpu_table.register(alloc)
         else:  # pinned / numa, reserved first likewise
-            self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
+            self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), alloc.tag)
             self.system_table.register(alloc)
         if self.sanitizer is not None:
             self.sanitizer.after_alloc(alloc)
@@ -165,9 +170,6 @@ class MemorySubsystem:
         seconds = 0.0
         if alloc.kind in (AllocKind.SYSTEM, AllocKind.MANAGED):
             seconds += self.system_table.teardown_cost(alloc)
-            tag = ("sys:" if alloc.kind is AllocKind.SYSTEM else "mng:") + str(
-                alloc.aid
-            )
             for loc, pool in (
                 (Location.CPU, self.physical.cpu),
                 (Location.CPU_PINNED, self.physical.cpu),
@@ -175,12 +177,12 @@ class MemorySubsystem:
             ):
                 nbytes = alloc.bytes_at(loc)
                 if nbytes:
-                    pool.release(nbytes, tag=tag)
+                    pool.release(nbytes, tag=alloc.tag)
             if alloc.remote_pages_by_node:
                 page_size = alloc.page_size
                 for node, n_pages in list(alloc.remote_pages_by_node.items()):
                     self.fabric_port.pool(node).release(
-                        n_pages * page_size, tag=tag
+                        n_pages * page_size, tag=alloc.tag
                     )
                 alloc.remote_pages_by_node.clear()
             self.system_table.unregister(alloc)
@@ -189,11 +191,11 @@ class MemorySubsystem:
                 self.managed.unregister(alloc)
                 seconds += self.config.cuda_free_call_cost
         elif alloc.kind is AllocKind.DEVICE:
-            self.physical.gpu.release(alloc.bytes_at(Location.GPU), f"dev:{alloc.aid}")
+            self.physical.gpu.release(alloc.bytes_at(Location.GPU), alloc.tag)
             self.gpu_table.unregister(alloc)
             seconds += self.config.cuda_free_call_cost
         else:
-            self.physical.cpu.release(alloc.bytes_at(Location.CPU), f"pin:{alloc.aid}")
+            self.physical.cpu.release(alloc.bytes_at(Location.CPU), alloc.tag)
             self.system_table.unregister(alloc)
         alloc.freed = True
         self.counters.bump(tlb_shootdowns=1)
@@ -250,7 +252,13 @@ class MemorySubsystem:
         elif alloc.kind is AllocKind.DEVICE:
             # Device memory is architecture-independent: GPU-local,
             # CPU-inaccessible (same PermissionError on every backend).
-            res = self._device_access(processor, alloc, pages, shape, write)
+            if processor is Processor.CPU:
+                raise PermissionError(
+                    f"{alloc.name}: cudaMalloc memory is not CPU-accessible "
+                    "(Table 1: not cache coherent); use cudaMemcpy"
+                )
+            res = AccessResult()
+            self.charge_local(res, processor, shape.useful_bytes * pages.count, write)
         elif alloc.kind in (AllocKind.HOST_PINNED, AllocKind.NUMA_CPU):
             res = self.arch.pinned_access(
                 self, processor, alloc, pages, shape, write
@@ -259,6 +267,7 @@ class MemorySubsystem:
             res = self.arch.system_access(
                 self, processor, alloc, pages, shape, write
             )
+        res.consumed_bytes = shape.useful_bytes * pages.count
         if self.sanitizer is not None:
             self.sanitizer.after_access(alloc, now)
         return res
@@ -312,25 +321,10 @@ class MemorySubsystem:
                     kind in (AllocKind.SYSTEM, AllocKind.MANAGED)
                     and alloc.is_homogeneous(local_loc)
                 ):
+                    if on_gpu and kind is AllocKind.MANAGED:
+                        alloc.touch_blocks(pages, now)
                     local_bytes = useful * pages.count
-                    if on_gpu:
-                        if kind is AllocKind.MANAGED:
-                            alloc.touch_blocks(pages, now)
-                        total.hbm_bytes += local_bytes
-                        self.counters.bump(**{
-                            (
-                                "hbm_write_bytes" if write else "hbm_read_bytes"
-                            ): local_bytes
-                        })
-                    else:
-                        total.lpddr_bytes += local_bytes
-                        self.counters.bump(**{
-                            (
-                                "lpddr_write_bytes"
-                                if write
-                                else "lpddr_read_bytes"
-                            ): local_bytes
-                        })
+                    self.charge_local(total, processor, local_bytes, write)
                     total.consumed_bytes += local_bytes
                     continue
                 total.merge(
@@ -341,161 +335,67 @@ class MemorySubsystem:
                 )
         return total
 
-    # -- per-kind paths --------------------------------------------------------------
+    # -- accounting every backend shares ------------------------------------------
 
-    def _system_access(
-        self,
-        processor: Processor,
-        alloc: Allocation,
-        pages: PageSet,
-        shape: AccessShape,
-        write: bool,
-    ) -> AccessResult:
-        res = AccessResult()
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if unmapped:
-            fault = self.faults.first_touch(alloc, unmapped, processor)
-            res.fault_seconds += fault.seconds
-            if self.timeline is not None:
-                self.timeline.complete(
-                    "first-touch", self.timeline.now(), fault.seconds,
-                    cat="mem", track="mem/fault",
-                    alloc=alloc.name, processor=processor.name,
-                    pages=unmapped.count,
-                    pages_on_gpu=fault.pages_on_gpu,
-                    pages_on_cpu=fault.pages_on_cpu,
-                )
-
-        counts = alloc.split_counts(pages)
-        local_loc = Location.GPU if processor is Processor.GPU else Location.CPU
-        remote_loc = Location.CPU if processor is Processor.GPU else Location.GPU
-
-        n_local = int(counts[local_loc])
-        n_remote = int(counts[remote_loc])
-        if local_loc is Location.GPU:
-            n_remote += int(counts[Location.CPU_PINNED])
-        else:
-            n_local += int(counts[Location.CPU_PINNED])
-
-        local_bytes = shape.useful_bytes * n_local
+    def charge_local(
+        self, res: AccessResult, processor: Processor, nbytes: int, write: bool
+    ) -> None:
+        """Charge ``nbytes`` of traffic local to ``processor``: HBM for the
+        GPU, LPDDR for the CPU."""
         if processor is Processor.GPU:
-            res.hbm_bytes += local_bytes
+            res.hbm_bytes += nbytes
             self.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): local_bytes}
+                **{("hbm_write_bytes" if write else "hbm_read_bytes"): nbytes}
             )
         else:
-            res.lpddr_bytes += local_bytes
+            res.lpddr_bytes += nbytes
             self.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): local_bytes}
+                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): nbytes}
             )
 
-        if n_remote:
-            remote_pages = alloc.subset(pages, remote_loc)
-            wire = self.fabric.remote_traffic(processor, shape, n_remote)
-            res.remote_bytes += wire
-            res.remote_seconds += self.link.remote_access_time(wire, processor)
-            if processor is Processor.GPU:
-                self.counters.bump(
-                    **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-                )
-                accesses_per_page = max(
-                    1,
-                    (wire // max(n_remote, 1)) // self.config.cacheline_bytes_gpu,
-                )
-                self.migrator.record_gpu_accesses(
-                    alloc, remote_pages, accesses_per_page
-                )
-            else:
-                self.counters.bump(
-                    **{
-                        (
-                            "cpu_remote_write_bytes"
-                            if write
-                            else "cpu_remote_read_bytes"
-                        ): wire
-                    }
-                )
-
-        n_far = int(counts[Location.REMOTE])
-        if n_far and self.fabric_port is not None:
-            # Pages resident on a *peer superchip's* DDR: cacheline-grain
-            # access over the inter-chip fabric (multi-hop, derated).
-            far_pages = alloc.subset(pages, Location.REMOTE)
-            wire = self.fabric.remote_traffic(processor, shape, n_far)
-            res.remote_bytes += wire
-            res.remote_seconds += self.fabric_port.remote_access(
-                wire, alloc, processor
-            )
-            if processor is Processor.GPU:
-                accesses_per_page = max(
-                    1,
-                    (wire // max(n_far, 1)) // self.config.cacheline_bytes_gpu,
-                )
-                self.migrator.record_gpu_accesses(
-                    alloc, far_pages, accesses_per_page
-                )
-
-        res.consumed_bytes = shape.useful_bytes * pages.count
-        return res
-
-    def _device_access(
+    def first_touch(
         self,
+        res: AccessResult,
         processor: Processor,
         alloc: Allocation,
         pages: PageSet,
-        shape: AccessShape,
-        write: bool,
-    ) -> AccessResult:
-        if processor is Processor.CPU:
-            raise PermissionError(
-                f"{alloc.name}: cudaMalloc memory is not CPU-accessible "
-                "(Table 1: not cache coherent); use cudaMemcpy"
+    ) -> None:
+        """Service first-touch faults on the unmapped part of ``pages``
+        through the backend's fault handler, as one ``first-touch`` span."""
+        unmapped = alloc.subset(pages, Location.UNMAPPED)
+        if not unmapped:
+            return
+        fault = self.faults.first_touch(alloc, unmapped, processor)
+        res.fault_seconds += fault.seconds
+        if self.timeline is not None:
+            self.timeline.complete(
+                "first-touch", self.timeline.now(), fault.seconds,
+                cat="mem", track="mem/fault",
+                alloc=alloc.name, processor=processor.name,
+                pages=unmapped.count,
+                pages_on_gpu=fault.pages_on_gpu,
+                pages_on_cpu=fault.pages_on_cpu,
             )
-        res = AccessResult()
-        res.hbm_bytes = shape.useful_bytes * pages.count
-        res.consumed_bytes = res.hbm_bytes
-        self.counters.bump(
-            **{("hbm_write_bytes" if write else "hbm_read_bytes"): res.hbm_bytes}
-        )
-        return res
 
-    def _pinned_access(
+    def peer_access(
         self,
+        res: AccessResult,
         processor: Processor,
         alloc: Allocation,
-        pages: PageSet,
         shape: AccessShape,
-        write: bool,
-    ) -> AccessResult:
-        res = AccessResult()
-        useful = shape.useful_bytes * pages.count
-        res.consumed_bytes = useful
-        if processor is Processor.CPU:
-            res.lpddr_bytes = useful
-            self.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): useful}
-            )
-        else:
-            wire = self.fabric.remote_traffic(processor, shape, pages.count)
-            res.remote_bytes = wire
-            res.remote_seconds = self.link.remote_access_time(wire, processor)
-            self.counters.bump(
-                **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-            )
-        return res
-
-    def _from_managed(
-        self, out: ManagedOutcome, pages: PageSet, shape: AccessShape
-    ) -> AccessResult:
-        return AccessResult(
-            fault_seconds=out.fault_seconds,
-            remote_seconds=out.remote_seconds,
-            transfer_seconds=out.transfer_seconds,
-            hbm_bytes=out.hbm_bytes,
-            lpddr_bytes=out.lpddr_bytes,
-            remote_bytes=out.remote_bytes,
-            consumed_bytes=shape.useful_bytes * pages.count,
+        n_far: int,
+    ) -> int | None:
+        """Cacheline-grain access to ``n_far`` pages resident on peer
+        superchips, over the inter-chip fabric (multi-hop, derated).
+        Returns the wire bytes, or ``None`` when nothing was accessed."""
+        if not n_far or self.fabric_port is None:
+            return None
+        wire = self.fabric.remote_traffic(processor, shape, n_far)
+        res.remote_bytes += wire
+        res.remote_seconds += self.fabric_port.remote_access(
+            wire, alloc, processor
         )
+        return wire
 
     # -- optimisation APIs (Section 5.1.2, 2.3.2) -------------------------------------
 
@@ -503,7 +403,7 @@ class MemorySubsystem:
         """``cudaHostRegister``: pre-populate the system PTEs CPU-side."""
         if alloc.kind is not AllocKind.SYSTEM:
             raise ValueError("host_register applies to system allocations")
-        return self.arch.host_register(self, alloc)
+        return self.faults.prepopulate(alloc, PageSet.full(alloc.n_pages))
 
     def prefetch_async(
         self, alloc: Allocation, pages: PageSet | None = None, *, now: float = 0.0

@@ -40,6 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..mem.pagetable import TAG_PREFIX
+
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
 CKPT_SCHEMA = 3
@@ -50,7 +52,7 @@ STATS_FILE = "_ckpt_stats.json"
 #: Allocation ids come from a process-global counter, so they differ
 #: between the capturing and the restoring process; restore remaps them
 #: through the allocation *name*.
-_AID_TAG_PREFIXES = ("sys", "mng", "dev", "pin")
+_AID_TAG_PREFIXES = frozenset(TAG_PREFIX.values())
 
 
 class CheckpointUnavailable(RuntimeError):

@@ -132,6 +132,13 @@ class FirstTouchPolicy(Enum):
     CPU_ALWAYS = "cpu-always"
 
 
+def check_migration_threshold(threshold: int) -> None:
+    """Raise ``ValueError`` unless ``threshold`` fits the hardware's
+    32-bit access-counter notification threshold (and is positive)."""
+    if not 0 < threshold < 2**32:
+        raise ValueError("migration_threshold must be a positive 32-bit value")
+
+
 @dataclass
 class SystemConfig:
     """All tunables of the simulated GH200 platform.
@@ -402,8 +409,7 @@ class SystemConfig:
             )
         if self.gpu_page_size % self.system_page_size != 0:
             raise ValueError("gpu_page_size must be a multiple of system_page_size")
-        if not 0 < self.migration_threshold < 2**32:
-            raise ValueError("migration_threshold must be a positive 32-bit value")
+        check_migration_threshold(self.migration_threshold)
         for name in (
             "hbm_bandwidth",
             "cpu_memory_bandwidth",

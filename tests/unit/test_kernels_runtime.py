@@ -161,5 +161,7 @@ class TestBalloon:
     def test_set_migration_threshold_validates(self, gh):
         gh.set_migration_threshold(512)
         assert gh.config.migration_threshold == 512
-        with pytest.raises(ValueError):
-            gh.set_migration_threshold(0)
+        for refused in (0, 2**32):
+            with pytest.raises(ValueError):
+                gh.set_migration_threshold(refused)
+            assert gh.config.migration_threshold == 512

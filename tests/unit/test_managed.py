@@ -166,7 +166,6 @@ class TestStreamingThrash:
             alloc, PageSet.full(alloc.n_pages), full_shape(cfg), write=False, now=1.0
         )
         # Part fits, the rest churns through evict+migrate.
-        assert out.evicted_bytes > 0
         assert counters.total.eviction_bytes > 0
         # Thrashed pages end the epoch CPU-resident.
         assert alloc.pages_at(Location.CPU) > 0
@@ -230,8 +229,8 @@ def per_block_evict(mgr, needed, now):
         gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
         nbytes = gpu_pages.count * page
         alloc.set_location(gpu_pages, Location.CPU)
-        mgr.physical.gpu.release(nbytes, tag=mgr._tag(alloc))
-        mgr.physical.cpu.reserve(nbytes, tag=mgr._tag(alloc))
+        mgr.physical.gpu.release(nbytes, tag=alloc.tag)
+        mgr.physical.cpu.reserve(nbytes, tag=alloc.tag)
         mgr.counters.bump(
             eviction_bytes=nbytes,
             migration_d2h_bytes=nbytes,
@@ -273,8 +272,8 @@ class TestBatchedEviction:
             )
             back_bytes = back.count * cfg.system_page_size
             alloc.set_location(back, Location.CPU)
-            phys.gpu.release(back_bytes, tag=mgr._tag(alloc))
-            phys.cpu.reserve(back_bytes, tag=mgr._tag(alloc))
+            phys.gpu.release(back_bytes, tag=alloc.tag)
+            phys.cpu.reserve(back_bytes, tag=alloc.tag)
             alloc.block_last_touch[:] = rng.integers(0, 400, alloc.n_blocks) / 7
             allocs.append(alloc)
         mgr.link.streaming_time(12345, Processor.GPU, Processor.CPU)

@@ -29,6 +29,7 @@ from repro.mem.pageset import PageSet
 from repro.mem.pagetable import AllocKind
 from repro.mem.subsystem import MemorySubsystem
 from repro.profiling.counters import HardwareCounters
+from repro.profiling.timeline import Timeline
 from repro.sim.config import Location, MiB, Processor, SystemConfig
 
 
@@ -217,6 +218,29 @@ def test_host_register_populates_everything(arch_name):
     assert_byte_conservation(mem, [alloc])
     # Re-registering an already-populated allocation is free.
     assert mem.host_register(alloc) == 0.0
+
+
+@pytest.mark.parametrize(
+    "backend, kind",
+    [
+        ("gh200", AllocKind.SYSTEM),
+        ("upm", AllocKind.SYSTEM),
+        ("upm", AllocKind.MANAGED),
+        ("svm", AllocKind.SYSTEM),
+        ("svm", AllocKind.MANAGED),
+    ],
+)
+def test_gpu_first_touch_is_one_span(backend, kind):
+    """Wherever a backend's fault handler serves an access, a GPU touch
+    of N unmapped pages is exactly one ``first-touch`` span of N pages."""
+    mem = make_mem(backend)
+    mem.timeline = Timeline(time_fn=lambda: 0.0)
+    alloc = mem.allocate(kind, 4 * MiB)
+    shape = AccessShape(useful_bytes=mem.config.system_page_size)
+    mem.access(Processor.GPU, alloc, PageSet.range(0, 24), shape, now=0.0)
+    spans = mem.timeline.spans("first-touch")
+    assert len(spans) == 1
+    assert spans[0].args["pages"] == 24
 
 
 def test_prefetch_is_nonnegative_and_coherent(arch_name):

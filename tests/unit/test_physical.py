@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.mem.arch_upm import UnifiedPhysicalMemory
+from repro.mem.pageset import PageSet
+from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.physical import MemoryPool, OutOfMemoryError, PhysicalMemory
 from repro.sim.config import Location, Processor, SystemConfig
 
@@ -23,12 +26,6 @@ class TestMemoryPool:
         pool = MemoryPool("p", capacity=100)
         with pytest.raises(OutOfMemoryError):
             pool.reserve(101)
-
-    def test_reserve_up_to_grants_partial(self):
-        pool = MemoryPool("p", capacity=100)
-        assert pool.reserve_up_to(250) == 100
-        assert pool.free == 0
-        assert pool.reserve_up_to(10) == 0
 
     def test_release_more_than_reserved_under_tag_fails(self):
         pool = MemoryPool("p", capacity=100)
@@ -70,11 +67,23 @@ class TestPhysicalMemory:
             PhysicalMemory(cfg).pool(Location.UNMAPPED)
 
     def test_transfer_moves_accounting(self, cfg):
-        phys = PhysicalMemory(cfg)
-        phys.cpu.reserve(1000, tag="x")
-        phys.transfer(600, Location.CPU, Location.GPU, tag="x")
-        assert phys.cpu.by_tag["x"] == 400
-        assert phys.gpu.by_tag["x"] == 600
+        page = cfg.system_page_size
+        for phys in (PhysicalMemory(cfg), UnifiedPhysicalMemory(cfg)):
+            alloc = Allocation(AllocKind.SYSTEM, 10 * page, cfg)
+            alloc.set_location(PageSet.full(10), Location.CPU)
+            phys.cpu.reserve(10 * page, tag=alloc.tag)
+            used = phys.cpu.used + phys.gpu.used
+            assert phys.move(alloc, PageSet.range(0, 6), Location.GPU) == 6 * page
+            # Residency and both ledgers moved together.
+            assert alloc.pages_at(Location.GPU) == 6
+            assert alloc.pages_at(Location.CPU) == 4
+            if phys.cpu is phys.gpu:
+                # One unified pool: only residency changed.
+                assert phys.gpu.by_tag[alloc.tag] == 10 * page
+            else:
+                assert phys.cpu.by_tag[alloc.tag] == alloc.bytes_at(Location.CPU)
+                assert phys.gpu.by_tag[alloc.tag] == alloc.bytes_at(Location.GPU)
+            assert phys.cpu.used + phys.gpu.used == used
 
     def test_capacities_match_config(self, cfg):
         phys = PhysicalMemory(cfg)
