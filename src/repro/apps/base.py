@@ -197,13 +197,8 @@ class Application(ABC):
         simulated time, so the 100 ms memory profiler of Section 3.2 sees
         the gradual RSS ramp the paper's Figures 4-5 show, instead of a
         step.
-
-        Each chunk is emitted as one structure-of-arrays
-        :class:`~repro.mem.batch.AccessBatch` — the epoch-descriptor form
-        the batched executor consumes directly.
         """
         from ..core.kernels import ArrayAccess
-        from ..mem.batch import AccessBatch
         from ..mem.pageset import PageSet
 
         if compute is not None:
@@ -219,10 +214,7 @@ class Application(ABC):
                         ArrayAccess.write_(arr, PageSet.range(lo, hi))
                     )
             if accesses:
-                gh.cpu_phase(
-                    f"{self.name}-{label}-{c}",
-                    AccessBatch.from_accesses(accesses),
-                )
+                gh.cpu_phase(f"{self.name}-{label}-{c}", accesses)
 
     def dim(self, paper_value: int, *, minimum: int = 4) -> int:
         """A problem dimension scaled from the paper's value.

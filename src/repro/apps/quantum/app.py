@@ -275,7 +275,7 @@ class QuantumVolume(Application):
                     max(0.0, bottleneck - rec.duration),
                     activity="qiskit-pipeline-dma",
                 )
-                gh.counters.total.add(explicit_copy_bytes=2 * chunk_bytes)
+                gh.counters.bump(explicit_copy_bytes=2 * chunk_bytes)
                 gh.mem.link.account_external(chunk_bytes, Processor.CPU, h2d)
                 gh.mem.link.account_external(chunk_bytes, Processor.GPU, d2h)
 

@@ -9,7 +9,7 @@ floating-point workload. The executor:
 2. charges lazy CUDA context initialisation to the first launch when no
    CUDA API has created the context yet (the system-memory behaviour the
    paper observes in Section 4);
-3. feeds every batch through the memory subsystem, composing the kernel
+3. feeds every access through the memory subsystem, composing the kernel
    duration from compute, HBM, remote-C2C, fault, and stall components;
 4. optionally runs a real numpy ``compute`` callable so functional
    results stay verifiable.
@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 
 from ..devices.cpu import CpuDevice
 from ..devices.gpu import GpuDevice
-from ..mem.batch import AccessBatch
 from ..mem.coherence import AccessShape
 from ..mem.pageset import PageSet
 from ..mem.subsystem import AccessResult, MemorySubsystem
@@ -30,15 +29,6 @@ from ..profiling.counters import HardwareCounters
 from ..sim.config import Processor, SystemConfig
 from ..sim.engine import SimClock
 from .unified_array import UnifiedArray
-
-
-def _as_batch(accesses) -> AccessBatch:
-    """Accept an epoch's descriptors as either an :class:`AccessBatch`
-    (apps emitting structure-of-arrays directly) or a sequence of
-    :class:`ArrayAccess`."""
-    if isinstance(accesses, AccessBatch):
-        return accesses
-    return AccessBatch.from_accesses(accesses)
 
 
 @dataclass(frozen=True)
@@ -81,6 +71,12 @@ class ArrayAccess:
             density=density,
         )
         return ArrayAccess(array, pages, shape, write)
+
+
+def _descriptors(accesses: Sequence[ArrayAccess]):
+    """``(alloc, pages, shape, write)`` per access, as
+    :meth:`MemorySubsystem.access_batch` takes them."""
+    return ((a.array.alloc, a.pages, a.shape, a.write) for a in accesses)
 
 
 @dataclass
@@ -128,28 +124,23 @@ class KernelExecutor:
     def launch(
         self,
         name: str,
-        accesses: Sequence[ArrayAccess] | AccessBatch,
+        accesses: Sequence[ArrayAccess],
         *,
         flops: float = 0.0,
         reuse: float = 1.0,
         atomics: int = 0,
         compute: Callable[[], None] | None = None,
-        service_migrations: bool = True,
     ) -> KernelRecord:
         """Launch one GPU kernel; advances the simulated clock."""
-        report = (
-            self.mem.begin_epoch()
-            if service_migrations
-            else None
-        )
-        stall = report.stall_seconds if report else 0.0
-        migrated = report.bytes_migrated if report else 0
+        report = self.mem.begin_epoch()
+        stall = report.stall_seconds
+        migrated = report.bytes_migrated
 
         ctx_time = self.gpu.context_init_time()
 
         self.counters.begin_kernel(name, self.clock.now)
         total = self.mem.access_batch(
-            Processor.GPU, _as_batch(accesses), now=self.clock.now
+            Processor.GPU, _descriptors(accesses), now=self.clock.now
         )
 
         if compute is not None:
@@ -161,7 +152,7 @@ class KernelExecutor:
             from_c2c=total.remote_bytes,
             reuse=reuse,
         )
-        self.counters.total.add(l1l2_bytes=l1l2)
+        self.counters.bump(l1l2_bytes=l1l2)
 
         duration = self.gpu.kernel_time(
             flops=flops,
@@ -191,7 +182,7 @@ class KernelExecutor:
     def cpu_phase(
         self,
         name: str,
-        accesses: Sequence[ArrayAccess] | AccessBatch = (),
+        accesses: Sequence[ArrayAccess] = (),
         *,
         threads: int = 1,
         fixed_time: float = 0.0,
@@ -199,7 +190,7 @@ class KernelExecutor:
     ) -> PhaseRecord:
         """Run a CPU-side phase (initialisation loops, reductions)."""
         total = self.mem.access_batch(
-            Processor.CPU, _as_batch(accesses), now=self.clock.now
+            Processor.CPU, _descriptors(accesses), now=self.clock.now
         )
         if compute is not None:
             compute()

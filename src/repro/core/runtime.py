@@ -190,7 +190,7 @@ class GraceHopperSystem:
         )
         t = host_touch.fault_seconds
         t += self.mem.copy_engine.memcpy(nbytes, src_proc, dst_proc, pinned=pinned)
-        self.counters.total.add(explicit_copy_bytes=nbytes)
+        self.counters.bump(explicit_copy_bytes=nbytes)
         if dst.materialized and src.materialized:
             np.copyto(
                 dst.np.reshape(-1)[: nbytes // dst.itemsize],

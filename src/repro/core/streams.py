@@ -127,7 +127,7 @@ class StreamManager:
         duration = gh.mem.copy_engine.memcpy(
             nbytes, src_proc, dst_proc, pinned=True
         )
-        gh.counters.total.add(explicit_copy_bytes=nbytes)
+        gh.counters.bump(explicit_copy_bytes=nbytes)
         if dst.materialized and src.materialized:
             import numpy as np
 
@@ -163,7 +163,7 @@ class StreamManager:
             from_c2c=total.remote_bytes,
             reuse=reuse,
         )
-        gh.counters.total.add(l1l2_bytes=l1l2)
+        gh.counters.bump(l1l2_bytes=l1l2)
         duration = ctx + gh.gpu.kernel_time(
             flops=flops,
             hbm_bytes=total.hbm_bytes,

@@ -139,12 +139,6 @@ class FabricLink:
                 bytes=nbytes, forward=forward,
             )
 
-    def transfer_time(self, nbytes: int, *, forward: bool) -> float:
-        """Streaming time across this one link (no charge)."""
-        if nbytes <= 0:
-            return 0.0
-        return nbytes / self.bandwidth(forward) + self.latency
-
     def __repr__(self) -> str:
         return (
             f"<FabricLink {self.name} "

@@ -70,10 +70,11 @@ class MemoryArchitecture:
     migrator_cls: type
 
     def local_location(self, processor: Processor) -> Location:
-        """The residency state the batched fast path treats as local for
-        ``processor`` (homogeneous allocations short-circuit to pure
-        byte/counter arithmetic against this location). Split pools:
-        each processor's own pool."""
+        """The residency state that is local to ``processor``: a system
+        or managed allocation whose every page is here is charged its
+        local traffic by :meth:`~repro.mem.subsystem.MemorySubsystem.access`
+        without calling the access hooks below. Split pools: each
+        processor's own pool."""
         return Location.GPU if processor is Processor.GPU else Location.CPU
 
     def system_access(self, mem, processor, alloc, pages, shape, write):

@@ -61,22 +61,10 @@ class GH200Architecture(MemoryArchitecture):
             wire = mem.fabric.remote_traffic(processor, shape, n_remote)
             res.remote_bytes += wire
             res.remote_seconds += mem.link.remote_access_time(wire, processor)
+            mem.counters.traffic("c2c" if on_gpu else "cpu_remote", wire, write)
             if on_gpu:
-                mem.counters.bump(
-                    **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-                )
                 _count_gpu_accesses(
                     mem, alloc, alloc.subset(pages, remote_loc), wire, n_remote
-                )
-            else:
-                mem.counters.bump(
-                    **{
-                        (
-                            "cpu_remote_write_bytes"
-                            if write
-                            else "cpu_remote_read_bytes"
-                        ): wire
-                    }
                 )
 
         n_far = int(counts[Location.REMOTE])
@@ -105,9 +93,7 @@ class GH200Architecture(MemoryArchitecture):
             wire = mem.fabric.remote_traffic(processor, shape, pages.count)
             res.remote_bytes = wire
             res.remote_seconds = mem.link.remote_access_time(wire, processor)
-            mem.counters.bump(
-                **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-            )
+            mem.counters.traffic("c2c", wire, write)
         return res
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:

@@ -115,7 +115,7 @@ class SvmArchitecture(MemoryArchitecture):
     physical_cls = PhysicalMemory
     fault_handler_cls = SvmFaultHandler
     # Migration *is* the access mechanism (eager, on-fault); there is no
-    # deferred access-counter policy to service between epochs.
+    # delayed access-counter policy to service between epochs.
     migrator_cls = NullMigrator
 
     # -- eviction ----------------------------------------------------------
@@ -287,9 +287,7 @@ class SvmArchitecture(MemoryArchitecture):
             mem.link.account_external(wire, Processor.CPU, t, "remote")
             res.remote_bytes = wire
             res.remote_seconds = t
-            mem.counters.bump(
-                **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
-            )
+            mem.counters.traffic("c2c", wire, write)
         return res
 
     def prefetch_async(self, mem, alloc, pages, now) -> float:

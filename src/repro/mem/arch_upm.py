@@ -36,8 +36,6 @@ line *is* the cross-architecture result.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 from ..sim.config import Location, Processor, SystemConfig
 from .arch import MemoryArchitecture
 from .faults import FaultHandler, FaultOutcome
@@ -72,9 +70,8 @@ class NullMigrator:
     """The migration policy of a single pool: there is none.
 
     Mirrors the :class:`~repro.mem.migration.AccessCounterMigrator`
-    surface (recording, deferral, epoch servicing, fabric attachment) as
-    no-ops so the subsystem and the batched executor need no
-    backend-specific branches.
+    surface (recording, epoch servicing, fabric attachment) as no-ops so
+    the subsystem needs no backend-specific branches.
     """
 
     def __init__(self, *_components):
@@ -82,10 +79,6 @@ class NullMigrator:
 
     def record_gpu_accesses(self, alloc, pages, accesses_per_page) -> None:
         return None
-
-    @contextmanager
-    def deferred(self):
-        yield
 
     def service(self, allocations) -> MigrationReport:
         return MigrationReport()
@@ -100,6 +93,9 @@ class UpmFaultHandler(FaultHandler):
     which keeps the sanitizer's exact fault-conservation invariants
     backend-independent.
     """
+
+    #: The one pool's pages are recorded at ``Location.GPU``.
+    prepopulate_location = Location.GPU
 
     def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
         out = FaultOutcome()
@@ -133,16 +129,6 @@ class UpmFaultHandler(FaultHandler):
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
 
-    def prepopulate(self, alloc, pages) -> float:
-        unmapped = alloc.subset(pages, Location.UNMAPPED)
-        if not unmapped:
-            return 0.0
-        nbytes = unmapped.count * self.config.system_page_size
-        alloc.set_location(unmapped, Location.GPU)
-        self.physical.gpu.reserve(nbytes, tag=alloc.tag)
-        zero = nbytes / self.config.fault_zeroing_bandwidth
-        return self.smmu.bulk_populate(unmapped.count) + zero
-
 
 class UpmArchitecture(MemoryArchitecture):
     """Single-pool, migration-free MI300A-style backend."""
@@ -157,9 +143,9 @@ class UpmArchitecture(MemoryArchitecture):
     migrator_cls = NullMigrator
 
     def local_location(self, processor: Processor) -> Location:
-        # Every mapped page lives in the one pool; the batched fast path
-        # may treat either engine's access to a fully-mapped allocation
-        # as local. Pages are recorded at Location.GPU on first touch.
+        # Every mapped page lives in the one pool, so an allocation fully
+        # mapped into it is local to either engine. Pages are recorded at
+        # Location.GPU on first touch.
         return Location.GPU
 
     def system_access(self, mem, processor, alloc, pages, shape, write):

@@ -31,6 +31,9 @@ class FaultOutcome:
 class FaultHandler:
     """OS fault-path servicing for the system page table."""
 
+    #: Where :meth:`prepopulate` places pages.
+    prepopulate_location = Location.CPU
+
     def __init__(
         self,
         config: SystemConfig,
@@ -138,12 +141,13 @@ class FaultHandler:
     def prepopulate(self, alloc: Allocation, pages: PageSet) -> float:
         """Populate PTEs CPU-side outside the fault path
         (``cudaHostRegister`` or an artificial pre-init loop,
-        Section 5.1.2). Pages land in CPU memory."""
+        Section 5.1.2). Pages land at :attr:`prepopulate_location`."""
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if not unmapped:
             return 0.0
+        loc = self.prepopulate_location
         nbytes = unmapped.count * self.config.system_page_size
-        alloc.set_location(unmapped, Location.CPU)
-        self.physical.cpu.reserve(nbytes, tag=alloc.tag)
+        alloc.set_location(unmapped, loc)
+        self.physical.pool(loc).reserve(nbytes, tag=alloc.tag)
         zero = nbytes / self.config.fault_zeroing_bandwidth
         return self.smmu.bulk_populate(unmapped.count) + zero

@@ -202,7 +202,8 @@ class ManagedMemoryManager:
                 alloc.subset(pages, Location.CPU_PINNED), shape, out
             )
 
-        self._account(out, write)
+        self.counters.traffic("hbm", out.hbm_bytes, write)
+        self.counters.traffic("c2c", out.remote_bytes, write)
         return out
 
     def _gpu_first_touch(
@@ -412,10 +413,7 @@ class ManagedMemoryManager:
         cpu_like = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
         local_bytes = shape.useful_bytes * (cpu_like + n_unmapped + n_gpu)
         out.lpddr_bytes += local_bytes
-        self.counters.bump(
-            lpddr_write_bytes=local_bytes if write else 0,
-            lpddr_read_bytes=0 if write else local_bytes,
-        )
+        self.counters.traffic("lpddr", local_bytes, write)
         return out
 
     # -- explicit prefetch ------------------------------------------------------------
@@ -447,15 +445,3 @@ class ManagedMemoryManager:
                 migration_h2d_bytes=moved, pages_migrated_h2d=move.count
             )
         return seconds
-
-    # -- accounting ------------------------------------------------------------------
-
-    def _account(self, out: AccessResult, write: bool) -> None:
-        if write:
-            self.counters.bump(
-                hbm_write_bytes=out.hbm_bytes, c2c_write_bytes=out.remote_bytes
-            )
-        else:
-            self.counters.bump(
-                hbm_read_bytes=out.hbm_bytes, c2c_read_bytes=out.remote_bytes
-            )

@@ -27,7 +27,6 @@ Model highlights, matching the behaviour the paper measures:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..interconnect.nvlink import NvlinkC2C
@@ -69,11 +68,6 @@ class AccessCounterMigrator:
         #: :class:`~repro.topology.ShardedSystem`); ``None`` keeps the
         #: single-superchip behaviour untouched.
         self.fabric_port = None
-        #: When not ``None``, counter bumps are queued here instead of
-        #: applied (see :meth:`deferred`); counters are only *read* at
-        #: :meth:`service` time, so applying a batch's bumps once at the
-        #: end of the batch is exact.
-        self._deferred: list | None = None
 
     # -- notification side -------------------------------------------------
 
@@ -84,28 +78,7 @@ class AccessCounterMigrator:
         pages of a system allocation."""
         if alloc.kind is not AllocKind.SYSTEM or not self.config.migration_enable:
             return
-        if self._deferred is not None:
-            self._deferred.append((alloc, cpu_pages, accesses_per_page))
-            return
         alloc.counters.add(cpu_pages, accesses_per_page)
-
-    @contextmanager
-    def deferred(self):
-        """Queue counter bumps for the duration of one access batch and
-        apply them on exit (once per epoch instead of once per
-        descriptor). Counter adds commute and nothing reads the counters
-        until the next :meth:`service`, so this is result-identical to
-        applying each bump inline."""
-        if self._deferred is not None:  # nested batches share one queue
-            yield
-            return
-        self._deferred = []
-        try:
-            yield
-        finally:
-            pending, self._deferred = self._deferred, None
-            for alloc, pages, amount in pending:
-                alloc.counters.add(pages, amount)
 
     # -- servicing side -------------------------------------------------------
 

@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..sim.config import Location, MemKind, NodeId, SystemConfig
+from ..sim.config import Location, SystemConfig
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
@@ -82,38 +82,6 @@ class NumaTopology:
             self.cpu_visible_bandwidth(NumaNode.CPU_DDR),
             self.cpu_visible_bandwidth(NumaNode.GPU_HBM),
         )
-
-    # -- multi-superchip generalisation ----------------------------------
-
-    def node_ids(self) -> list[NodeId]:
-        """All memory nodes of the (possibly multi-superchip) node, in OS
-        NUMA enumeration order: DDR0, HBM0, DDR1, HBM1, ...
-
-        On the paper's testbed (``n_superchips == 1``) this is exactly the
-        two nodes of :meth:`nodes`."""
-        out: list[NodeId] = []
-        for chip in range(self.config.n_superchips):
-            out.append(NodeId(chip, MemKind.DDR))
-            out.append(NodeId(chip, MemKind.HBM))
-        return out
-
-    def node_id_of(self, node: NumaNode, chip: int = 0) -> NodeId:
-        """The :class:`NodeId` of a classic two-node ``NumaNode`` on a
-        given superchip."""
-        kind = MemKind.DDR if node is NumaNode.CPU_DDR else MemKind.HBM
-        return NodeId(chip, kind)
-
-    def numa_distance(self, a: NodeId, b: NodeId) -> int:
-        """``numactl --hardware``-style distance matrix entry.
-
-        10 for local, 40 across NVLink-C2C (the value Grace Hopper
-        firmware reports for the HBM node), 80 for any cross-superchip
-        path (one fabric/socket hop, or C2C plus a hop)."""
-        if a == b:
-            return 10
-        if a.chip == b.chip:
-            return 40
-        return 80
 
 
 class NumaAllocator:

@@ -303,10 +303,6 @@ class Allocation:
     def mapped_pages(self) -> int:
         return self.n_pages - self.pages_at(Location.UNMAPPED)
 
-    @property
-    def touched_bytes(self) -> int:
-        return self.mapped_pages * self.page_size
-
     def is_homogeneous(self, loc: Location) -> bool:
         return self.pages_at(loc) == self.n_pages
 

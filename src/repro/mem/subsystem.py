@@ -1,6 +1,6 @@
 """The unified memory subsystem: one façade over the whole memory model.
 
-Dispatches every access batch by allocation kind:
+Dispatches every access by allocation kind:
 
 * **system** (``malloc``), **managed** (``cudaMallocManaged``) and
   **host-pinned / numa** — to the selected
@@ -8,6 +8,12 @@ Dispatches every access batch by allocation kind:
   fault placement, migration and remote-access economics;
 * **device** (``cudaMalloc``) — GPU-local only on every backend; CPU
   access is rejected, matching the non-coherent row of Table 1.
+
+A system or managed allocation whose every page already sits where the
+accessing processor reads locally
+(:meth:`~repro.mem.arch.MemoryArchitecture.local_location`) is charged
+its local traffic without a backend call, the steady state of every
+warm epoch.
 
 The accounting every backend shares lives here: :class:`AccessResult`,
 local-traffic charging (:meth:`MemorySubsystem.charge_local`),
@@ -46,7 +52,8 @@ from .tlb import TlbHierarchy
 
 @dataclass
 class AccessResult:
-    """Cost and traffic of one access batch, for the kernel cost model."""
+    """Cost and traffic of one access (or the sum over an epoch's
+    accesses), for the kernel cost model."""
 
     fault_seconds: float = 0.0
     remote_seconds: float = 0.0
@@ -240,16 +247,34 @@ class MemorySubsystem:
         write: bool = False,
         now: float = 0.0,
     ) -> AccessResult:
+        """Charge one descriptor: ``processor`` reads (or writes) ``pages``
+        of ``alloc``, each page with the traffic ``shape`` describes."""
         if alloc.freed:
             raise RuntimeError(f"{alloc.name}: use after free")
         pages = pages.clip(alloc.n_pages)
         if not pages:
             return AccessResult()
-        if alloc.kind is AllocKind.MANAGED:
-            res = self.arch.managed_access(
-                self, processor, alloc, pages, shape, write, now
-            )
-        elif alloc.kind is AllocKind.DEVICE:
+        kind = alloc.kind
+        consumed = shape.useful_bytes * pages.count
+        if kind is AllocKind.SYSTEM or kind is AllocKind.MANAGED:
+            if alloc.is_homogeneous(self.arch.local_location(processor)):
+                # Every page already sits where the processor reads
+                # locally. Each backend's own path would only charge the
+                # local traffic and, for managed memory on the GPU, touch
+                # the LRU blocks.
+                if kind is AllocKind.MANAGED and processor is Processor.GPU:
+                    alloc.touch_blocks(pages, now)
+                res = AccessResult()
+                self.charge_local(res, processor, consumed, write)
+            elif kind is AllocKind.MANAGED:
+                res = self.arch.managed_access(
+                    self, processor, alloc, pages, shape, write, now
+                )
+            else:
+                res = self.arch.system_access(
+                    self, processor, alloc, pages, shape, write
+                )
+        elif kind is AllocKind.DEVICE:
             # Device memory is architecture-independent: GPU-local,
             # CPU-inaccessible (same PermissionError on every backend).
             if processor is Processor.CPU:
@@ -258,16 +283,12 @@ class MemorySubsystem:
                     "(Table 1: not cache coherent); use cudaMemcpy"
                 )
             res = AccessResult()
-            self.charge_local(res, processor, shape.useful_bytes * pages.count, write)
-        elif alloc.kind in (AllocKind.HOST_PINNED, AllocKind.NUMA_CPU):
+            self.charge_local(res, processor, consumed, write)
+        else:
             res = self.arch.pinned_access(
                 self, processor, alloc, pages, shape, write
             )
-        else:
-            res = self.arch.system_access(
-                self, processor, alloc, pages, shape, write
-            )
-        res.consumed_bytes = shape.useful_bytes * pages.count
+        res.consumed_bytes = consumed
         if self.sanitizer is not None:
             self.sanitizer.after_access(alloc, now)
         return res
@@ -275,64 +296,17 @@ class MemorySubsystem:
     def access_batch(
         self,
         processor: Processor,
-        batch,
+        descriptors,
         *,
         now: float = 0.0,
     ) -> AccessResult:
-        """Process one epoch's :class:`~repro.mem.batch.AccessBatch`.
-
-        Result-identical to calling :meth:`access` per descriptor in
-        order, but descriptors whose allocation is homogeneously resident
-        on the accessing processor — the steady state for every warm
-        epoch — are charged with pure integer byte/counter arithmetic,
-        never touching the fault, residency, or migration machinery.
-        Migrator counter bumps from the remaining descriptors are applied
-        once at the end of the batch (they are only read at the next
-        :meth:`begin_epoch`). With the sanitizer active the per-descriptor
-        path runs unconditionally so after-access invariants fire at the
-        same points as the unbatched loop.
-        """
+        """Charge one epoch: the sum of :meth:`access` over its
+        ``(alloc, pages, shape, write)`` descriptors, in order."""
         total = AccessResult()
-        if self.sanitizer is not None or "access" in self.__dict__:
-            # Sanitized runs keep per-descriptor invariant checks; an
-            # instance-level ``access`` wrapper (the trace recorder) must
-            # see every descriptor.
-            for i, alloc in enumerate(batch.allocs):
-                total.merge(
-                    self.access(
-                        processor, alloc, batch.pages[i], batch.shape(i),
-                        write=bool(batch.write[i]), now=now,
-                    )
-                )
-            return total
-        on_gpu = processor is Processor.GPU
-        local_loc = self.arch.local_location(processor)
-        with self.migrator.deferred():
-            for i, alloc in enumerate(batch.allocs):
-                if alloc.freed:
-                    raise RuntimeError(f"{alloc.name}: use after free")
-                pages = batch.pages[i].clip(alloc.n_pages)
-                if not pages:
-                    continue
-                kind = alloc.kind
-                write = bool(batch.write[i])
-                useful = int(batch.useful_bytes[i])
-                if (
-                    kind in (AllocKind.SYSTEM, AllocKind.MANAGED)
-                    and alloc.is_homogeneous(local_loc)
-                ):
-                    if on_gpu and kind is AllocKind.MANAGED:
-                        alloc.touch_blocks(pages, now)
-                    local_bytes = useful * pages.count
-                    self.charge_local(total, processor, local_bytes, write)
-                    total.consumed_bytes += local_bytes
-                    continue
-                total.merge(
-                    self.access(
-                        processor, alloc, pages, batch.shape(i),
-                        write=write, now=now,
-                    )
-                )
+        for alloc, pages, shape, write in descriptors:
+            total.merge(
+                self.access(processor, alloc, pages, shape, write=write, now=now)
+            )
         return total
 
     # -- accounting every backend shares ------------------------------------------
@@ -344,14 +318,10 @@ class MemorySubsystem:
         GPU, LPDDR for the CPU."""
         if processor is Processor.GPU:
             res.hbm_bytes += nbytes
-            self.counters.bump(
-                **{("hbm_write_bytes" if write else "hbm_read_bytes"): nbytes}
-            )
+            self.counters.traffic("hbm", nbytes, write)
         else:
             res.lpddr_bytes += nbytes
-            self.counters.bump(
-                **{("lpddr_write_bytes" if write else "lpddr_read_bytes"): nbytes}
-            )
+            self.counters.traffic("lpddr", nbytes, write)
 
     def first_touch(
         self,

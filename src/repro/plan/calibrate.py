@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass, fields
 from ..bench.harness import run_app, scaled_qubits
 from ..bench.runner import ResultCache, run_payload_cached
 from ..core.porting import MemoryMode
-from ..sim.config import SystemConfig
 
 #: Cache-entry id prefix for calibration vectors (kept distinct from
 #: registry experiment ids; enforced by ``run_payload_cached``).
@@ -355,6 +354,3 @@ def calibrate_many(
         for exp_id in exp_ids
     }
 
-
-def default_config() -> SystemConfig:
-    return SystemConfig.paper_gh200()

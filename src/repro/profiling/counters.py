@@ -194,48 +194,28 @@ class KernelTrafficRecord:
         }
 
 
-#: Valid counter names, checked on the hot :meth:`HardwareCounters.bump`
-#: path so typos fail at the call site rather than at flush time.
-_COUNTER_NAMES = frozenset(f.name for f in fields(CounterSet))
-
-
 class HardwareCounters:
-    """Global counters plus a per-kernel capture facility.
-
-    Hot-path producers (the memory subsystem processes several counter
-    updates per access batch) call :meth:`bump`, which accumulates into a
-    plain dict; the pending increments are folded into the
-    :class:`CounterSet` only when totals are actually read (per kernel
-    epoch), turning thousands of per-access ``setattr`` round trips into
-    one dict merge.
-    """
+    """Global counters plus a per-kernel capture facility."""
 
     def __init__(self) -> None:
-        self._total = CounterSet()
-        self._pending: dict[str, int] = {}
+        #: The cumulative counter set.
+        self.total = CounterSet()
         self.kernel_records: list[KernelTrafficRecord] = []
         self._kernel_start_snapshot: CounterSet | None = None
         self._kernel_start_time: float = 0.0
         self._kernel_name: str = ""
 
-    @property
-    def total(self) -> CounterSet:
-        """The cumulative counter set (pending increments flushed)."""
-        if self._pending:
-            self._flush()
-        return self._total
-
     def bump(self, **increments: int) -> None:
-        """Accumulate counter increments without touching the dataclass."""
-        pending = self._pending
-        for name, value in increments.items():
-            if name not in _COUNTER_NAMES:
-                raise AttributeError(f"unknown counter {name!r}")
-            pending[name] = pending.get(name, 0) + value
+        """Add ``increments`` to the cumulative counters (an unknown
+        counter name raises :class:`AttributeError`)."""
+        self.total.add(**increments)
 
-    def _flush(self) -> None:
-        self._total.add(**self._pending)
-        self._pending.clear()
+    def traffic(self, tier: str, nbytes: int, write: bool) -> None:
+        """Add ``nbytes`` of ``tier`` traffic to ``<tier>_write_bytes``
+        or ``<tier>_read_bytes``."""
+        name = f"{tier}_write_bytes" if write else f"{tier}_read_bytes"
+        total = self.total
+        setattr(total, name, getattr(total, name) + nbytes)
 
     def begin_kernel(self, name: str, now: float) -> None:
         self._kernel_name = name

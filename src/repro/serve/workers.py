@@ -84,17 +84,21 @@ def default_job_runner(exp_id: str, kwargs: dict) -> dict:
     return _serialize(run_experiment(exp_id, **kwargs))
 
 
-def _worker_main(conn, runner_spec: str, sanitize: bool = False) -> None:
+def _worker_main(
+    conn, runner_spec: str, owner: int, sanitize: bool = False
+) -> None:
     """Child-side loop: recv ``(exp_id, kwargs)``, send a reply dict.
 
-    The loop also ends once the parent is gone. A forked child holds the
-    parent's end of its own pipe and of its siblings' pipes, so EOF never
-    arrives; the child watches its parent pid instead. It also inherits
-    the parent's signal handlers, and an asyncio SIGTERM handler would
-    swallow SIGTERM, so SIGTERM is reset to its default.
+    The loop also ends once ``owner``, the pid that spawned the child, is
+    no longer its parent. A forked child holds the parent's end of its
+    own pipe and of its siblings' pipes, so EOF never arrives; the child
+    watches its parent pid instead. The owner pid is taken in the owner:
+    read in the child, it would already name init or a subreaper if the
+    owner died before the child ran. The child also inherits the parent's
+    signal handlers, and an asyncio SIGTERM handler would swallow
+    SIGTERM, so SIGTERM is reset to its default.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    parent = os.getppid()
     if sanitize:
         # Pin the parent's sanitize decision in the child explicitly, so
         # a pool created under REPRO_SANITIZE=1 keeps checking even if
@@ -104,7 +108,7 @@ def _worker_main(conn, runner_spec: str, sanitize: bool = False) -> None:
     while True:
         try:
             if not conn.poll(0.5):
-                if os.getppid() != parent:
+                if os.getppid() != owner:
                     break
                 continue
             msg = conn.recv()
@@ -160,7 +164,7 @@ class WorkerProcess:
             warnings.simplefilter("ignore", DeprecationWarning)
             self._proc = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self.runner_spec, self.sanitize),
+                args=(child_conn, self.runner_spec, os.getpid(), self.sanitize),
                 name=self.name,
                 daemon=True,
             )

@@ -121,13 +121,12 @@ class SystemCheckpoint:
         if clock._listeners:
             raise CheckpointUnavailable("tick listeners registered")
         counters = gh.counters
-        total = counters.total  # flushes pending increments
         if counters._kernel_start_snapshot is not None:
             raise CheckpointUnavailable("kernel capture in flight")
 
         ck = cls()
         ck.clock_now = clock.now
-        ck.counters_total = total.snapshot()
+        ck.counters_total = counters.total.snapshot()
         ck.kernel_records = list(counters.kernel_records)
 
         mem = gh.mem
@@ -229,8 +228,7 @@ class SystemCheckpoint:
         mem.gmmu.stats = dataclasses.replace(self.gmmu)
 
         counters = gh.counters
-        counters._total = self.counters_total.snapshot()
-        counters._pending.clear()
+        counters.total = self.counters_total.snapshot()
         counters.kernel_records = list(self.kernel_records)
         counters._kernel_start_snapshot = None
 

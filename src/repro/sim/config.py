@@ -109,15 +109,6 @@ class NodeId:
         return f"chip{self.chip}/{self.kind.value}"
 
 
-def node_for(chip: int, loc: Location) -> NodeId:
-    """The global node a *local* residency state maps to on ``chip``."""
-    if loc in (Location.CPU, Location.CPU_PINNED):
-        return NodeId(chip, MemKind.DDR)
-    if loc is Location.GPU:
-        return NodeId(chip, MemKind.HBM)
-    raise ValueError(f"no global node for local state {loc!r}")
-
-
 class FirstTouchPolicy(Enum):
     """Placement policy for first-touch page faults (Section 2.2).
 

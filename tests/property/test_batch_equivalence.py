@@ -1,15 +1,18 @@
-"""Property: the fused epoch executor is observationally identical to
-the per-descriptor access loop it replaces.
+"""Property: ``MemorySubsystem.access``'s local-residency shortcut charges
+exactly what each backend's own path charges.
 
-Two freshly built systems run the same hypothesis-generated epoch — a
-prologue that leaves each allocation in a mixed residency state, then an
+A system or managed allocation whose every page already sits where the
+accessing processor reads locally is charged its local traffic without a
+backend call. Two freshly built systems of the same backend run the same
+hypothesis-generated epoch: a prologue that leaves each allocation
+unmapped, partly or fully resident on the CPU or the GPU, then an
 arbitrary interleaving of read/write descriptors over SYSTEM and MANAGED
-allocations — once through :meth:`MemorySubsystem.access_batch` and once
-through the scalar :meth:`MemorySubsystem.access` loop. The returned
-:class:`AccessResult` must match field-for-field (bit-exact floats) and
-the *entire* mutable system state must fingerprint identically, through
-the following epoch boundary (which flushes the batch's deferred
-access-counter bumps into the migrator).
+allocations through :meth:`MemorySubsystem.access_batch`. On the
+reference system ``is_homogeneous`` is forced false, so every descriptor
+takes the backend's own path. The returned :class:`AccessResult` must
+match field for field (bit-exact floats), and the *entire* mutable
+system state must fingerprint identically through the following epoch
+boundary (which services the access counters the epoch fed).
 """
 
 import dataclasses
@@ -20,33 +23,32 @@ from hypothesis import strategies as st
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
-from repro.mem.batch import AccessBatch
+from repro.mem.arch import architecture_names
+from repro.mem.pageset import PageSet
 from repro.sim.checkpoint import SystemCheckpoint
 from repro.sim.config import Processor, SystemConfig
 
 N_ELEMS = 1 << 16  # 64 pages of 4 KiB per allocation at 1/1024 scale
 
 
-def make_system() -> GraceHopperSystem:
-    return GraceHopperSystem(
-        SystemConfig.scaled(1 / 1024, migration_enable=True)
-    )
-
-
 @dataclasses.dataclass(frozen=True)
 class Epoch:
     """One generated scenario."""
 
-    init_fractions: tuple  # per-allocation CPU-initialised prefix
+    #: Per allocation: which processor initialises it, and what prefix.
+    inits: tuple  # ((processor, fraction), (processor, fraction))
     descriptors: tuple  # (alloc_idx, lo_frac, hi_frac, write)
     processor: Processor
 
 
+inits = st.tuples(
+    st.sampled_from([Processor.CPU, Processor.GPU]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+
 epochs = st.builds(
     Epoch,
-    init_fractions=st.tuples(
-        st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([0.0, 0.5, 1.0])
-    ),
+    inits=st.tuples(inits, inits),
     descriptors=st.lists(
         st.tuples(
             st.integers(0, 1),
@@ -61,67 +63,51 @@ epochs = st.builds(
 )
 
 
-def build_and_run(epoch: Epoch, *, fused: bool):
-    gh = make_system()
-    sys_arr = gh.malloc(np.float32, (N_ELEMS,), name="eq.sys")
-    man_arr = gh.cuda_malloc_managed(np.float32, (N_ELEMS,), name="eq.man")
-    arrays = [sys_arr, man_arr]
-    init = [
-        ArrayAccess.write_(a, fraction=f)
-        for a, f in zip(arrays, epoch.init_fractions)
-        if f > 0.0
+def build_and_run(epoch: Epoch, mem_arch: str, *, shortcut: bool):
+    gh = GraceHopperSystem(
+        SystemConfig.scaled(1 / 1024, migration_enable=True, mem_arch=mem_arch)
+    )
+    arrays = [
+        gh.malloc(np.float32, (N_ELEMS,), name="eq.sys"),
+        gh.cuda_malloc_managed(np.float32, (N_ELEMS,), name="eq.man"),
     ]
-    for acc in init:
-        n = max(1, int(acc.array.alloc.n_pages * epoch.init_fractions[
-            arrays.index(acc.array)
-        ]))
-        gh.mem.access(
-            Processor.CPU, acc.array.alloc,
-            acc.pages.take_first(n), acc.shape, write=True, now=gh.now,
-        )
-    accesses = []
+    if not shortcut:
+        for arr in arrays:
+            arr.alloc.is_homogeneous = lambda loc: False
+    # The prologue runs as kernels and phases, so the clock moves and the
+    # epoch's managed-block touches land at a later time than the
+    # prologue's.
+    for arr, (proc, fraction) in zip(arrays, epoch.inits):
+        if fraction:
+            n = int(arr.alloc.n_pages * fraction)
+            init = [ArrayAccess.write_(arr, PageSet.range(0, n))]
+            if proc is Processor.GPU:
+                gh.launch_kernel("init", init)
+            else:
+                gh.cpu_phase("init", init)
+    descriptors = []
     for idx, lo_f, hi_f, write in epoch.descriptors:
         arr = arrays[idx]
         n = arr.alloc.n_pages
         lo, hi = sorted((int(lo_f * n), int(hi_f * n)))
         if hi == lo:
             hi = min(lo + 1, n)
-        from repro.mem.pageset import PageSet
-
-        pages = PageSet.range(lo, hi)
-        accesses.append(
-            ArrayAccess.write_(arr, pages) if write
-            else ArrayAccess.read(arr, pages)
-        )
-    now = gh.now
-    if fused:
-        result = gh.mem.access_batch(
-            epoch.processor, AccessBatch.from_accesses(accesses), now=now
-        )
-    else:
-        from repro.mem.subsystem import AccessResult
-
-        result = AccessResult()
-        for acc in accesses:
-            result.merge(
-                gh.mem.access(
-                    epoch.processor, acc.array.alloc, acc.pages, acc.shape,
-                    write=acc.write, now=now,
-                )
-            )
-    # The epoch boundary flushes deferred access-counter bumps into the
-    # migrator — after it, even the deferral is observationally gone.
+        make = ArrayAccess.write_ if write else ArrayAccess.read
+        acc = make(arr, PageSet.range(lo, hi))
+        descriptors.append((arr.alloc, acc.pages, acc.shape, acc.write))
+    result = gh.mem.access_batch(epoch.processor, descriptors, now=gh.now)
     gh.mem.begin_epoch()
     return result, SystemCheckpoint.capture(gh)
 
 
 @settings(max_examples=30, deadline=None)
 @given(epochs)
-def test_access_batch_equals_descriptor_loop(epoch):
-    fused_result, fused_state = build_and_run(epoch, fused=True)
-    loop_result, loop_state = build_and_run(epoch, fused=False)
-    for f in dataclasses.fields(fused_result):
-        assert getattr(fused_result, f.name) == getattr(loop_result, f.name), (
-            f"AccessResult.{f.name} diverged"
-        )
-    assert fused_state.fingerprint() == loop_state.fingerprint()
+def test_local_shortcut_equals_backend_path(epoch):
+    for mem_arch in architecture_names():
+        result, state = build_and_run(epoch, mem_arch, shortcut=True)
+        ref_result, ref_state = build_and_run(epoch, mem_arch, shortcut=False)
+        for f in dataclasses.fields(result):
+            assert getattr(result, f.name) == getattr(ref_result, f.name), (
+                f"{mem_arch}: AccessResult.{f.name} diverged"
+            )
+        assert state.fingerprint() == ref_state.fingerprint(), mem_arch

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.serve.workers import DEFAULT_RUNNER, _worker_main
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods()
@@ -78,3 +79,27 @@ def test_workers_stop_on_sigterm(owner):
     os.kill(pids[0], signal.SIGTERM)
     assert _wait_stopped(pids[:1]) == []
     assert _running(pids[1])
+
+
+def test_worker_exits_when_spawned_for_an_owner_already_gone():
+    """The owner pid is fixed at spawn: a worker whose owner died before
+    it started finds another parent and exits, though its pipe stays
+    open."""
+    ctx = multiprocessing.get_context("fork")
+    ours, theirs = ctx.Pipe()
+    # This process is the child's parent; its own parent stands in for
+    # an owner that died before the child ran.
+    proc = ctx.Process(
+        target=_worker_main, args=(theirs, DEFAULT_RUNNER, os.getppid()),
+        daemon=True,
+    )
+    proc.start()
+    try:
+        proc.join(timeout=2)
+        assert proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        ours.close()
+        theirs.close()

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.mem.arch import architecture_names
 from repro.profiling.trace import AccessTrace, TraceRecord, TraceRecorder, replay
-from repro.sim.config import MiB, SystemConfig
+from repro.sim.config import MiB, Processor, SystemConfig
 
 
 def fresh(page=65536, migration=False):
@@ -57,6 +58,31 @@ class TestRecording:
             assert "access" in vars(gh.mem)  # instance-level wrapper
         assert "access" not in vars(gh.mem)
         assert gh.mem.access.__func__ is MemorySubsystem.access
+
+    @pytest.mark.parametrize("mem_arch", architecture_names())
+    def test_warm_epoch_records_every_descriptor(self, mem_arch):
+        """Descriptors whose pages are all local take the access path's
+        local-residency shortcut; the recorder still sees each one."""
+        gh = GraceHopperSystem(
+            SystemConfig.scaled(1 / 256, page_size=65536, mem_arch=mem_arch)
+        )
+        arrays = [
+            gh.malloc(np.float32, (1 << 18,), name="sys"),
+            gh.cuda_malloc_managed(np.float32, (1 << 18,), name="man"),
+            gh.malloc(np.float32, (1 << 18,), name="sys2"),
+        ]
+        gh.launch_kernel("init", [ArrayAccess.write_(a) for a in arrays])
+        local = gh.mem.arch.local_location(Processor.GPU)
+        assert all(a.alloc.is_homogeneous(local) for a in arrays)
+        warm = [ArrayAccess.read(a) for a in arrays] + [
+            ArrayAccess.write_(arrays[1])
+        ]
+        with TraceRecorder(gh.mem) as recorder:
+            gh.launch_kernel("warm", warm)
+        assert [(r.alloc_name, r.write) for r in recorder.trace] == [
+            (acc.array.alloc.name, acc.write) for acc in warm
+        ]
+        assert {r.processor for r in recorder.trace} == {"gpu"}
 
     def test_nested_recording_rejected(self):
         gh = fresh()
