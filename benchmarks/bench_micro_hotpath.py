@@ -18,7 +18,10 @@ epoch executor target:
   numpy ``unique`` construction it replaced, and on unsorted BFS and Gups
   gathers, against the sort it replaced;
 * :class:`~repro.sim.checkpoint.SystemCheckpoint` capture/restore, the
-  primitive behind incremental what-if re-simulation.
+  primitive behind incremental what-if re-simulation;
+* range queries and moves on a two-run managed allocation answered from
+  its residency run record, head to head against the per-page scans it
+  replaced.
 
 Besides the pytest-benchmark tables, the measured timings are exported
 to ``BENCH_hotpath.json`` at the repo root so speedups are tracked in
@@ -39,6 +42,7 @@ from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet, _dedup_sorted
+from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.subsystem import AccessResult
 from repro.sim.config import Location, Processor, SystemConfig
 
@@ -431,3 +435,75 @@ class TestEvictBatch:
         benchmark.pedantic(
             self.evict, setup=lambda: ((self.oversubscribed(),), {}), rounds=3
         )
+
+
+def _dense_queries(alloc: Allocation, pages: PageSet) -> tuple:
+    """The per-page scans the run record replaced: each present location
+    counted on the int8 view, each partly present one selected through
+    :meth:`PageSet.where`. Kept inline as the baseline."""
+    view = pages.view(alloc.state)
+    counts = np.zeros(len(Location), dtype=np.int64)
+    subsets = []
+    for loc in Location:
+        n_at = alloc.pages_at(loc)
+        if n_at:
+            counts[loc] = np.count_nonzero(view == loc)
+        if 0 < n_at < alloc.n_pages:
+            subsets.append(pages.where(alloc.state, loc))
+    return counts, subsets
+
+
+class TestResidencyRuns:
+    """Residency queries on the middle million pages of a two-run managed
+    allocation (CPU lower half, GPU upper half), plus one boundary move
+    cycle, answered from the run record; against the dense scans."""
+
+    BOUNDARY = 4096
+
+    @staticmethod
+    def two_runs() -> Allocation:
+        alloc = Allocation(
+            AllocKind.MANAGED, N_PAGES * 65536, SystemConfig(system_page_size=65536)
+        )
+        alloc.set_location(PageSet.range(0, N_PAGES // 2), Location.CPU)
+        alloc.set_location(PageSet.range(N_PAGES // 2, N_PAGES), Location.GPU)
+        return alloc
+
+    def test_record_speedup_vs_dense(self, benchmark):
+        mid = PageSet.range(N_PAGES // 4, 3 * N_PAGES // 4)
+        edge = PageSet.range(N_PAGES // 2 - self.BOUNDARY, N_PAGES // 2)
+        alloc, dense = self.two_runs(), self.two_runs()
+
+        def record():
+            counts = alloc.split_counts(mid)
+            subsets = [alloc.subset(mid, loc) for loc in Location]
+            alloc.set_location(edge, Location.GPU)
+            alloc.set_location(edge, Location.CPU)
+            return counts, subsets
+
+        def scans():
+            out = _dense_queries(dense, mid)
+            # set_location's dense path, the one index and strided moves
+            # take, reached by forgetting the record first.
+            for loc in (Location.GPU, Location.CPU):
+                dense._runs = None
+                dense.set_location(edge, loc)
+            return out
+
+        counts, subsets = record()
+        want_counts, want_subsets = scans()
+        assert counts.tolist() == want_counts.tolist()
+        assert [s for s in subsets if s] == want_subsets
+        assert len(alloc._runs) == 2
+        new_t = _best(record, number=100)
+        dense_t = _best(scans, number=5)
+        speedup = dense_t / new_t
+        _record(
+            "residency_queries",
+            new_t,
+            pages=mid.count,
+            dense_seconds=dense_t,
+            speedup_vs_dense=round(speedup, 1),
+        )
+        benchmark(record)
+        assert speedup >= 20.0, f"only {speedup:.1f}x over the dense scans"

@@ -46,6 +46,11 @@ Invariants enforced
 6. **Access-counter bound** — each allocation's ``counters.peak`` is at
    least its largest per-page count, since ``crossed`` skips its scan on
    that bound.
+7. **Residency runs** — a known run record equals the maximal runs of
+   the state array, and the ``()`` marker stands for more runs than
+   :data:`~repro.mem.pageset.MAX_SYMBOLIC_RUNS`, since range and
+   interval-list queries answer from the record without reading the
+   state.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..mem.pageset import MAX_SYMBOLIC_RUNS
 from ..mem.pagetable import Allocation, AllocKind
 from ..sim.config import Location
 
@@ -260,6 +266,7 @@ class MemSanitizer:
                     "incremental_sum": int(alloc._gpu_block_counts.sum()),
                 },
             )
+        self._check_runs(alloc)
         counters = alloc.counters
         if counters.extra is not None and counters.extra.max() > counters.peak:
             self._fail(
@@ -274,6 +281,31 @@ class MemSanitizer:
         self._check_remote_map(alloc)
         if not alloc.freed:
             self._check_alloc_bytes(alloc)
+
+    def _check_runs(self, alloc: Allocation) -> None:
+        record = alloc._runs
+        if record is None:
+            return
+        state = alloc.state
+        edges = np.flatnonzero(state[1:] != state[:-1]) + 1
+        if record == ():
+            if edges.size >= MAX_SYMBOLIC_RUNS:
+                return
+        elif edges.size + 1 == len(record):
+            stops = edges.tolist()
+            starts = [0, *stops]
+            fresh = zip(starts, [*stops, state.size], state[starts].tolist())
+            if tuple(fresh) == record:
+                return
+        self._fail(
+            "residency-runs",
+            "run record disagrees with the maximal runs of the state array",
+            alloc=alloc,
+            details={
+                "record_runs": len(record),
+                "state_runs": int(edges.size) + 1,
+            },
+        )
 
     def _check_remote_map(self, alloc: Allocation) -> None:
         n_remote = alloc.pages_at(Location.REMOTE)

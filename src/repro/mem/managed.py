@@ -97,14 +97,15 @@ class ManagedMemoryManager:
             return 0, 0.0
         target = needed - self.physical.gpu.free
         # Gather (allocation, block) candidates ordered by last touch.
-        # Vectorised: per-allocation LRU block lists (already stably
-        # ordered by touch time) are concatenated and merged with one
-        # global stable argsort — identical ordering to sorting
-        # per-candidate tuples, without building millions of them.
+        # Vectorised: each allocation's GPU-resident blocks, in block
+        # order, are concatenated and sorted once by touch time. The sort
+        # is stable, so ties keep allocation order, then block order —
+        # identical ordering to sorting per-candidate tuples, without
+        # building millions of them.
         allocs = [a for a in self.allocations.values() if a.pages_at(Location.GPU)]
         if not allocs:
             return 0, 0.0
-        per_alloc_blocks = [a.lru_gpu_blocks() for a in allocs]
+        per_alloc_blocks = [np.flatnonzero(a._gpu_block_counts) for a in allocs]
         blocks = np.concatenate(per_alloc_blocks)
         touch = np.concatenate(
             [a.block_last_touch[b] for a, b in zip(allocs, per_alloc_blocks)]
@@ -138,7 +139,7 @@ class ManagedMemoryManager:
         steps[0::2] = t / self.config.eviction_bandwidth_fraction
         steps[1::2] = self.tlbs.gpu.shootdowns(counts)
         seconds = float(np.add.accumulate(steps)[-1])
-        for ai in np.unique(owner):
+        for ai in np.flatnonzero(np.bincount(owner, minlength=len(allocs))):
             alloc = allocs[ai]
             sel = blocks[owner == ai]
             gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)

@@ -17,6 +17,16 @@ counts are maintained incrementally so that full-allocation sweeps (the
 common streaming-kernel case) never need a per-page pass, and GPU access
 counters (Section 2.2.1) use a scalar-base + lazy-array representation so
 that uniform sweeps over millions of pages cost O(1).
+
+Residency is usually a few contiguous blocks (a CPU head and a GPU tail),
+so each allocation also keeps a *run record*: the maximal ``(start, stop,
+location)`` runs of its ``int8`` state, while there are at most
+:data:`~repro.mem.pageset.MAX_SYMBOLIC_RUNS` of them. Moves by a range or
+an interval list splice it, and queries by one walk it together with the
+set's runs, in O(runs) and without reading the state array. Index and
+strided sets, and fragmented residency, take the dense ``int8`` path; the
+state array stays the source of truth for it, for checkpoints and for the
+sanitizer.
 """
 
 from __future__ import annotations
@@ -27,7 +37,12 @@ from enum import Enum
 import numpy as np
 
 from ..sim.config import Location, Processor, SystemConfig
-from .pageset import PageSet
+from .pageset import MAX_SYMBOLIC_RUNS, PageSet
+
+#: Plain-int copies of the enum values the run-record walks compare with
+#: (an enum member lookup costs several times a module global).
+_N_LOC = len(Location)
+_GPU = int(Location.GPU)
 
 
 class AllocKind(Enum):
@@ -207,14 +222,17 @@ class Allocation:
         self.tag = f"{TAG_PREFIX[kind]}:{self.aid}"
         self.page_size = config.system_page_size
         self.n_pages = config.pages_for(nbytes)
+        #: Per-page :class:`Location` values: the source of truth.
         self.state = np.zeros(self.n_pages, dtype=np.int8)
-        #: Cached run decomposition of ``state`` — ``(starts, stops,
-        #: values)`` of its maximal constant runs. Residency is typically
-        #: a handful of contiguous blocks queried once per location per
-        #: access, so one scan is amortised across every
-        #: :meth:`subset` call until the next residency mutation
-        #: invalidates it.
-        self._runs_cache: tuple | None = None
+        #: Run record: the maximal ``(start, stop, location)`` runs of
+        #: ``state`` as plain-int tuples, known while there are at most
+        #: :data:`MAX_SYMBOLIC_RUNS`. Range and interval-list moves splice
+        #: it. ``None`` once unknown (after an index or strided move, a
+        #: splice past the cap, or a checkpoint restore): the next
+        #: whole-allocation :meth:`subset` relearns it with one scan of
+        #: ``state``. ``()`` when that scan found more runs than the cap,
+        #: so no query rescans before the next move.
+        self._runs: tuple | None = ((0, self.n_pages, int(Location.UNMAPPED)),)
         self._loc_counts = np.zeros(len(Location), dtype=np.int64)
         self._loc_counts[Location.UNMAPPED] = self.n_pages
         self.counters = AccessCounters(self.n_pages)
@@ -225,7 +243,8 @@ class Allocation:
         self.n_blocks = -(-self.n_pages // self.block_pages)
         self.block_last_touch = np.zeros(self.n_blocks, dtype=np.float64)
         #: GPU-resident page count per 2 MB block, maintained
-        #: incrementally by :meth:`set_location` so LRU eviction never
+        #: incrementally by :meth:`set_location` (in place, one run at a
+        #: time, for range and interval-list moves) so LRU eviction never
         #: scans the page-state array (invariant: equals the per-block
         #: histogram of ``state == Location.GPU``; the sanitizer checks).
         self._gpu_block_counts = np.zeros(self.n_blocks, dtype=np.int64)
@@ -280,7 +299,7 @@ class Allocation:
 
     def _set_all(self, loc: Location) -> None:
         self.state[:] = loc
-        self._runs_cache = None
+        self._runs = ((0, self.n_pages, int(loc)),)
         self._loc_counts[:] = 0
         self._loc_counts[loc] = self.n_pages
         if loc == Location.GPU:
@@ -306,17 +325,53 @@ class Allocation:
     def is_homogeneous(self, loc: Location) -> bool:
         return self.pages_at(loc) == self.n_pages
 
+    def _spans(self, pages: PageSet) -> tuple | None:
+        """``pages`` as sorted ``(start, stop)`` runs when the run record
+        can answer for them: the record is known and ``pages`` is a range
+        or an interval list inside the allocation. ``None`` sends the
+        caller down the dense ``state`` path."""
+        if (
+            not self._runs
+            or pages.index is not None
+            or pages.step > 1
+            or pages.stop > self.n_pages
+        ):
+            return None
+        if pages.runs is not None:
+            return pages.runs
+        return ((pages.start, pages.stop),) if pages.stop > pages.start else ()
+
+    def _learn_runs(self) -> None:
+        """Relearn the run record with one scan of ``state`` (``()`` when
+        it holds more than :data:`MAX_SYMBOLIC_RUNS` runs)."""
+        s = self.state
+        edges = np.flatnonzero(s[1:] != s[:-1])
+        if edges.size >= MAX_SYMBOLIC_RUNS:
+            self._runs = ()
+            return
+        stops = (edges + 1).tolist()
+        starts = [0, *stops]
+        stops.append(self.n_pages)
+        self._runs = tuple(zip(starts, stops, s[starts].tolist()))
+
     def split_counts(self, pages: PageSet) -> np.ndarray:
         """Page counts of ``pages`` per :class:`Location` (an ``int64``
         array indexed by ``Location``, one entry per member)."""
         if pages.covers_all(self.n_pages):
             return self._loc_counts.copy()
+        spans = self._spans(pages)
+        if spans is not None:
+            counts = [0] * _N_LOC
+            for lo, hi, loc, inside in _cut(self._runs, spans):
+                if inside:
+                    counts[loc] += hi - lo
+            return np.array(counts, dtype=np.int64)
         # Count on the int8 view itself (np.bincount would widen it to
         # intp first; so would comparing with a numpy int64, hence the
         # Python ints). A location absent from the whole allocation is
         # absent from ``pages``, and the last present one is what remains.
         view = pages.view(self.state)
-        counts = np.zeros(len(Location), dtype=np.int64)
+        counts = np.zeros(_N_LOC, dtype=np.int64)
         *scanned, rest = self._loc_counts.nonzero()[0].tolist()
         left = view.size
         for loc in scanned:
@@ -326,35 +381,35 @@ class Allocation:
         counts[rest] = left
         return counts
 
-    def _residency_runs(self) -> tuple:
-        """``(starts, stops, values)`` of ``state``'s maximal constant
-        runs, cached until the next residency mutation."""
-        if self._runs_cache is None:
-            s = self.state
-            edges = np.flatnonzero(s[1:] != s[:-1]) + 1
-            starts = np.concatenate(([0], edges))
-            stops = np.concatenate((edges, [s.size]))
-            self._runs_cache = (starts, stops, s[starts])
-        return self._runs_cache
-
     def subset(self, pages: PageSet, loc: Location) -> PageSet:
-        """Pages of ``pages`` currently at ``loc`` (with fast paths)."""
+        """Pages of ``pages`` currently at ``loc``, in the representation
+        ``pages.where(state, loc)`` gives (with fast paths)."""
         n_at = self.pages_at(loc)
         if n_at == 0:
             return PageSet.empty()
         if n_at == self.n_pages:
             return pages
         if pages.covers_all(self.n_pages):
-            # Residency state is typically a handful of contiguous blocks
-            # (CPU head / GPU tail), so this stays a symbolic interval
-            # list rather than a multi-million-entry index array.
-            # Consecutive runs differ in value, so the selected bounds
-            # are exactly the maximal runs ``from_mask(state == loc)``
-            # would find — same PageSet, no per-query state scan.
-            starts, stops, values = self._residency_runs()
-            sel = values == loc
-            return PageSet._from_bounds(starts[sel], stops[sel])
-        return pages.where(self.state, loc)
+            if self._runs is None:
+                self._learn_runs()
+            if self._runs:
+                # Consecutive runs differ in location, so these are the
+                # maximal runs ``from_mask(state == loc)`` would find.
+                return _pageset(
+                    [(lo, hi) for lo, hi, at in self._runs if at == loc]
+                )
+            return pages.where(self.state, loc)
+        spans = self._spans(pages)
+        if spans is None:
+            return pages.where(self.state, loc)
+        hits = [
+            (lo, hi)
+            for lo, hi, at, inside in _cut(self._runs, spans)
+            if inside and at == loc
+        ]
+        if sum(hi - lo for lo, hi in hits) == pages.count:
+            return pages
+        return _pageset(hits)
 
     def set_location(self, pages: PageSet, new: Location) -> np.ndarray:
         """Move ``pages`` to ``new``; returns previous per-location counts.
@@ -363,33 +418,54 @@ class Allocation:
         counts (number of pages that actually changed residency).
         """
         if not pages:
-            return np.zeros(len(Location), dtype=np.int64)
-        prev = self.split_counts(pages)
-        prev_gpu = int(prev[Location.GPU])
-        total = int(prev.sum())
-        # Maintain the per-block GPU residency histogram incrementally
-        # (computed *before* the assign, while ``state`` still shows the
-        # old residency). Homogeneous moves — every page already GPU, or
-        # none — are the overwhelmingly common case and need no state
-        # scan at all.
-        if new == Location.GPU:
-            if prev_gpu == 0:
-                self._gpu_block_counts += self._block_histogram(pages)
-            elif prev_gpu != total:
-                moved = pages.difference(pages.where(self.state, Location.GPU))
-                self._gpu_block_counts += self._block_histogram(moved)
-        elif prev_gpu:
-            leaving = (
-                pages
-                if prev_gpu == total
-                else pages.where(self.state, Location.GPU)
-            )
-            self._gpu_block_counts -= self._block_histogram(leaving)
+            return np.zeros(_N_LOC, dtype=np.int64)
+        if pages.covers_all(self.n_pages):
+            prev = self._loc_counts.copy()
+            self._set_all(new)
+            return prev
+        new = int(new)
+        spans = self._spans(pages)
+        if spans is not None:
+            # Splice the run record: every piece ``pages`` covers takes
+            # ``new``, and a piece joining or leaving the GPU updates its
+            # blocks' GPU page counts in place.
+            prev = [0] * _N_LOC
+            runs: list = []
+            for lo, hi, loc, inside in _cut(self._runs, spans):
+                if inside:
+                    prev[loc] += hi - lo
+                    if loc != new and _GPU in (loc, new):
+                        self._add_gpu_run(lo, hi, 1 if new == _GPU else -1)
+                    loc = new
+                if runs and runs[-1][2] == loc:
+                    runs[-1] = (runs[-1][0], hi, loc)
+                else:
+                    runs.append((lo, hi, loc))
+            self._runs = tuple(runs) if len(runs) <= MAX_SYMBOLIC_RUNS else None
+            total = sum(prev)
+            prev = np.array(prev, dtype=np.int64)
+        else:
+            prev = self.split_counts(pages)
+            gpu, total = int(prev[_GPU]), int(prev.sum())
+            # GPU pages arriving or leaving, found while ``state`` still
+            # shows the old residency. Moves where every page is already
+            # on the GPU, or none is, need no scan.
+            if new == _GPU and gpu < total:
+                self._shift_gpu_blocks(
+                    pages if gpu == 0
+                    else pages.difference(pages.where(self.state, _GPU)),
+                    1,
+                )
+            elif new != _GPU and gpu:
+                self._shift_gpu_blocks(
+                    pages if gpu == total else pages.where(self.state, _GPU),
+                    -1,
+                )
+            self._runs = None
         pages.assign(self.state, new)
-        self._runs_cache = None
         self._loc_counts -= prev
-        self._loc_counts[new] += prev.sum()
-        if (self._loc_counts < 0).any():
+        self._loc_counts[new] += total
+        if self._loc_counts.min() < 0:
             raise AssertionError("location accounting went negative")
         return prev
 
@@ -408,52 +484,31 @@ class Allocation:
         for lo, hi in pages.runs or ((pages.start, pages.stop),):
             self.block_last_touch[lo // bp : (hi - 1) // bp + 1] = now
 
-    def _block_histogram(self, pages: PageSet) -> np.ndarray:
-        """Per-2 MB-block page counts of ``pages`` (length ``n_blocks``).
-
-        O(runs + n_blocks) for symbolic sets: same-block runs bincount
-        directly; runs spanning blocks contribute their two partial end
-        blocks plus full middle blocks via a difference array.
-        """
+    def _add_gpu_run(self, lo: int, hi: int, sign: int) -> None:
+        """Add ``sign`` times the per-2 MB-block page counts of pages
+        ``[lo, hi)`` to ``_gpu_block_counts``: the two partial end blocks
+        one at a time, the full blocks between them as one slice."""
         bp = self.block_pages
-        if pages.index is not None or pages.step > 1:
-            return np.bincount(
-                pages.indices() // bp, minlength=self.n_blocks
-            ).astype(np.int64)
-        starts, stops = pages._bounds()
-        first = starts // bp
-        last = (stops - 1) // bp
-        hist = np.zeros(self.n_blocks, dtype=np.int64)
-        same = first == last
-        if same.any():
-            hist += np.bincount(
-                first[same], weights=(stops - starts)[same],
-                minlength=self.n_blocks,
-            ).astype(np.int64)
-        multi = ~same
-        if multi.any():
-            f, l = first[multi], last[multi]
-            hist += np.bincount(
-                f, weights=bp - starts[multi] % bp, minlength=self.n_blocks
-            ).astype(np.int64)
-            hist += np.bincount(
-                l, weights=(stops[multi] - 1) % bp + 1,
-                minlength=self.n_blocks,
-            ).astype(np.int64)
-            # Full middle blocks, [first+1, last), as a difference array.
-            diff = np.zeros(self.n_blocks + 1, dtype=np.int64)
-            np.add.at(diff, f + 1, bp)
-            np.add.at(diff, l, -bp)
-            hist += np.cumsum(diff[:-1])
-        return hist
+        first, last = lo // bp, (hi - 1) // bp
+        counts = self._gpu_block_counts
+        if first == last:
+            counts[first] += sign * (hi - lo)
+            return
+        counts[first] += sign * ((first + 1) * bp - lo)
+        counts[last] += sign * (hi - last * bp)
+        counts[first + 1 : last] += sign * bp
 
-    def lru_gpu_blocks(self) -> np.ndarray:
-        """GPU-resident 2 MB block ids, least recently touched first."""
-        blocks = np.flatnonzero(self._gpu_block_counts)
-        if blocks.size == 0:
-            return np.empty(0, dtype=np.int64)
-        order = np.argsort(self.block_last_touch[blocks], kind="stable")
-        return blocks[order]
+    def _shift_gpu_blocks(self, pages: PageSet, sign: int) -> None:
+        """Add ``sign`` times the per-2 MB-block page counts of ``pages``
+        to ``_gpu_block_counts``: run by run, or through one ``bincount``
+        for index and strided sets."""
+        if pages.index is not None or pages.step > 1:
+            self._gpu_block_counts += sign * np.bincount(
+                pages.indices() // self.block_pages, minlength=self.n_blocks
+            )
+            return
+        for lo, hi in pages.runs or ((pages.start, pages.stop),):
+            self._add_gpu_run(lo, hi, sign)
 
     def block_pageset(self, blocks: np.ndarray) -> PageSet:
         """All system pages of the given 2 MB blocks, clipped to bounds."""
@@ -485,6 +540,45 @@ class Allocation:
             f"<Allocation {self.name} kind={self.kind.value} "
             f"{self.nbytes} B, {self.n_pages} pages {locs}>"
         )
+
+
+def _cut(runs: tuple, spans: tuple):
+    """Cut a run record by ``spans`` (sorted, disjoint, non-empty
+    ``(start, stop)`` runs inside it): yields ``(start, stop, location,
+    inside)`` for every piece of the record in address order, ``inside``
+    marking the pieces ``spans`` covers. One two-pointer walk, O(runs +
+    spans)."""
+    j, n_spans = 0, len(spans)
+    for lo, hi, loc in runs:
+        pos = lo
+        while j < n_spans:
+            start, stop = spans[j]
+            if start >= hi:
+                break
+            if start > pos:
+                yield pos, start, loc, False
+                pos = start
+            end = min(stop, hi)
+            yield pos, end, loc, True
+            pos = end
+            if stop > hi:
+                break
+            j += 1
+        if pos < hi:
+            yield pos, hi, loc, False
+
+
+def _pageset(runs: list) -> PageSet:
+    """The set of sorted, disjoint, non-adjacent ``(start, stop)`` runs in
+    the representation :meth:`PageSet.from_mask` gives it."""
+    if len(runs) > MAX_SYMBOLIC_RUNS:
+        starts, stops = zip(*runs)
+        return PageSet._from_bounds(
+            np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
+        )
+    if len(runs) > 1:
+        return PageSet(runs[0][0], runs[-1][1], runs=tuple(runs))
+    return PageSet(*runs[0]) if runs else PageSet.empty()
 
 
 class PageTable:

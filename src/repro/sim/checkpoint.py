@@ -197,7 +197,7 @@ class SystemCheckpoint:
                 )
             aid_map[st.aid] = alloc.aid
             alloc.state[:] = st.state
-            alloc._runs_cache = None
+            alloc._runs = None  # not captured; relearned from state
             alloc._loc_counts[:] = st.loc_counts
             alloc._gpu_block_counts[:] = st.gpu_block_counts
             alloc.block_last_touch[:] = st.block_last_touch

@@ -8,7 +8,8 @@ representation transitions (range -> runs -> strided -> indices), the
 interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
 on. The residency helpers built on it (``Allocation.split_counts`` and
-``Allocation.touch_blocks``) are checked against the same oracles, and
+``Allocation.touch_blocks``) are checked against the same oracles, chains
+of ``Allocation.set_location`` moves against a dense ``int8`` oracle, and
 ``PageSet.of`` against the sort-and-unique construction it replaced.
 """
 
@@ -205,17 +206,29 @@ residency_sets = st.one_of(leaf_sets, overflow_sets, edge_sets)
 
 @st.composite
 def residency(draw):
-    """A managed allocation of ``MAX_PAGE`` pages whose int8 ``state``
-    holds every :class:`Location`, set through ``set_location`` so the
-    incremental tallies stay consistent."""
+    """A managed allocation of ``MAX_PAGE`` pages whose int8 ``state`` is
+    set through ``set_location``, so the incremental tallies stay
+    consistent. Either a few runs (at most four, cut anywhere or on a
+    block edge), or fragmented and holding every :class:`Location`."""
     page_size = draw(st.sampled_from([4096, 65536]))
-    chunk = draw(st.sampled_from([1, 7, 300]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.integers(0, len(Location), -(-MAX_PAGE // chunk))
-    state = np.repeat(values, chunk)[:MAX_PAGE].astype(np.int8)
-    state[rng.choice(MAX_PAGE, len(Location), replace=False)] = np.arange(
-        len(Location)
-    )
+    if draw(st.booleans()):
+        cuts = draw(
+            st.lists(
+                st.one_of(st.integers(1, MAX_PAGE - 1), block_edges),
+                max_size=3, unique=True,
+            )
+        )
+        bounds = [0, *sorted(c for c in cuts if 0 < c < MAX_PAGE), MAX_PAGE]
+        values = rng.integers(0, len(Location), len(bounds) - 1)
+        state = np.repeat(values, np.diff(bounds)).astype(np.int8)
+    else:
+        chunk = draw(st.sampled_from([1, 7, 300]))
+        values = rng.integers(0, len(Location), -(-MAX_PAGE // chunk))
+        state = np.repeat(values, chunk)[:MAX_PAGE].astype(np.int8)
+        state[rng.choice(MAX_PAGE, len(Location), replace=False)] = np.arange(
+            len(Location)
+        )
     alloc = Allocation(
         AllocKind.MANAGED, MAX_PAGE * page_size,
         SystemConfig(system_page_size=page_size),
@@ -245,6 +258,106 @@ def test_touch_blocks_writes_exactly_the_touched_blocks(alloc, ps):
     assert np.count_nonzero(alloc.block_last_touch == -1.0) == (
         alloc.n_blocks - len(touched)
     )
+
+
+# -- the residency run record against a dense int8 oracle ------------------
+
+
+def maximal_runs(state: np.ndarray) -> tuple:
+    """``(start, stop, location)`` of every maximal run of ``state``."""
+    edges = (np.flatnonzero(state[1:] != state[:-1]) + 1).tolist()
+    starts = [0, *edges]
+    return tuple(zip(starts, [*edges, state.size], state[starts].tolist()))
+
+
+def assert_matches_oracle(alloc, state: np.ndarray, probes) -> None:
+    """Every tally and answer of ``alloc`` equals the one the dense
+    oracle ``state`` gives, for each probe set and every location."""
+    assert np.array_equal(alloc.state, state)
+    want = np.bincount(state, minlength=len(Location))
+    assert alloc._loc_counts.tolist() == want.tolist()
+    gpu = np.flatnonzero(state == Location.GPU) // alloc.block_pages
+    want = np.bincount(gpu, minlength=alloc.n_blocks)
+    assert alloc._gpu_block_counts.tolist() == want.tolist()
+    for ps in probes:
+        ps = ps.clip(alloc.n_pages)
+        want = np.bincount(state[ps.indices()], minlength=len(Location))
+        assert alloc.split_counts(ps).tolist() == want.tolist()
+        for loc in Location:
+            got, want = alloc.subset(ps, loc), ps.where(state, loc)
+            assert np.array_equal(got.indices(), want.indices())
+            if not ps:
+                # An empty query may come back as PageSet.empty() or as
+                # itself; either is the empty set.
+                continue
+            assert (got.start, got.stop, got.runs, got.step) == (
+                want.start, want.stop, want.runs, want.step,
+            ), (ps, loc)
+            if want.index is None:
+                assert got.index is None
+            else:
+                assert np.array_equal(got.index, want.index)
+    if alloc._runs:
+        assert alloc._runs == maximal_runs(state)
+    elif alloc._runs == ():
+        assert len(maximal_runs(state)) > MAX_SYMBOLIC_RUNS
+
+
+#: A chain of moves: the set moved, where it goes, and a set queried after.
+move_chains = st.lists(
+    st.tuples(residency_sets, st.sampled_from(list(Location)), residency_sets),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(deadline=None)
+@given(residency(), move_chains)
+def test_move_chains_match_dense_oracle(alloc, chain):
+    oracle_state = alloc.state.copy()
+    full = PageSet.full(alloc.n_pages)
+    for ps, loc, probe in chain:
+        ps = ps.clip(alloc.n_pages)
+        want = np.bincount(oracle_state[ps.indices()], minlength=len(Location))
+        got = alloc.set_location(ps, loc)
+        oracle_state[ps.indices()] = loc
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist(), (ps, loc)
+        assert_matches_oracle(alloc, oracle_state, [probe, full])
+
+
+def test_record_past_the_cap_and_back():
+    """Single GPU pages spliced into a CPU allocation push the record past
+    the cap, where it is forgotten; the next whole query finds the
+    residency fragmented with one scan and later queries do not rescan.
+    One range move over most of those pages brings it back below the cap,
+    and the next whole query relearns it."""
+    alloc = Allocation(
+        AllocKind.MANAGED, MAX_PAGE * 4096, SystemConfig(system_page_size=4096)
+    )
+    full = PageSet.full(alloc.n_pages)
+    alloc.set_location(full, Location.CPU)
+    state = alloc.state.copy()
+    scans = []
+    learn = alloc._learn_runs
+    alloc._learn_runs = lambda: scans.append(1) or learn()
+    # Each GPU page adds two runs: 63 runs after 31 pages, 65 after 32.
+    for k in range(MAX_SYMBOLIC_RUNS // 2):
+        assert len(alloc._runs) == 2 * k + 1
+        alloc.set_location(PageSet.range(2 * k + 1, 2 * k + 2), Location.GPU)
+        state[2 * k + 1] = Location.GPU
+    assert alloc._runs is None
+    probes = [full, PageSet.range(0, 3 * MAX_SYMBOLIC_RUNS)]
+    assert_matches_oracle(alloc, state, probes)
+    assert alloc._runs == () and len(scans) == 1
+    assert_matches_oracle(alloc, state, probes)
+    assert len(scans) == 1
+    # 12 GPU pages stay, at 41, 43, ..., 63: 25 runs.
+    alloc.set_location(PageSet.range(0, 40), Location.CPU)
+    state[:40] = Location.CPU
+    assert alloc._runs is None
+    assert_matches_oracle(alloc, state, probes)
+    assert len(alloc._runs) == 25 and len(scans) == 2
 
 
 # -- PageSet.of against the sort-and-unique path it replaced ---------------

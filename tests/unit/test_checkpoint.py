@@ -12,7 +12,7 @@ from repro.sim.checkpoint import (
     CheckpointUnavailable,
     SystemCheckpoint,
 )
-from repro.sim.config import SystemConfig
+from repro.sim.config import Location, SystemConfig
 
 
 def make_system() -> GraceHopperSystem:
@@ -106,6 +106,28 @@ class TestRoundTrip:
         mid.restore(gh_b)
         tail(gh_b, a2, b2)
         assert SystemCheckpoint.capture(gh_b).fingerprint() == end_a
+
+    def test_restore_forgets_the_run_record(self):
+        """Restore writes the page-state array directly, so the run record
+        that moves after the capture spliced must not answer for it."""
+        gh = make_system()
+        _, b = warm(gh)
+        alloc = b.alloc
+        ck = SystemCheckpoint.capture(gh)
+        head = PageSet.range(0, alloc.n_pages // 2)
+        moved_to = Location.CPU_PINNED
+        assert not alloc.subset(head, moved_to)
+        alloc.set_location(head, moved_to)
+        assert alloc._runs and alloc.split_counts(head)[moved_to] == head.count
+        ck.restore(gh)
+        state = alloc.state
+        for ps in (PageSet.full(alloc.n_pages), head,
+                   PageSet.range(1, alloc.n_pages // 2 + 3)):
+            want = np.bincount(state[ps.indices()], minlength=len(Location))
+            assert alloc.split_counts(ps).tolist() == want.tolist()
+            for loc in Location:
+                got = alloc.subset(ps, loc)
+                assert np.array_equal(got.indices(), ps.where(state, loc).indices())
 
     def test_fingerprint_ignores_allocation_ids(self):
         """Two identical runs in one process get different global

@@ -189,6 +189,14 @@ class TestStreamingThrash:
         assert times[65536] > 1.5 * times[4096]
 
 
+def lru_gpu_blocks(alloc):
+    """An allocation's GPU-resident 2 MB block ids, least recently
+    touched first (ties in block order)."""
+    blocks = np.flatnonzero(alloc._gpu_block_counts)
+    order = np.argsort(alloc.block_last_touch[blocks], kind="stable")
+    return blocks[order]
+
+
 def per_block_evict(mgr, needed, now):
     """The per-block eviction loop that batched charging replaced: one
     ``streaming_time`` call and one TLB shootdown per block, in global
@@ -200,7 +208,7 @@ def per_block_evict(mgr, needed, now):
     allocs = [a for a in mgr.allocations.values() if a.pages_at(Location.GPU)]
     if not allocs:
         return 0, 0.0
-    per_alloc_blocks = [a.lru_gpu_blocks() for a in allocs]
+    per_alloc_blocks = [lru_gpu_blocks(a) for a in allocs]
     blocks = np.concatenate(per_alloc_blocks)
     touch = np.concatenate(
         [a.block_last_touch[b] for a, b in zip(allocs, per_alloc_blocks)]

@@ -24,6 +24,16 @@ def make_alloc(cfg, nbytes=64 * 4096, kind=AllocKind.SYSTEM, **kw):
     return Allocation(kind, nbytes, cfg, **kw)
 
 
+class Unreadable(np.ndarray):
+    """A state array that fails on any read; writes still go through."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the page-state array was read")
+
+    def __setitem__(self, key, value):
+        self.view(np.ndarray)[key] = value
+
+
 class TestAllocation:
     def test_initial_state_unmapped(self, cfg):
         a = make_alloc(cfg)
@@ -80,19 +90,34 @@ class TestAllocation:
         sub = a.subset(PageSet.range(4, 12), Location.GPU)
         assert list(sub.indices()) == [4, 5, 6, 7]
 
+    def test_range_queries_and_moves_never_read_state(self, cfg):
+        """On a few-run allocation, range and interval-list queries and
+        moves answer from the run record alone."""
+        a = make_alloc(cfg, nbytes=4096 * 4096, kind=AllocKind.MANAGED)
+        a.set_location(PageSet.range(0, 1500), Location.CPU)
+        a.set_location(PageSet.range(1500, 4096), Location.GPU)
+        a.state = a.state.view(Unreadable)
+        mid = PageSet.range(1000, 3000)
+        assert a.split_counts(mid).tolist() == [0, 500, 1500, 0, 0]
+        assert a.subset(mid, Location.CPU) == PageSet.range(1000, 1500)
+        assert a.subset(mid, Location.GPU) == PageSet.range(1500, 3000)
+        holes = PageSet.from_runs([(1400, 1600), (2000, 2100)])
+        prev = a.set_location(holes, Location.CPU)
+        assert prev.tolist() == [0, 100, 200, 0, 0]
+        assert a.subset(PageSet.full(a.n_pages), Location.GPU).runs == (
+            (1600, 2000), (2100, 4096),
+        )
+        assert a.subset(mid, Location.CPU).runs == ((1000, 1600), (2000, 2100))
+        # 512-page blocks: 1500-1599 and 2000-2099 left the GPU.
+        assert a._gpu_block_counts.tolist() == [0, 0, 0, 400, 460, 512, 512, 512]
+        a.set_location(PageSet.range(0, 4096).difference(holes), Location.UNMAPPED)
+        assert a.split_counts(mid).tolist() == [1700, 300, 0, 0, 0]
+        assert a._gpu_block_counts.tolist() == [0] * 8
+
     def test_bytes_at(self, cfg):
         a = make_alloc(cfg)
         a.set_location(PageSet.range(0, 3), Location.GPU)
         assert a.bytes_at(Location.GPU) == 3 * 4096
-
-    def test_lru_blocks_order(self, cfg):
-        a = make_alloc(cfg, nbytes=4 * 2 * 1024 * 1024)  # 4 blocks of 2MB
-        a.set_location(PageSet.full(a.n_pages), Location.GPU)
-        a.touch_blocks(PageSet.range(0, 512), now=1.0)  # block 0
-        a.touch_blocks(PageSet.range(512, 1024), now=3.0)  # block 1
-        a.touch_blocks(PageSet.range(1024, 1536), now=2.0)  # block 2
-        order = list(a.lru_gpu_blocks())
-        assert order.index(3) < order.index(0) < order.index(2) < order.index(1)
 
     @pytest.mark.parametrize("step_delta", [-1, 0, 1])
     def test_touch_blocks_strided_around_block_size(self, cfg, step_delta):

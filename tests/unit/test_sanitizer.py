@@ -143,6 +143,26 @@ def test_counter_peak_below_a_count_detected(gh):
         gh.mem.sanitizer.check_alloc(a.alloc)
 
 
+def test_stale_run_record_detected(gh):
+    from repro.mem.pageset import PageSet
+
+    _, b = _run_kernels(gh)
+    alloc = b.alloc
+    gh.mem.physical.move(alloc, PageSet.range(0, 3), Location.CPU)
+    gh.mem.sanitizer.check_alloc(alloc)
+    record = alloc._runs
+    assert record == (
+        (0, 3, Location.CPU), (3, alloc.n_pages, Location.GPU),
+    )
+    # A boundary one page off, and the fragmented marker on two runs.
+    for stale in (((0, 4, 1), (4, alloc.n_pages, 2)), ()):
+        alloc._runs = stale
+        with pytest.raises(InvariantViolation, match="residency-runs"):
+            gh.mem.sanitizer.check_alloc(alloc)
+    alloc._runs = record
+    gh.mem.sanitizer.check_alloc(alloc)
+
+
 def test_link_class_counter_identity_detected(gh):
     _run_kernels(gh)
     gh.counters.total.add(c2c_read_bytes=12345)
