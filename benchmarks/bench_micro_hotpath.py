@@ -24,13 +24,19 @@ epoch executor target:
   replaced.
 
 Besides the pytest-benchmark tables, the measured timings are exported
-to ``BENCH_hotpath.json`` at the repo root so speedups are tracked in
-version control.
+to ``BENCH_hotpath.json`` at the repo root, with the command, Python
+version and CPU that produced them, so speedups are tracked in version
+control. CI runs this file on the change and on its parent on one runner
+and compares the two with ``benchmarks/perf_gate.py``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import shlex
+import sys
 import time
 import timeit
 from pathlib import Path
@@ -61,6 +67,25 @@ def _record(name: str, seconds: float, **extra) -> None:
     RESULTS["benchmarks"][name] = {"seconds": seconds, **extra}
 
 
+def _machine() -> dict:
+    """The command, interpreter and CPU the numbers come from."""
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "command": "python -m pytest " + shlex.join(sys.argv[1:]),
+        "python": platform.python_version(),
+        "cpu": cpu,
+        "cpu_count": os.cpu_count(),
+    }
+
+
 @pytest.fixture(scope="module", autouse=True)
 def export_results():
     yield
@@ -71,7 +96,7 @@ def export_results():
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         payload = {}
-    payload.update(RESULTS)
+    payload.update(RESULTS, machine=_machine())
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -421,9 +446,9 @@ class TestEvictBatch:
 
     def test_evict_batch(self, benchmark):
         gh = self.oversubscribed()
-        shootdowns = gh.mem.tlbs.gpu.stats.shootdowns
+        shootdowns = gh.counters.total.tlb_shootdowns
         freed, _ = self.evict(gh)
-        assert gh.mem.tlbs.gpu.stats.shootdowns - shootdowns >= self.N_BLOCKS
+        assert gh.counters.total.tlb_shootdowns - shootdowns >= self.N_BLOCKS
         assert freed >= self.N_BLOCKS * gh.config.gpu_page_size
         best = float("inf")
         for _ in range(5):

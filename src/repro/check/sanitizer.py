@@ -39,7 +39,8 @@ Invariants enforced
    managed thrash amplification), eviction traffic never exceeds D2H
    migration traffic, the NVLink-C2C per-class ledgers are conserved,
    and the link's "remote" class equals the sum of the four remote-access
-   hardware counters; SMMU/GMMU stats agree with the counter set.
+   hardware counters. The fault counters are compared exactly against
+   the reference executors by differential replay (``check.reference``).
 5. **Page-table coherence** — no freed or mis-kinded allocation is
    registered, managed allocations appear in both tables and in the
    managed manager, device allocations are fully GPU-resident.
@@ -590,35 +591,6 @@ class MemSanitizer:
                 details={
                     "link_migration_bytes": stats.class_bytes("migration"),
                     "migration_h2d_bytes": total.migration_h2d_bytes,
-                },
-            )
-        smmu = mem.smmu.stats
-        if total.gpu_replayable_faults != smmu.replayable_faults:
-            self._fail(
-                "counter-conservation",
-                "gpu_replayable_faults counter disagrees with SMMU stats",
-                details={
-                    "counter": total.gpu_replayable_faults,
-                    "smmu": smmu.replayable_faults,
-                },
-            )
-        if total.cpu_page_faults < smmu.cpu_faults:
-            self._fail(
-                "counter-conservation",
-                "cpu_page_faults counter fell below the SMMU fault tally",
-                details={
-                    "counter": total.cpu_page_faults,
-                    "smmu": smmu.cpu_faults,
-                },
-            )
-        if mem.gmmu.stats.far_faults < total.managed_far_faults:
-            self._fail(
-                "counter-conservation",
-                "GMMU far-fault tally fell below the managed_far_faults "
-                "counter",
-                details={
-                    "gmmu": mem.gmmu.stats.far_faults,
-                    "counter": total.managed_far_faults,
                 },
             )
         if total.fabric_hop_bytes < total.fabric_bytes:

@@ -139,29 +139,9 @@ class KernelExecutor:
         ctx_time = self.gpu.context_init_time()
 
         self.counters.begin_kernel(name, self.clock.now)
-        total = self.mem.access_batch(
-            Processor.GPU, _descriptors(accesses), now=self.clock.now
-        )
-
-        if compute is not None:
-            compute()
-
-        l1l2 = self.gpu.cache.feed(
-            total.consumed_bytes,
-            from_hbm=total.hbm_bytes,
-            from_c2c=total.remote_bytes,
-            reuse=reuse,
-        )
-        self.counters.bump(l1l2_bytes=l1l2)
-
-        duration = self.gpu.kernel_time(
-            flops=flops,
-            hbm_bytes=total.hbm_bytes,
-            remote_bytes_time=total.remote_seconds + total.transfer_seconds,
-            fault_time=total.fault_seconds,
-            stall_time=stall,
-            atomics=atomics,
-            l1l2_bytes=l1l2,
+        total, duration = self.charge(
+            accesses, flops=flops, reuse=reuse, atomics=atomics,
+            stall=stall, compute=compute,
         )
         duration += ctx_time
         start = self.clock.now
@@ -176,6 +156,38 @@ class KernelExecutor:
             migrated_bytes=migrated,
             context_init_seconds=ctx_time,
         )
+
+    def charge(
+        self,
+        accesses: Sequence[ArrayAccess],
+        *,
+        flops: float = 0.0,
+        reuse: float = 1.0,
+        atomics: int = 0,
+        stall: float = 0.0,
+        compute: Callable[[], None] | None = None,
+    ) -> tuple[AccessResult, float]:
+        """Charge one kernel body: its accesses through the memory
+        subsystem, the optional ``compute``, the L1<->L2 traffic, and the
+        device's duration. Returns the summed access result and the
+        duration; the caller adds context creation and schedules it."""
+        total = self.mem.access_batch(
+            Processor.GPU, _descriptors(accesses), now=self.clock.now
+        )
+        if compute is not None:
+            compute()
+        l1l2 = self.gpu.l1l2_bytes(total.consumed_bytes, reuse=reuse)
+        self.counters.bump(l1l2_bytes=l1l2)
+        duration = self.gpu.kernel_time(
+            flops=flops,
+            hbm_bytes=total.hbm_bytes,
+            remote_bytes_time=total.remote_seconds + total.transfer_seconds,
+            fault_time=total.fault_seconds,
+            stall_time=stall,
+            atomics=atomics,
+            l1l2_bytes=l1l2,
+        )
+        return total, duration
 
     # -- CPU phases ------------------------------------------------------------------
 

@@ -123,8 +123,10 @@ class GraceHopperSystem:
         self._ensure_context()
         arr = self._wrap(AllocKind.DEVICE, dtype, shape, name, materialize)
         n_gpu_pages = -(-arr.alloc.nbytes // self.config.gpu_page_size)
-        cost = self.config.cuda_malloc_call_cost + self.mem.gmmu.create_ptes(
-            n_gpu_pages
+        # One 2 MB GPU PTE per page, created by the driver.
+        cost = (
+            self.config.cuda_malloc_call_cost
+            + n_gpu_pages * self.config.gpu_pte_create_cost
         )
         self.clock.advance(cost, activity="cudaMalloc")
         return arr

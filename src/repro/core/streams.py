@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from ..mem.pageset import PageSet
 from ..sim.config import Processor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -145,33 +144,12 @@ class StreamManager:
                         reuse=1.0, compute=None) -> StreamOp:
         gh = self.gh
         ctx = gh.gpu.context_init_time()
-        from ..mem.subsystem import AccessResult
-
-        total = AccessResult()
-        for acc in accesses:
-            total.merge(
-                gh.mem.access(
-                    Processor.GPU, acc.array.alloc, acc.pages, acc.shape,
-                    write=acc.write, now=gh.now,
-                )
-            )
-        if compute is not None:
-            compute()
-        l1l2 = gh.gpu.cache.feed(
-            total.consumed_bytes,
-            from_hbm=total.hbm_bytes,
-            from_c2c=total.remote_bytes,
-            reuse=reuse,
+        _, duration = gh.executor.charge(
+            accesses, flops=flops, reuse=reuse, compute=compute
         )
-        gh.counters.bump(l1l2_bytes=l1l2)
-        duration = ctx + gh.gpu.kernel_time(
-            flops=flops,
-            hbm_bytes=total.hbm_bytes,
-            remote_bytes_time=total.remote_seconds + total.transfer_seconds,
-            fault_time=total.fault_seconds,
-            l1l2_bytes=l1l2,
+        return self._schedule(
+            stream, name, DeviceResource.COMPUTE, ctx + duration
         )
-        return self._schedule(stream, name, DeviceResource.COMPUTE, duration)
 
     # -- synchronisation ---------------------------------------------------------
 

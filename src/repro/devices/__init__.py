@@ -1,7 +1,6 @@
 """Device models: Hopper GPU and Grace CPU."""
 
-from .cache import GpuCacheModel
 from .cpu import CpuDevice
 from .gpu import GpuDevice
 
-__all__ = ["GpuDevice", "CpuDevice", "GpuCacheModel"]
+__all__ = ["GpuDevice", "CpuDevice"]

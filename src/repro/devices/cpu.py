@@ -8,15 +8,7 @@ NVLink-C2C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.config import SystemConfig
-
-
-@dataclass
-class CpuStats:
-    phases: int = 0
-    busy_seconds: float = 0.0
 
 
 class CpuDevice:
@@ -24,7 +16,6 @@ class CpuDevice:
         self.config = config
         self.chip = chip  # superchip index on multi-superchip nodes
         self.cores = 72
-        self.stats = CpuStats()
 
     def phase_time(
         self,
@@ -46,7 +37,4 @@ class CpuDevice:
             self.config.cpu_single_thread_bandwidth * min(threads, self.cores),
             self.config.cpu_memory_bandwidth,
         )
-        t = bytes_processed / bw + fault_time + remote_time + fixed_time
-        self.stats.phases += 1
-        self.stats.busy_seconds += t
-        return t
+        return bytes_processed / bw + fault_time + remote_time + fixed_time

@@ -7,21 +7,19 @@ the maximum of the compute-limited and transfer-limited times, plus
 serialised fault-handling overhead. This is the level of abstraction at
 which the paper reasons about its kernels ("a series of matrix
 multiplications that benefit from a high memory throughput").
+
+The cache hierarchy is a traffic meter. The paper uses L1<->L2 traffic
+as "an indication of the data rate being fed to the GPU for
+computation" (Figure 12): every byte a kernel consumes crosses L1<->L2
+whichever tier supplied it, times a reuse factor for cache-resident
+working sets (:meth:`GpuDevice.l1l2_bytes`), and the L1<->L2 bandwidth
+puts a floor under the kernel time. The launch records the bytes in
+:class:`~repro.profiling.counters.HardwareCounters`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.config import SystemConfig
-from .cache import GpuCacheModel
-
-
-@dataclass
-class GpuStats:
-    kernels_launched: int = 0
-    busy_seconds: float = 0.0
-    flops_executed: float = 0.0
 
 
 class GpuDevice:
@@ -29,8 +27,6 @@ class GpuDevice:
     def __init__(self, config: SystemConfig, chip: int = 0):
         self.config = config
         self.chip = chip  # superchip index on multi-superchip nodes
-        self.cache = GpuCacheModel(config)
-        self.stats = GpuStats()
         self.context_initialized = False
 
     def context_init_time(self) -> float:
@@ -40,6 +36,14 @@ class GpuDevice:
             return 0.0
         self.context_initialized = True
         return self.config.context_init_cost
+
+    def l1l2_bytes(self, consumed_bytes: int, *, reuse: float = 1.0) -> int:
+        """L1<->L2 traffic of a kernel consuming ``consumed_bytes`` of
+        operands; ``reuse`` >= 1 inflates it for kernels that re-read
+        cached operands (stencils)."""
+        if consumed_bytes < 0:
+            raise ValueError("consumed_bytes must be non-negative")
+        return int(consumed_bytes * max(reuse, 1.0))
 
     def kernel_time(
         self,
@@ -54,16 +58,16 @@ class GpuDevice:
     ) -> float:
         """Duration of one kernel launch.
 
-        HBM traffic and compute overlap (``max``); remote C2C access time,
-        fault servicing, and migration stalls serialise with them (they
-        block the accessing warps).
+        HBM traffic, compute and the L1<->L2 bandwidth floor overlap
+        (``max``); remote C2C access time, fault servicing, and migration
+        stalls serialise with them (they block the accessing warps).
         """
         compute = flops / self.config.gpu_flops if flops else 0.0
         hbm = hbm_bytes / self.config.hbm_bandwidth
-        l1l2_floor = self.cache.l1l2_time_floor(l1l2_bytes)
+        l1l2_floor = l1l2_bytes / self.config.l1l2_bandwidth
         pipelined = max(compute, hbm, l1l2_floor)
         atomic = atomics * self.config.gpu_atomic_cost
-        t = (
+        return (
             self.config.kernel_launch_cost
             + pipelined
             + remote_bytes_time
@@ -71,7 +75,3 @@ class GpuDevice:
             + stall_time
             + atomic
         )
-        self.stats.kernels_launched += 1
-        self.stats.busy_seconds += t
-        self.stats.flops_executed += flops
-        return t

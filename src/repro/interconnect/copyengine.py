@@ -9,18 +9,8 @@ a pinned staging buffer and run below the streaming C2C rate; pinned
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.config import Processor, SystemConfig
 from .nvlink import NvlinkC2C
-
-
-@dataclass
-class CopyStats:
-    h2d_copies: int = 0
-    d2h_copies: int = 0
-    d2d_copies: int = 0
-    bytes_copied: int = 0
 
 
 class CopyEngine:
@@ -28,7 +18,6 @@ class CopyEngine:
     def __init__(self, config: SystemConfig, link: NvlinkC2C):
         self.config = config
         self.link = link
-        self.stats = CopyStats()
 
     def memcpy(
         self,
@@ -44,24 +33,10 @@ class CopyEngine:
         cost = self.config.cuda_memcpy_call_cost
         if nbytes == 0:
             return cost
-        self.stats.bytes_copied += nbytes
         if src is dst:
-            self.stats.d2d_copies += 1
             return cost + nbytes / self.config.local_bandwidth(src)
-        if src is Processor.CPU:
-            self.stats.h2d_copies += 1
-        else:
-            self.stats.d2h_copies += 1
         t = self.link.streaming_time(nbytes, src, dst)
         if not pinned and Processor.CPU in (src, dst):
             # Pageable copies stage through a pinned bounce buffer.
             t /= self.config.pageable_copy_efficiency
         return cost + t
-
-    def prefetch(self, nbytes: int, src: Processor, dst: Processor) -> float:
-        """``cudaMemPrefetchAsync``-style bulk migration of managed pages.
-
-        Runs at streaming rate (the driver moves whole 2 MB blocks)."""
-        if nbytes <= 0:
-            return 0.0
-        return self.link.streaming_time(nbytes, src, dst)

@@ -20,7 +20,7 @@ from .arch_upm import (
     UpmArchitecture,
     UpmFaultHandler,
 )
-from .coherence import AccessShape, CoherenceFabric, wire_bytes
+from .coherence import AccessShape, remote_traffic, wire_bytes
 from .faults import FaultHandler
 from .managed import ManagedMemoryManager
 from .migration import AccessCounterMigrator
@@ -48,7 +48,7 @@ __all__ = [
     "UpmArchitecture",
     "UpmFaultHandler",
     "AccessShape",
-    "CoherenceFabric",
+    "remote_traffic",
     "wire_bytes",
     "FaultHandler",
     "ManagedMemoryManager",

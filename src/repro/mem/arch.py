@@ -49,8 +49,8 @@ class MemoryArchitecture:
 
     Access-path hooks receive the owning
     :class:`~repro.mem.subsystem.MemorySubsystem` (``mem``) so a backend
-    can reuse its components (fault handler, coherence fabric, link,
-    counters) and its shared accounting rather than duplicate them.
+    can reuse its components (fault handler, migrator, link, counters)
+    and its shared accounting rather than duplicate them.
     Backends are stateless: all mutable state lives in the components
     the subsystem builds from the class attributes below, so one backend
     instance serves many subsystems.
@@ -62,9 +62,9 @@ class MemoryArchitecture:
     description = ""
 
     #: Built once per subsystem: the physical pool layout ``(config)``,
-    #: the first-touch fault path ``(config, physical, smmu, counters)``
-    #: and the post-placement migration policy ``(config, physical, link,
-    #: tlbs, counters)``.
+    #: the first-touch fault path ``(config, physical, counters)`` and the
+    #: post-placement migration policy ``(config, physical, link,
+    #: counters)``.
     physical_cls: type
     fault_handler_cls: type
     migrator_cls: type

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from ..sim.config import Location, Processor
 from .arch import MemoryArchitecture
+from .coherence import remote_traffic
 from .faults import FaultHandler
 from .migration import AccessCounterMigrator
 from .physical import PhysicalMemory
@@ -58,7 +59,7 @@ class GH200Architecture(MemoryArchitecture):
         mem.charge_local(res, processor, shape.useful_bytes * n_local, write)
 
         if n_remote:
-            wire = mem.fabric.remote_traffic(processor, shape, n_remote)
+            wire = remote_traffic(mem.config, processor, shape, n_remote)
             res.remote_bytes += wire
             res.remote_seconds += mem.link.remote_access_time(wire, processor)
             mem.counters.traffic("c2c" if on_gpu else "cpu_remote", wire, write)
@@ -90,7 +91,7 @@ class GH200Architecture(MemoryArchitecture):
             )
         else:
             # Zero-copy: the GPU reads host memory at cacheline grain.
-            wire = mem.fabric.remote_traffic(processor, shape, pages.count)
+            wire = remote_traffic(mem.config, processor, shape, pages.count)
             res.remote_bytes = wire
             res.remote_seconds = mem.link.remote_access_time(wire, processor)
             mem.counters.traffic("c2c", wire, write)

@@ -42,6 +42,7 @@ from __future__ import annotations
 from ..sim.config import Location, Processor
 from .arch import MemoryArchitecture
 from .arch_upm import NullMigrator
+from .coherence import remote_traffic
 from .faults import FaultHandler, FaultOutcome
 from .pagetable import AllocKind
 from .pageset import PageSet
@@ -54,10 +55,9 @@ class SvmFaultHandler(FaultHandler):
 
     The device pool is populated by the access path's eager migration,
     never by the fault handler — a discrete GPU's SMMU faults are
-    serviced by the host OS out of host DRAM. GPU faults still record a
-    replayable fault in the SMMU ledger (the hardware raises one; it is
-    the *service* path that differs), keeping the sanitizer's exact
-    fault-conservation invariants backend-independent.
+    serviced by the host OS out of host DRAM. GPU faults still count as
+    replayable faults (the hardware raises one; it is the *service* path
+    that differs).
     """
 
     def first_touch(self, alloc, unmapped, accessor: Processor) -> FaultOutcome:
@@ -92,12 +92,10 @@ class SvmFaultHandler(FaultHandler):
         if accessor is Processor.GPU:
             # The GPU raised a replayable fault per page; service is a
             # driver round-trip over the link, not an SMMU replay.
-            self.smmu.stats.replayable_faults += n
-            self.smmu.stats.page_walks += n
             self.counters.bump(gpu_replayable_faults=n)
             out.seconds += n * self.config.svm_fault_cost
         else:
-            out.seconds += self.smmu.cpu_first_touch_fault(n)
+            out.seconds += self._cpu_fault_time(n)
             self.counters.bump(cpu_page_faults=n)
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
@@ -151,7 +149,7 @@ class SvmArchitecture(MemoryArchitecture):
             t = cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             seconds += t
-            seconds += mem.tlbs.gpu.shootdown(take.count)
+            seconds += cfg.tlb_shootdown_time(take.count)  # GPU TLB
             mem.counters.bump(
                 eviction_bytes=nbytes,
                 migration_d2h_bytes=nbytes,
@@ -175,8 +173,6 @@ class SvmArchitecture(MemoryArchitecture):
         mem.first_touch(res, Processor.GPU, alloc, pages)
         n_stale = int(counts[Location.CPU]) + int(counts[Location.CPU_PINNED])
         if n_stale:
-            mem.smmu.stats.replayable_faults += n_stale
-            mem.smmu.stats.page_walks += n_stale
             mem.counters.bump(gpu_replayable_faults=n_stale)
             res.fault_seconds += n_stale * cfg.svm_fault_cost
 
@@ -244,7 +240,7 @@ class SvmArchitecture(MemoryArchitecture):
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             res.transfer_seconds += t
-            res.fault_seconds += mem.tlbs.gpu.shootdown(n)
+            res.fault_seconds += cfg.tlb_shootdown_time(n)  # GPU TLB
             mem.counters.bump(
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=n,
@@ -282,7 +278,7 @@ class SvmArchitecture(MemoryArchitecture):
             # Pinned host memory stays host-resident; the GPU reads it by
             # DMA over the link at page granularity (classic zero-copy,
             # minus the cacheline-coherent path GH200 adds).
-            wire = mem.fabric.remote_traffic(processor, shape, pages.count)
+            wire = remote_traffic(mem.config, processor, shape, pages.count)
             t = mem.config.svm_transfer_time(wire)
             mem.link.account_external(wire, Processor.CPU, t, "remote")
             res.remote_bytes = wire

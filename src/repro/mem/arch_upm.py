@@ -88,10 +88,8 @@ class UpmFaultHandler(FaultHandler):
     """Uniform first-touch servicing against the unified pool.
 
     Both engines' faults land pages in the same pool at the same cost.
-    The SMMU ledger still records a replayable fault per GPU first-touch
-    (the hardware still walks and replays; it just never crosses C2C),
-    which keeps the sanitizer's exact fault-conservation invariants
-    backend-independent.
+    A GPU first-touch still counts as a replayable fault (the hardware
+    still walks and replays; it just never crosses C2C).
     """
 
     #: The one pool's pages are recorded at ``Location.GPU``.
@@ -119,11 +117,8 @@ class UpmFaultHandler(FaultHandler):
 
         n = unmapped.count
         if accessor is Processor.GPU:
-            self.smmu.stats.replayable_faults += n
-            self.smmu.stats.page_walks += n
             self.counters.bump(gpu_replayable_faults=n)
         else:
-            self.smmu.stats.cpu_faults += n
             self.counters.bump(cpu_page_faults=n)
         out.seconds += n * self.config.upm_fault_cost
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth

@@ -5,7 +5,10 @@ memory at cacheline granularity (64 B from the CPU side, 128 B from the
 GPU side), with full cache coherence and C2C atomics, following Arm's
 AMBA CHI protocol. This module computes the *wire traffic* of such
 accesses, including the read/write amplification suffered by sparse
-accesses (an 8-byte gather still moves a full cacheline).
+accesses (an 8-byte gather still moves a full cacheline):
+:func:`wire_bytes` per page, :func:`remote_traffic` for a batch of pages
+read by one processor. The access paths charge those bytes to the link
+and to the hardware counters.
 """
 
 from __future__ import annotations
@@ -67,33 +70,9 @@ def wire_bytes(shape: AccessShape, cacheline: int) -> int:
     return lines * cacheline
 
 
-@dataclass
-class CoherenceStats:
-    c2c_atomics: int = 0
-    remote_cachelines: int = 0
-
-
-class CoherenceFabric:
-    """Accounting for coherent remote accesses and C2C atomics."""
-
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.stats = CoherenceStats()
-
-    def remote_traffic(
-        self, accessor: Processor, shape: AccessShape, n_pages: int
-    ) -> int:
-        """Wire bytes for ``n_pages`` pages accessed remotely by
-        ``accessor`` with the given shape."""
-        line = self.config.cacheline_bytes(accessor)
-        per_page = wire_bytes(shape, line)
-        total = per_page * n_pages
-        self.stats.remote_cachelines += total // max(line, 1)
-        return total
-
-    def atomic_cost(self, n_atomics: int) -> float:
-        """C2C atomics serialise at the interconnect latency scale."""
-        if n_atomics <= 0:
-            return 0.0
-        self.stats.c2c_atomics += n_atomics
-        return n_atomics * self.config.c2c_latency * 0.5
+def remote_traffic(
+    config: SystemConfig, accessor: Processor, shape: AccessShape, n_pages: int
+) -> int:
+    """Wire bytes for ``n_pages`` pages accessed remotely by ``accessor``
+    with the given shape, at the accessor's cacheline grain."""
+    return wire_bytes(shape, config.cacheline_bytes(accessor)) * n_pages

@@ -7,6 +7,14 @@ first-touch arrives as an SMMU replayable fault — triggered on the GPU,
 *handled on the CPU* — whose per-page service cost dominates GPU-side
 initialisation of system memory (Sections 5.1.2 and the Figure 9
 breakdown).
+
+The fault costs are charged here, where they are taken: a GPU
+replayable fault per page (ATS request, SMMU walk, OS service, replay),
+a CPU anonymous fault per page plus the AutoNUMA hinting term
+(:meth:`FaultHandler._cpu_fault_time`), and bulk PTE population outside
+the fault path (:meth:`FaultHandler.prepopulate`). The counts go to
+:class:`~repro.profiling.counters.HardwareCounters`, the one record of
+hardware events.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from ..sim.config import FirstTouchPolicy, Location, Processor, SystemConfig
 from .pagetable import Allocation
 from .pageset import PageSet
 from .physical import OutOfMemoryError, PhysicalMemory
-from .smmu import Smmu
 
 
 @dataclass
@@ -38,12 +45,10 @@ class FaultHandler:
         self,
         config: SystemConfig,
         physical: PhysicalMemory,
-        smmu: Smmu,
         counters: HardwareCounters,
     ):
         self.config = config
         self.physical = physical
-        self.smmu = smmu
         self.counters = counters
         #: Fabric port of the owning superchip when part of a
         #: :class:`~repro.topology.ShardedSystem` (duck-typed; ``None`` on
@@ -102,10 +107,13 @@ class FaultHandler:
 
         n = unmapped.count
         if accessor is Processor.GPU:
-            out.seconds += self.smmu.gpu_first_touch_fault(n)
+            # One SMMU replayable fault per page: ATS request, walk miss,
+            # fault delivery to the OS, PTE creation, replay. The term that
+            # makes 4 KB pages 16x dearer to GPU-initialise than 64 KB.
+            out.seconds += n * self.config.gpu_replayable_fault_cost
             self.counters.bump(gpu_replayable_faults=n)
         else:
-            out.seconds += self.smmu.cpu_first_touch_fault(n)
+            out.seconds += self._cpu_fault_time(n)
             self.counters.bump(cpu_page_faults=n)
 
         # Anonymous pages are zeroed in the fault path (clear_page);
@@ -113,6 +121,15 @@ class FaultHandler:
         # Figure 9 init-phase page-size speedup at ~5x instead of 16x.
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
+
+    def _cpu_fault_time(self, n: int) -> float:
+        """``n`` anonymous-page faults taken by CPU first-touch."""
+        cost = n * self.config.cpu_fault_cost
+        if self.config.autonuma_enable:
+            # AutoNUMA hinting faults are why the tuning guide disables it
+            # (Section 3 testbed configuration).
+            cost += n * self.config.autonuma_hint_fault_cost
+        return cost
 
     def _spill_to_peers(self, alloc: Allocation, pages: PageSet) -> int:
         """Place ``pages`` on peer superchips' DDR (nearest first)."""
@@ -150,4 +167,4 @@ class FaultHandler:
         alloc.set_location(unmapped, loc)
         self.physical.pool(loc).reserve(nbytes, tag=alloc.tag)
         zero = nbytes / self.config.fault_zeroing_bandwidth
-        return self.smmu.bulk_populate(unmapped.count) + zero
+        return unmapped.count * self.config.bulk_pte_populate_cost + zero

@@ -22,6 +22,12 @@ observation:
 * **CPU access to GPU-resident pages** migrates the touched blocks back
   ("a similar page retrieval process", Section 2.3.1) — the page
   thrashing hazard Section 6 contrasts with system memory's remote reads.
+
+The GMMU and GPU-TLB costs are charged where they are taken: a far-fault
+per 2 MB batch (:meth:`ManagedMemoryManager._far_fault_time`), a 2 MB GPU
+PTE per block mapped on first touch, and a GPU TLB shootdown per evicted
+or retrieved range (:meth:`~repro.sim.config.SystemConfig.tlb_shootdown_time`).
+Their counts go to :class:`~repro.profiling.counters.HardwareCounters`.
 """
 
 from __future__ import annotations
@@ -31,13 +37,11 @@ import numpy as np
 from ..interconnect.nvlink import NvlinkC2C
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
-from .coherence import AccessShape, CoherenceFabric
-from .gmmu import Gmmu
+from .coherence import AccessShape, remote_traffic
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
 from .subsystem import AccessResult
-from .tlb import TlbHierarchy
 
 
 class ManagedMemoryManager:
@@ -48,17 +52,11 @@ class ManagedMemoryManager:
         config: SystemConfig,
         physical: PhysicalMemory,
         link: NvlinkC2C,
-        gmmu: Gmmu,
-        tlbs: TlbHierarchy,
-        fabric: CoherenceFabric,
         counters: HardwareCounters,
     ):
         self.config = config
         self.physical = physical
         self.link = link
-        self.gmmu = gmmu
-        self.tlbs = tlbs
-        self.fabric = fabric
         self.counters = counters
         #: Optional structured event timeline (wired by the runtime).
         self.timeline = None
@@ -84,6 +82,12 @@ class ManagedMemoryManager:
 
     def _headroom(self) -> int:
         return self.config.managed_eviction_headroom_bytes
+
+    def _far_fault_time(self, n_batches: int) -> float:
+        """Service ``n_batches`` GMMU far-fault batches. The driver
+        coalesces faults per 2 MB VA block; each batch costs a fault
+        delivery, driver scheduling and replay."""
+        return n_batches * self.config.managed_farfault_cost
 
     # -- eviction ---------------------------------------------------------------
 
@@ -137,7 +141,7 @@ class ManagedMemoryManager:
         )
         steps = np.empty(2 * n_sel)
         steps[0::2] = t / self.config.eviction_bandwidth_fraction
-        steps[1::2] = self.tlbs.gpu.shootdowns(counts)
+        steps[1::2] = self.config.tlb_shootdown_time(counts)  # GPU TLB
         seconds = float(np.add.accumulate(steps)[-1])
         for ai in np.flatnonzero(np.bincount(owner, minlength=len(allocs))):
             alloc = allocs[ai]
@@ -232,7 +236,8 @@ class ManagedMemoryManager:
             alloc.set_location(gpu_part, Location.GPU)
             self.physical.gpu.reserve(got, tag=alloc.tag)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
-            out.fault_seconds += self.gmmu.create_ptes(n_blocks)
+            # One 2 MB GPU PTE per block: driver-side, no OS round trip.
+            out.fault_seconds += n_blocks * self.config.gpu_pte_create_cost
             out.hbm_bytes += shape.useful_bytes * gpu_part.count
         if cpu_part:
             # Nothing evictable: spill to CPU memory. For naturally
@@ -245,7 +250,7 @@ class ManagedMemoryManager:
             )
             alloc.set_location(cpu_part, loc)
             self.physical.cpu.reserve(spill, tag=alloc.tag)
-            out.fault_seconds += self.gmmu.far_fault(
+            out.fault_seconds += self._far_fault_time(
                 len(cpu_part.blocks(alloc.block_pages))
             )
             out.remote_seconds += self.link.remote_access_time(
@@ -289,7 +294,7 @@ class ManagedMemoryManager:
             # farfault_cost + transfer (≈ 65 GB/s, matching measured UVM
             # migration throughput).
             batches = -(-moved_bytes // self.config.managed_migration_granularity)
-            out.fault_seconds += self.gmmu.far_fault(batches) + evict_t
+            out.fault_seconds += self._far_fault_time(batches) + evict_t
             effective = int(moved_bytes * thrash)
             out.transfer_seconds += self.link.streaming_time(
                 effective, Processor.CPU, Processor.GPU
@@ -330,7 +335,7 @@ class ManagedMemoryManager:
         thrash = self.config.eviction_thrash_factor()
         effective = int(nbytes * thrash)
         batches = -(-nbytes // self.config.managed_migration_granularity)
-        out.fault_seconds += self.gmmu.far_fault(batches)
+        out.fault_seconds += self._far_fault_time(batches)
         out.transfer_seconds += self.link.streaming_time(
             effective, Processor.CPU, Processor.GPU
         )
@@ -361,7 +366,7 @@ class ManagedMemoryManager:
     def _remote_access(
         self, pages: PageSet, shape: AccessShape, out: AccessResult
     ) -> None:
-        wire = self.fabric.remote_traffic(Processor.GPU, shape, pages.count)
+        wire = remote_traffic(self.config, Processor.GPU, shape, pages.count)
         out.remote_seconds += self.link.remote_access_time(
             wire, Processor.GPU, efficiency=self.config.managed_remote_eff()
         )
@@ -402,9 +407,9 @@ class ManagedMemoryManager:
             out.transfer_seconds += self.link.streaming_time(
                 nbytes, Processor.GPU, Processor.CPU
             )
-            out.fault_seconds += self.gmmu.far_fault(
+            out.fault_seconds += self._far_fault_time(
                 len(victim.blocks(alloc.block_pages))
-            ) + self.tlbs.gpu.shootdown(victim.count)
+            ) + self.config.tlb_shootdown_time(victim.count)  # GPU TLB
             self.counters.bump(
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=victim.count,

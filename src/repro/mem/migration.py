@@ -35,7 +35,6 @@ from ..sim.config import Location, Processor, SystemConfig
 from .pagetable import Allocation, AllocKind
 from .pageset import PageSet
 from .physical import PhysicalMemory
-from .tlb import TlbHierarchy
 
 
 @dataclass
@@ -56,13 +55,11 @@ class AccessCounterMigrator:
         config: SystemConfig,
         physical: PhysicalMemory,
         link: NvlinkC2C,
-        tlbs: TlbHierarchy,
         counters: HardwareCounters,
     ):
         self.config = config
         self.physical = physical
         self.link = link
-        self.tlbs = tlbs
         self.counters = counters
         #: Duck-typed fabric port on multi-superchip nodes (see
         #: :class:`~repro.topology.ShardedSystem`); ``None`` keeps the
@@ -165,7 +162,8 @@ class AccessCounterMigrator:
             * self.config.migration_stall_factor
             / self.config.c2c_h2d_bandwidth
         )
-        shootdown = self.tlbs.ats_tbu.shootdown(pages.count)
+        # Invalidate the GPU's ATS-TBU entries for the moved pages.
+        shootdown = self.config.tlb_shootdown_time(pages.count)
         report.pages_migrated += pages.count
         report.bytes_migrated += nbytes
         report.transfer_seconds += transfer + self.config.migration_range_cost
@@ -203,7 +201,8 @@ class AccessCounterMigrator:
             * self.config.migration_stall_factor
             / self.config.nvlink_fabric_bandwidth
         )
-        shootdown = self.tlbs.ats_tbu.shootdown(pages.count)
+        # Invalidate the GPU's ATS-TBU entries for the moved pages.
+        shootdown = self.config.tlb_shootdown_time(pages.count)
         report.pages_migrated += pages.count
         report.bytes_migrated += nbytes
         report.transfer_seconds += transfer + self.config.migration_range_cost

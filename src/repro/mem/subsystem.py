@@ -36,8 +36,7 @@ from ..interconnect.nvlink import NvlinkC2C
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
 from .arch import resolve_arch
-from .coherence import AccessShape, CoherenceFabric
-from .gmmu import Gmmu
+from .coherence import AccessShape, remote_traffic
 from .migration import MigrationReport
 from .pagetable import (
     Allocation,
@@ -46,8 +45,6 @@ from .pagetable import (
     SystemPageTable,
 )
 from .pageset import PageSet
-from .smmu import Smmu
-from .tlb import TlbHierarchy
 
 
 @dataclass
@@ -87,29 +84,17 @@ class MemorySubsystem:
         self.physical = arch.physical_cls(config)
         self.link = NvlinkC2C(config)
         self.copy_engine = CopyEngine(config, self.link)
-        self.tlbs = TlbHierarchy(config)
-        self.smmu = Smmu(config, self.tlbs)
-        self.gmmu = Gmmu(config)
-        self.fabric = CoherenceFabric(config)
         self.system_table = SystemPageTable(config)
         self.gpu_table = GpuPageTable(config)
-        self.faults = arch.fault_handler_cls(
-            config, self.physical, self.smmu, counters
-        )
+        self.faults = arch.fault_handler_cls(config, self.physical, counters)
         self.migrator = arch.migrator_cls(
-            config, self.physical, self.link, self.tlbs, counters
+            config, self.physical, self.link, counters
         )
         # managed.py builds on this module's AccessResult.
         from .managed import ManagedMemoryManager
 
         self.managed = ManagedMemoryManager(
-            config,
-            self.physical,
-            self.link,
-            self.gmmu,
-            self.tlbs,
-            self.fabric,
-            counters,
+            config, self.physical, self.link, counters
         )
         #: Set by :meth:`attach_fabric` on multi-superchip nodes.
         self.fabric_port = None
@@ -360,7 +345,7 @@ class MemorySubsystem:
         Returns the wire bytes, or ``None`` when nothing was accessed."""
         if not n_far or self.fabric_port is None:
             return None
-        wire = self.fabric.remote_traffic(processor, shape, n_far)
+        wire = remote_traffic(self.config, processor, shape, n_far)
         res.remote_bytes += wire
         res.remote_seconds += self.fabric_port.remote_access(
             wire, alloc, processor

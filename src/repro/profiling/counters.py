@@ -153,16 +153,6 @@ class CounterSet:
         for name, value in increments.items():
             setattr(self, name, getattr(self, name) + value)
 
-    @property
-    def gpu_memory_read_bytes(self) -> int:
-        """'Reads from GPU memory' as reported in Figure 10."""
-        return self.hbm_read_bytes
-
-    @property
-    def nvlink_read_bytes(self) -> int:
-        """'Remote memory reads over NVLink-C2C' as in Figure 10."""
-        return self.c2c_read_bytes
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

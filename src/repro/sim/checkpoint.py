@@ -3,12 +3,13 @@
 A :class:`SystemCheckpoint` is a deep snapshot of everything a
 :class:`~repro.core.runtime.GraceHopperSystem` mutates while replaying an
 access trace: the simulated clock, hardware counters, physical pool
-occupancy, interconnect/TLB/SMMU/GMMU statistics, and every allocation's
-page-state arrays. Restoring one onto a *fresh* system (with the same
-allocations recreated) puts it into a byte-identical state, so a what-if
-configuration that diverges from an already-simulated run only at epoch
-``k`` can restore the epoch-``k`` checkpoint and replay just the suffix
-instead of the whole trace (see :mod:`repro.sim.whatif`).
+occupancy, the NVLink-C2C byte and seconds ledgers, and every
+allocation's page-state arrays. Restoring one onto a *fresh* system
+(with the same allocations recreated) puts it into a byte-identical
+state, so a what-if configuration that diverges from an
+already-simulated run only at epoch ``k`` can restore the epoch-``k``
+checkpoint and replay just the suffix instead of the whole trace (see
+:mod:`repro.sim.whatif`).
 
 Checkpoints are content-addressed by :meth:`CheckpointStore.key` — a
 SHA-256 over the model configuration, the epoch cadence, the digest of
@@ -44,7 +45,7 @@ from ..mem.pagetable import TAG_PREFIX
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 3
+CKPT_SCHEMA = 4
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -106,9 +107,6 @@ class SystemCheckpoint:
         self.kernel_records: list = []
         self.pools: dict[str, _PoolState] = {}
         self.link = None
-        self.tlbs: dict[str, object] = {}
-        self.smmu = None
-        self.gmmu = None
         self.allocs: dict[str, _AllocState] = {}
 
     # -- capture -----------------------------------------------------------
@@ -138,10 +136,6 @@ class SystemCheckpoint:
             h2d_by_class=dict(ls.h2d_by_class),
             d2h_by_class=dict(ls.d2h_by_class),
         )
-        for name in ("cpu", "gpu", "ats_tbu"):
-            ck.tlbs[name] = dataclasses.replace(getattr(mem.tlbs, name).stats)
-        ck.smmu = dataclasses.replace(mem.smmu.stats)
-        ck.gmmu = dataclasses.replace(mem.gmmu.stats)
 
         for alloc in _all_allocations(mem):
             if alloc.name in ck.allocs:
@@ -222,10 +216,6 @@ class SystemCheckpoint:
             h2d_by_class=dict(self.link.h2d_by_class),
             d2h_by_class=dict(self.link.d2h_by_class),
         )
-        for name in ("cpu", "gpu", "ats_tbu"):
-            getattr(mem.tlbs, name).stats = dataclasses.replace(self.tlbs[name])
-        mem.smmu.stats = dataclasses.replace(self.smmu)
-        mem.gmmu.stats = dataclasses.replace(self.gmmu)
 
         counters = gh.counters
         counters.total = self.counters_total.snapshot()
@@ -269,9 +259,6 @@ class SystemCheckpoint:
                 side: _named_pool(st) for side, st in sorted(self.pools.items())
             },
             "link": _as_jsonable(self.link),
-            "tlbs": {k: _as_jsonable(v) for k, v in sorted(self.tlbs.items())},
-            "smmu": _as_jsonable(self.smmu),
-            "gmmu": _as_jsonable(self.gmmu),
         }
         h.update(json.dumps(scalars, sort_keys=True, default=repr).encode())
         for name in sorted(self.allocs):

@@ -485,6 +485,13 @@ class SystemConfig:
             return 0.0
         return nbytes / self.svm_link_bandwidth() + self.c2c_latency
 
+    def tlb_shootdown_time(self, n_pages):
+        """One TLB or ATS-TBU invalidation of ``n_pages`` entries: a
+        per-operation broadcast (Arm DVM over C2C for the ATS-TBU) plus a
+        small per-page term. Elementwise over an array of page counts,
+        one operation per entry."""
+        return self.tlb_shootdown_cost + n_pages * 1e-9
+
     def eviction_thrash_factor(self) -> float:
         """Traffic amplification of managed evict+migrate-back cycles at
         the current system page size (see

@@ -8,6 +8,7 @@ from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.mem.pageset import PageSet
 from repro.sim.checkpoint import (
+    CKPT_SCHEMA,
     CheckpointStore,
     CheckpointUnavailable,
     SystemCheckpoint,
@@ -184,6 +185,22 @@ class TestStore:
         assert fresh.contains(key)
         assert fresh.get(key).fingerprint() == ck.fingerprint()
         assert fresh.hits == 1 and fresh.restored_bytes == ck.nbytes
+
+    def test_spill_of_another_schema_is_a_miss(self, tmp_path):
+        gh = make_system()
+        warm(gh)
+        ck = SystemCheckpoint.capture(gh)
+        ck.schema = CKPT_SCHEMA - 1
+        key = CheckpointStore.key("cfg", 1, "digest", [])
+        CheckpointStore(tmp_path).put(key, ck)
+
+        # A second store finds the pickle but never hands it out.
+        fresh = CheckpointStore(tmp_path)
+        assert fresh.contains(key)
+        assert fresh.get(key) is None
+        assert fresh.get(key) is None
+        assert fresh.misses == 2 and fresh.hits == 0
+        assert fresh.restored_bytes == 0
 
     def test_key_depends_on_prefix_and_interventions(self):
         base = CheckpointStore.key("cfg", 1, "digest", [])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mem.coherence import AccessShape, CoherenceFabric, wire_bytes
+from repro.mem.coherence import AccessShape, remote_traffic, wire_bytes
 from repro.sim.config import Processor, SystemConfig
 
 
@@ -47,17 +47,14 @@ class TestWireBytes:
         assert wire_bytes(dense, 128) <= wire_bytes(sparse, 128)
 
 
-class TestCoherenceFabric:
-    def test_remote_traffic_accounts_cachelines(self):
-        fabric = CoherenceFabric(SystemConfig())
-        shape = AccessShape(useful_bytes=4096, density=1.0)
-        total = fabric.remote_traffic(Processor.GPU, shape, n_pages=10)
-        assert total == 40960
-        assert fabric.stats.remote_cachelines == 40960 // 128
-
-    def test_atomics_cost_serialises(self):
-        fabric = CoherenceFabric(SystemConfig())
-        assert fabric.atomic_cost(0) == 0.0
-        t = fabric.atomic_cost(1000)
-        assert t > 0
-        assert fabric.stats.c2c_atomics == 1000
+class TestRemoteTraffic:
+    def test_remote_traffic_is_wire_bytes_per_page(self):
+        cfg = SystemConfig()
+        dense = AccessShape(useful_bytes=4096, density=1.0)
+        assert remote_traffic(cfg, Processor.GPU, dense, n_pages=10) == 40960
+        sparse = AccessShape(useful_bytes=64, element_bytes=8, density=0.01)
+        for accessor, line in ((Processor.GPU, 128), (Processor.CPU, 64)):
+            assert cfg.cacheline_bytes(accessor) == line
+            assert remote_traffic(cfg, accessor, sparse, n_pages=10) == (
+                10 * wire_bytes(sparse, line)
+            )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.devices.cache import GpuCacheModel
 from repro.devices.cpu import CpuDevice
 from repro.devices.gpu import GpuDevice
 from repro.sim.config import SystemConfig
@@ -52,13 +51,6 @@ class TestGpuDevice:
         t = gpu.kernel_time(l1l2_bytes=int(7 * 1e12))
         assert t >= 1.0
 
-    def test_stats_accumulate(self, cfg):
-        gpu = GpuDevice(cfg)
-        gpu.kernel_time(flops=1e9)
-        gpu.kernel_time(flops=1e9)
-        assert gpu.stats.kernels_launched == 2
-        assert gpu.stats.flops_executed == 2e9
-
 
 class TestCpuDevice:
     def test_single_thread_bandwidth(self, cfg):
@@ -88,15 +80,20 @@ class TestCpuDevice:
 
 class TestCacheModel:
     def test_reuse_inflates_l1l2(self, cfg):
-        cache = GpuCacheModel(cfg)
-        plain = cache.feed(1 * GB, from_hbm=1 * GB, from_c2c=0, reuse=1.0)
-        stencil = cache.feed(1 * GB, from_hbm=1 * GB, from_c2c=0, reuse=3.0)
+        gpu = GpuDevice(cfg)
+        plain = gpu.l1l2_bytes(1 * GB, reuse=1.0)
+        stencil = gpu.l1l2_bytes(1 * GB, reuse=3.0)
+        assert plain == 1 * GB
         assert stencil == 3 * plain
+        assert gpu.l1l2_bytes(1 * GB, reuse=0.5) == plain  # floor at 1x
 
     def test_negative_bytes_rejected(self, cfg):
         with pytest.raises(ValueError):
-            GpuCacheModel(cfg).feed(-1, from_hbm=0, from_c2c=0)
+            GpuDevice(cfg).l1l2_bytes(-1)
 
     def test_l1l2_time_floor(self, cfg):
-        cache = GpuCacheModel(cfg)
-        assert cache.l1l2_time_floor(int(cfg.l1l2_bandwidth)) == pytest.approx(1.0)
+        # One second of L1<->L2 traffic floors an otherwise empty kernel.
+        gpu = GpuDevice(cfg)
+        assert gpu.kernel_time(l1l2_bytes=int(cfg.l1l2_bandwidth)) == (
+            pytest.approx(cfg.kernel_launch_cost + 1.0)
+        )

@@ -6,8 +6,6 @@ from repro.mem.faults import FaultHandler
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.physical import PhysicalMemory
-from repro.mem.smmu import Smmu
-from repro.mem.tlb import TlbHierarchy
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import (
     FirstTouchPolicy,
@@ -21,8 +19,7 @@ from repro.sim.config import (
 def make_handler(cfg):
     phys = PhysicalMemory(cfg)
     counters = HardwareCounters()
-    smmu = Smmu(cfg, TlbHierarchy(cfg))
-    return FaultHandler(cfg, phys, smmu, counters), phys, counters
+    return FaultHandler(cfg, phys, counters), phys, counters
 
 
 @pytest.fixture

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.mem.coherence import AccessShape, CoherenceFabric
-from repro.mem.gmmu import Gmmu
+from repro.mem.coherence import AccessShape
 from repro.mem.managed import ManagedMemoryManager
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.physical import PhysicalMemory
-from repro.mem.tlb import TlbHierarchy
 from repro.interconnect.nvlink import NvlinkC2C
 from repro.profiling.counters import HardwareCounters
 from repro.profiling.timeline import Timeline
@@ -19,15 +17,7 @@ from repro.sim.config import Location, MiB, Processor, SystemConfig
 def make_manager(cfg):
     phys = PhysicalMemory(cfg)
     counters = HardwareCounters()
-    mgr = ManagedMemoryManager(
-        cfg,
-        phys,
-        NvlinkC2C(cfg),
-        Gmmu(cfg),
-        TlbHierarchy(cfg),
-        CoherenceFabric(cfg),
-        counters,
-    )
+    mgr = ManagedMemoryManager(cfg, phys, NvlinkC2C(cfg), counters)
     return mgr, phys, counters
 
 
@@ -230,7 +220,7 @@ def per_block_evict(mgr, needed, now):
             int(nbytes_each[i]), Processor.GPU, Processor.CPU
         )
         seconds += t / mgr.config.eviction_bandwidth_fraction
-        seconds += mgr.tlbs.gpu.shootdown(int(counts[i]))
+        seconds += mgr.config.tlb_shootdown_time(int(counts[i]))
     for ai in np.unique(owner):
         alloc = allocs[ai]
         sel = blocks[owner == ai]
@@ -295,7 +285,7 @@ class TestBatchedEviction:
         needed = mgr.physical.gpu.free + 2000 * MiB
         got = mgr.evict_bytes(needed, now=3.0)
         want = per_block_evict(ref, needed, now=3.0)
-        assert ref.tlbs.gpu.stats.shootdowns >= 1000
+        assert ref.counters.total.tlb_shootdowns >= 1000
         assert got == want and type(got[1]) is float
         for a, b in zip(allocs, ref_allocs):
             assert np.array_equal(a.state, b.state)
@@ -304,7 +294,6 @@ class TestBatchedEviction:
     def test_matches_per_block_loop(self):
         mgr, ref = self.evict_both(timeline=False)
         assert mgr.link.stats == ref.link.stats
-        assert mgr.tlbs.gpu.stats == ref.tlbs.gpu.stats
         assert mgr.counters.total.as_dict() == ref.counters.total.as_dict()
 
     def test_timeline_spans_match_per_block_loop(self):

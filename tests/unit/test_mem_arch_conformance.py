@@ -128,13 +128,6 @@ def assert_byte_conservation(mem, allocs):
         assert 0 <= pool.used <= pool.capacity
 
 
-def assert_counter_conservation(mem):
-    """Fault counters agree with the SMMU ledger on every backend."""
-    total = mem.counters.total
-    assert total.gpu_replayable_faults == mem.smmu.stats.replayable_faults
-    assert total.cpu_page_faults >= mem.smmu.stats.cpu_faults
-
-
 def drive(mem, kind, ops, live=()):
     """Apply (processor, start, count, write) ops with epochs between."""
     alloc = mem.allocate(kind, 4 * MiB)
@@ -147,7 +140,6 @@ def drive(mem, kind, ops, live=()):
         now += 0.001
         assert_partition(alloc)
         assert_byte_conservation(mem, [alloc, *live])
-        assert_counter_conservation(mem)
     return alloc
 
 
@@ -184,7 +176,6 @@ def test_interleaved_allocations_conserve(arch_name):
         for alloc in (a, b):
             assert_partition(alloc)
         assert_byte_conservation(mem, [a, b])
-        assert_counter_conservation(mem)
     mem.free(b)
     assert_byte_conservation(mem, [a, b])
 
@@ -283,7 +274,6 @@ def _oversubscribe(mem):
             assert_partition(a)
             assert_partition(b)
             assert_byte_conservation(mem, [a, b])
-            assert_counter_conservation(mem)
     return a, b
 
 
@@ -352,7 +342,6 @@ def test_mixed_workload_sanitized_end_to_end(arch_name):
         gh.free(arr)
     allocs = [arr.alloc for arr in (a, m, p, d)]
     assert all(al.freed for al in allocs)
-    assert_counter_conservation(gh.mem)
 
 
 def test_device_memory_is_never_cpu_accessible(arch_name):

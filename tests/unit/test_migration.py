@@ -7,7 +7,6 @@ from repro.mem.migration import AccessCounterMigrator
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.physical import PhysicalMemory
-from repro.mem.tlb import TlbHierarchy
 from repro.profiling.counters import HardwareCounters
 from repro.sim.config import Location, MiB, SystemConfig
 
@@ -15,9 +14,7 @@ from repro.sim.config import Location, MiB, SystemConfig
 def make_migrator(cfg):
     phys = PhysicalMemory(cfg)
     counters = HardwareCounters()
-    mig = AccessCounterMigrator(
-        cfg, phys, NvlinkC2C(cfg), TlbHierarchy(cfg), counters
-    )
+    mig = AccessCounterMigrator(cfg, phys, NvlinkC2C(cfg), counters)
     return mig, phys, counters
 
 

@@ -25,11 +25,6 @@ class TestCounterSet:
         assert d.hbm_read_bytes == 50
         assert d.c2c_read_bytes == 10
 
-    def test_figure10_aliases(self):
-        c = CounterSet(hbm_read_bytes=5, c2c_read_bytes=7)
-        assert c.gpu_memory_read_bytes == 5
-        assert c.nvlink_read_bytes == 7
-
     def test_as_dict_roundtrip(self):
         c = CounterSet(lpddr_read_bytes=3)
         assert c.as_dict()["lpddr_read_bytes"] == 3
