@@ -13,7 +13,9 @@ epoch executor target:
 * :meth:`AccessCounterMigrator.service` under steady oversubscription,
   plus its below-threshold early-skip;
 * one :meth:`ManagedMemoryManager.evict_bytes` over thousands of LRU
-  blocks, charged as a batch rather than block by block;
+  blocks, charged as a batch rather than block by block, and repeated
+  small evictions from a full HBM, whose LRU prefix the touch record
+  gives without sorting every resident block;
 * :meth:`PageSet.of` on a sorted needle wave, head to head against the
   numpy ``unique`` construction it replaced, and on unsorted BFS and Gups
   gathers, against the sort it replaced;
@@ -460,6 +462,58 @@ class TestEvictBatch:
         benchmark.pedantic(
             self.evict, setup=lambda: ((self.oversubscribed(),), {}), rounds=3
         )
+
+
+class TestEvictLruPrefix:
+    """Repeated small evictions from a full-scale HBM: about 48.8k
+    resident 2 MB blocks of one managed allocation, all touched at once.
+    Each call evicts 16 blocks. The touch record answers in O(runs +
+    selected blocks); the dense selection, reached by marking the record
+    fragmented, sorts every resident block on every call."""
+
+    N_BLOCKS = 16
+    CALLS = 40
+
+    @staticmethod
+    def filled() -> GraceHopperSystem:
+        gh = GraceHopperSystem(SystemConfig.scaled(1.0, page_size=65536))
+        x = gh.cuda_malloc_managed(
+            np.float32, (gh.config.gpu_memory_bytes * 5 // 4 // 4,), name="big"
+        )
+        gh.launch_kernel("fill", [ArrayAccess.write_(x)])
+        return gh
+
+    def evict(self, gh: GraceHopperSystem) -> tuple[int, float]:
+        needed = gh.mem.physical.gpu.free + self.N_BLOCKS * gh.config.gpu_page_size
+        return gh.mem.managed.evict_bytes(needed, now=gh.now)
+
+    def test_record_speedup_vs_dense(self, benchmark):
+        record, dense = self.filled(), self.filled()
+        (alloc,) = record.mem.managed.allocations.values()
+        (fragmented,) = dense.mem.managed.allocations.values()
+        assert len(alloc._touch) == 1
+        assert alloc.pages_at(Location.GPU) // alloc.block_pages > 48_000
+        record_t = dense_t = float("inf")
+        for _ in range(self.CALLS):
+            fragmented._touch = ()
+            t0 = time.perf_counter()
+            want = self.evict(dense)
+            t1 = time.perf_counter()
+            got = self.evict(record)
+            t2 = time.perf_counter()
+            assert got == want
+            dense_t, record_t = min(dense_t, t1 - t0), min(record_t, t2 - t1)
+        assert np.array_equal(alloc.state, fragmented.state)
+        speedup = dense_t / record_t
+        _record(
+            "evict_lru_prefix",
+            record_t,
+            blocks=self.N_BLOCKS,
+            dense_seconds=dense_t,
+            speedup_vs_dense=round(speedup, 1),
+        )
+        benchmark.pedantic(self.evict, args=(record,), rounds=5)
+        assert speedup >= 5.0, f"only {speedup:.1f}x over the dense selection"
 
 
 def _dense_queries(alloc: Allocation, pages: PageSet) -> tuple:

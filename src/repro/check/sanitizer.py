@@ -52,6 +52,9 @@ Invariants enforced
    :data:`~repro.mem.pageset.MAX_SYMBOLIC_RUNS`, since range and
    interval-list queries answer from the record without reading the
    state.
+8. **Touch runs** — a known touch record equals the maximal runs of
+   ``block_last_touch``, with the same ``()`` marker, since LRU eviction
+   orders blocks from the record without reading the array.
 """
 
 from __future__ import annotations
@@ -267,7 +270,15 @@ class MemSanitizer:
                     "incremental_sum": int(alloc._gpu_block_counts.sum()),
                 },
             )
-        self._check_runs(alloc)
+        self._check_runs(
+            alloc, "residency-runs", alloc._runs, alloc.state,
+            "run record disagrees with the maximal runs of the state array",
+        )
+        self._check_runs(
+            alloc, "touch-runs", alloc._touch, alloc.block_last_touch,
+            "touch record disagrees with the maximal runs of "
+            "block_last_touch",
+        )
         counters = alloc.counters
         if counters.extra is not None and counters.extra.max() > counters.peak:
             self._fail(
@@ -283,28 +294,35 @@ class MemSanitizer:
         if not alloc.freed:
             self._check_alloc_bytes(alloc)
 
-    def _check_runs(self, alloc: Allocation) -> None:
-        record = alloc._runs
+    def _check_runs(
+        self,
+        alloc: Allocation,
+        invariant: str,
+        record: tuple | None,
+        values: np.ndarray,
+        message: str,
+    ) -> None:
+        """A known ``(start, stop, value)`` record equals the maximal runs
+        of ``values``; ``()`` stands for more than the cap."""
         if record is None:
             return
-        state = alloc.state
-        edges = np.flatnonzero(state[1:] != state[:-1]) + 1
+        edges = np.flatnonzero(values[1:] != values[:-1]) + 1
         if record == ():
             if edges.size >= MAX_SYMBOLIC_RUNS:
                 return
         elif edges.size + 1 == len(record):
             stops = edges.tolist()
             starts = [0, *stops]
-            fresh = zip(starts, [*stops, state.size], state[starts].tolist())
+            fresh = zip(starts, [*stops, values.size], values[starts].tolist())
             if tuple(fresh) == record:
                 return
         self._fail(
-            "residency-runs",
-            "run record disagrees with the maximal runs of the state array",
+            invariant,
+            message,
             alloc=alloc,
             details={
                 "record_runs": len(record),
-                "state_runs": int(edges.size) + 1,
+                "array_runs": int(edges.size) + 1,
             },
         )
 

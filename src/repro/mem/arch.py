@@ -43,6 +43,11 @@ import functools
 
 from ..sim.config import Location, Processor
 
+#: Module-level aliases for :meth:`MemoryArchitecture.local_location`,
+#: which every access makes (an enum member lookup costs about ten times
+#: a global).
+_GPU, _LOC_GPU, _LOC_CPU = Processor.GPU, Location.GPU, Location.CPU
+
 
 class MemoryArchitecture:
     """Strategy interface one memory-architecture backend implements.
@@ -75,7 +80,7 @@ class MemoryArchitecture:
         local traffic by :meth:`~repro.mem.subsystem.MemorySubsystem.access`
         without calling the access hooks below. Split pools: each
         processor's own pool."""
-        return Location.GPU if processor is Processor.GPU else Location.CPU
+        return _LOC_GPU if processor is _GPU else _LOC_CPU
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
         """One access batch against a ``malloc`` allocation."""

@@ -100,15 +100,114 @@ class ManagedMemoryManager:
         if needed <= self.physical.gpu.free:
             return 0, 0.0
         target = needed - self.physical.gpu.free
-        # Gather (allocation, block) candidates ordered by last touch.
-        # Vectorised: each allocation's GPU-resident blocks, in block
-        # order, are concatenated and sorted once by touch time. The sort
-        # is stable, so ties keep allocation order, then block order —
-        # identical ordering to sorting per-candidate tuples, without
-        # building millions of them.
         allocs = [a for a in self.allocations.values() if a.pages_at(Location.GPU)]
         if not allocs:
             return 0, 0.0
+        # LRU order is last touch time, then position among ``allocs``,
+        # then block index; eviction takes GPU-resident blocks in that
+        # order while the running total is still short of the target.
+        records = [a.touch_runs() for a in allocs]
+        if all(records):
+            counts, victims = self._lru_prefix(allocs, records, target)
+        else:
+            counts, victims = self._lru_prefix_dense(allocs, target)
+        # Each block is one write-back plus one TLB shootdown, charged as
+        # a batch in global LRU order. Per-block costs use the per-call
+        # expressions elementwise, and every float sum is a left fold
+        # (np.add.accumulate), so ``seconds`` and the link's ledgers are
+        # bit-identical to charging the blocks one call at a time. The
+        # first candidate always counts toward the target, so at least
+        # one block is taken.
+        nbytes_each = counts * self.config.system_page_size
+        freed = int(nbytes_each.sum())
+        t = self.link.streaming_times(nbytes_each, Processor.GPU, Processor.CPU)
+        steps = np.empty(2 * counts.size)
+        steps[0::2] = t / self.config.eviction_bandwidth_fraction
+        steps[1::2] = self.config.tlb_shootdown_time(counts)  # GPU TLB
+        seconds = float(np.add.accumulate(steps)[-1])
+        for ai in sorted(victims):
+            alloc = allocs[ai]
+            blocks, n_blocks = victims[ai]
+            gpu_pages = alloc.subset(blocks, Location.GPU)
+            nbytes = self.physical.move(alloc, gpu_pages, Location.CPU)
+            self.counters.bump(
+                eviction_bytes=nbytes,
+                migration_d2h_bytes=nbytes,
+                pages_evicted=gpu_pages.count,
+                pages_migrated_d2h=gpu_pages.count,
+                tlb_shootdowns=n_blocks,
+            )
+        if self.timeline is not None and freed:
+            self.timeline.complete(
+                "evict-batch", now, seconds, cat="mem", track="mem/eviction",
+                bytes=freed,
+            )
+        return freed, seconds
+
+    def _lru_prefix(
+        self, allocs: list[Allocation], records: list[tuple], target: int
+    ) -> tuple[np.ndarray, dict]:
+        """The LRU prefix read from the touch records: the GPU page counts
+        of the selected blocks in eviction order, and per position in
+        ``allocs`` the pages of its selected blocks and their number.
+
+        The touch runs of every candidate, sorted by ``(time, position,
+        block_lo)``, list the blocks in LRU order (times are finite, so
+        this is the order a stable argsort by touch time gives). Each
+        run's GPU-resident blocks come from the residency run record
+        (:meth:`Allocation.gpu_block_spans`), and their counts are read
+        only as far as the remaining bytes require, so a call costs
+        O(runs + selected blocks).
+        """
+        page = self.config.system_page_size
+        chunks: list = []
+        spans: dict = {}
+        taken = 0
+        touch_runs = sorted(
+            (at, ai, lo, hi)
+            for ai, record in enumerate(records)
+            for lo, hi, at in record
+        )
+        for _, ai, first, stop in touch_runs:
+            alloc = allocs[ai]
+            block_bytes = alloc.block_pages * page
+            for lo, hi in alloc.gpu_block_spans(first, stop):
+                n = 0
+                while lo < hi and taken < target:
+                    # At least the blocks the remainder needs if full,
+                    # doubling when partial blocks leave it short.
+                    n = min(hi - lo, max(-(-(target - taken) // block_bytes), 2 * n))
+                    counts = alloc._gpu_block_counts[lo : lo + n]
+                    cum = np.cumsum(counts) * page
+                    # Every block whose preceding total is short of the
+                    # target: up to the first that reaches it.
+                    k = min(int(np.searchsorted(cum, target - taken)) + 1, n)
+                    chunks.append(counts[:k])
+                    spans.setdefault(ai, []).append((lo, lo + k))
+                    taken += int(cum[k - 1])
+                    lo += k
+            if taken >= target:
+                break
+        victims = {}
+        for ai, selected in spans.items():
+            alloc = allocs[ai]
+            bp, n_pages = alloc.block_pages, alloc.n_pages
+            victims[ai] = (
+                PageSet.from_runs(
+                    (lo * bp, min(hi * bp, n_pages)) for lo, hi in selected
+                ),
+                sum(hi - lo for lo, hi in selected),
+            )
+        # Concatenating copies the counts before the moves change them.
+        return np.concatenate(chunks), victims
+
+    def _lru_prefix_dense(
+        self, allocs: list[Allocation], target: int
+    ) -> tuple[np.ndarray, dict]:
+        """:meth:`_lru_prefix` when a candidate's touch history is
+        fragmented past the touch record's cap: every GPU-resident block
+        is concatenated and sorted once by touch time. The sort is stable,
+        so ties keep allocation order, then block order."""
         per_alloc_blocks = [np.flatnonzero(a._gpu_block_counts) for a in allocs]
         blocks = np.concatenate(per_alloc_blocks)
         touch = np.concatenate(
@@ -122,45 +221,17 @@ class ManagedMemoryManager:
         )
         order = np.argsort(touch, kind="stable")
         blocks, counts, owner = blocks[order], counts[order], owner[order]
-        # LRU eviction takes blocks while the running total is still
-        # short of the target; every candidate frees > 0 bytes, so the
-        # selection is the shortest prefix whose cumulative bytes reach it.
+        # Every candidate frees > 0 bytes, so the selection is the
+        # shortest prefix whose cumulative bytes reach the target.
         nbytes_each = counts * self.config.system_page_size
         cum = np.cumsum(nbytes_each)
         n_sel = int(np.count_nonzero(cum - nbytes_each < target))
-        blocks, counts, owner = blocks[:n_sel], counts[:n_sel], owner[:n_sel]
-        freed = int(cum[n_sel - 1])
-        # Each block is one write-back plus one TLB shootdown, charged as
-        # a batch in global LRU order. Per-block costs use the per-call
-        # expressions elementwise, and every float sum is a left fold
-        # (np.add.accumulate), so ``seconds`` and the link's ledgers are
-        # bit-identical to charging the blocks one call at a time. The
-        # first candidate always counts toward the target, so n_sel >= 1.
-        t = self.link.streaming_times(
-            nbytes_each[:n_sel], Processor.GPU, Processor.CPU
-        )
-        steps = np.empty(2 * n_sel)
-        steps[0::2] = t / self.config.eviction_bandwidth_fraction
-        steps[1::2] = self.config.tlb_shootdown_time(counts)  # GPU TLB
-        seconds = float(np.add.accumulate(steps)[-1])
+        blocks, owner = blocks[:n_sel], owner[:n_sel]
+        victims = {}
         for ai in np.flatnonzero(np.bincount(owner, minlength=len(allocs))):
-            alloc = allocs[ai]
             sel = blocks[owner == ai]
-            gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
-            nbytes = self.physical.move(alloc, gpu_pages, Location.CPU)
-            self.counters.bump(
-                eviction_bytes=nbytes,
-                migration_d2h_bytes=nbytes,
-                pages_evicted=gpu_pages.count,
-                pages_migrated_d2h=gpu_pages.count,
-                tlb_shootdowns=int(sel.size),
-            )
-        if self.timeline is not None and freed:
-            self.timeline.complete(
-                "evict-batch", now, seconds, cat="mem", track="mem/eviction",
-                bytes=freed,
-            )
-        return freed, seconds
+            victims[int(ai)] = (allocs[ai].block_pageset(sel), int(sel.size))
+        return counts[:n_sel], victims
 
     # -- GPU access path -----------------------------------------------------------
 

@@ -27,6 +27,12 @@ set's runs, in O(runs) and without reading the state array. Index and
 strided sets, and fragmented residency, take the dense ``int8`` path; the
 state array stays the source of truth for it, for checkpoints and for the
 sanitizer.
+
+LRU eviction reads the last GPU touch time of each 2 MB block. Whole
+sweeps stamp every block at once, so each allocation likewise keeps a
+*touch record*: the maximal ``(block_lo, block_hi, time)`` runs of
+``block_last_touch``, under the same cap, spliced by range and
+interval-list touches. Eviction walks it instead of sorting every block.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from enum import Enum
 import numpy as np
 
 from ..sim.config import Location, Processor, SystemConfig
-from .pageset import MAX_SYMBOLIC_RUNS, PageSet
+from .pageset import MAX_SYMBOLIC_RUNS, PageSet, _mask_to_bounds
 
 #: Plain-int copies of the enum values the run-record walks compare with
 #: (an enum member lookup costs several times a module global).
@@ -242,6 +248,14 @@ class Allocation:
         self.block_pages = max(1, config.pages_per_gpu_page)
         self.n_blocks = -(-self.n_pages // self.block_pages)
         self.block_last_touch = np.zeros(self.n_blocks, dtype=np.float64)
+        #: Touch record: the maximal ``(block_lo, block_hi, time)`` runs of
+        #: ``block_last_touch``, kept like the run record by
+        #: :meth:`touch_blocks` (a whole touch resets it, a range or
+        #: interval-list touch splices it). ``None`` once unknown (after an
+        #: index or wide-strided touch, a splice past the cap, or a
+        #: checkpoint restore) until :meth:`touch_runs` relearns it; ``()``
+        #: when that scan found more runs than the cap.
+        self._touch: tuple | None = ((0, self.n_blocks, 0.0),)
         #: GPU-resident page count per 2 MB block, maintained
         #: incrementally by :meth:`set_location` (in place, one run at a
         #: time, for range and interval-list moves) so LRU eviction never
@@ -344,15 +358,15 @@ class Allocation:
     def _learn_runs(self) -> None:
         """Relearn the run record with one scan of ``state`` (``()`` when
         it holds more than :data:`MAX_SYMBOLIC_RUNS` runs)."""
-        s = self.state
-        edges = np.flatnonzero(s[1:] != s[:-1])
-        if edges.size >= MAX_SYMBOLIC_RUNS:
-            self._runs = ()
-            return
-        stops = (edges + 1).tolist()
-        starts = [0, *stops]
-        stops.append(self.n_pages)
-        self._runs = tuple(zip(starts, stops, s[starts].tolist()))
+        self._runs = _maximal_runs(self.state)
+
+    def touch_runs(self) -> tuple:
+        """The touch record, relearned with one scan of
+        ``block_last_touch`` when unknown; ``()`` when that array holds
+        more than :data:`MAX_SYMBOLIC_RUNS` runs."""
+        if self._touch is None:
+            self._touch = _maximal_runs(self.block_last_touch)
+        return self._touch
 
     def split_counts(self, pages: PageSet) -> np.ndarray:
         """Page counts of ``pages`` per :class:`Location` (an ``int64``
@@ -470,19 +484,58 @@ class Allocation:
         return prev
 
     def touch_blocks(self, pages: PageSet, now: float) -> None:
-        """Stamp ``now`` on every 2 MB block ``pages`` touches."""
+        """Stamp ``now`` on every 2 MB block ``pages`` touches, and keep
+        the touch record current."""
         if not pages:
             return
-        bp = self.block_pages
-        if pages.index is not None or pages.step > bp:
+        if pages.covers_all(self.n_pages):
+            self.block_last_touch[:] = now
+            self._touch = ((0, self.n_blocks, float(now)),)
+            return
+        if pages.index is not None or pages.step > self.block_pages:
             # Writing one value is idempotent, so repeated block ids need
             # no np.unique sort.
-            self.block_last_touch[pages.indices() // bp] = now
+            self.block_last_touch[pages.indices() // self.block_pages] = now
+            self._touch = None
             return
         # Ranges, interval lists and strided sets with step <= bp (no
-        # block skipped between elements): one slice per run.
-        for lo, hi in pages.runs or ((pages.start, pages.stop),):
-            self.block_last_touch[lo // bp : (hi - 1) // bp + 1] = now
+        # block skipped between elements): one slice per block span.
+        spans = self._block_spans(pages.runs or ((pages.start, pages.stop),))
+        for first, stop in spans:
+            self.block_last_touch[first:stop] = now
+        self._touch = _splice(self._touch, spans, float(now)) if self._touch else None
+
+    def _block_spans(self, page_runs) -> list:
+        """The 2 MB blocks that sorted, disjoint page runs touch, as
+        ``[first, stop)`` block spans; spans that share or abut a block
+        are merged."""
+        bp = self.block_pages
+        spans: list = []
+        for lo, hi in page_runs:
+            first, stop = lo // bp, (hi - 1) // bp + 1
+            if spans and spans[-1][1] >= first:
+                spans[-1] = (spans[-1][0], stop)
+            else:
+                spans.append((first, stop))
+        return spans
+
+    def gpu_block_spans(self, first: int, stop: int) -> list:
+        """The blocks in ``[first, stop)`` that hold a GPU page, as
+        maximal ``[first, stop)`` block spans in block order: from the run
+        record in O(runs) when it is known, else from one scan of those
+        blocks' GPU page counts."""
+        if not self._runs:
+            starts, stops = _mask_to_bounds(self._gpu_block_counts[first:stop] > 0)
+            if starts is None:
+                return []
+            return list(zip((starts + first).tolist(), (stops + first).tolist()))
+        bp = self.block_pages
+        window = ((first * bp, min(stop * bp, self.n_pages)),)
+        return self._block_spans(
+            (lo, hi)
+            for lo, hi, loc, inside in _cut(self._runs, window)
+            if inside and loc == _GPU
+        )
 
     def _add_gpu_run(self, lo: int, hi: int, sign: int) -> None:
         """Add ``sign`` times the per-2 MB-block page counts of pages
@@ -566,6 +619,34 @@ def _cut(runs: tuple, spans: tuple):
             j += 1
         if pos < hi:
             yield pos, hi, loc, False
+
+
+def _splice(runs: tuple, spans, value) -> tuple | None:
+    """``runs`` with every piece ``spans`` covers set to ``value`` and
+    equal neighbours merged, as :meth:`Allocation.set_location` splices
+    the run record; ``None`` past :data:`MAX_SYMBOLIC_RUNS`."""
+    out: list = []
+    for lo, hi, at, inside in _cut(runs, spans):
+        if inside:
+            at = value
+        if out and out[-1][2] == at:
+            out[-1] = (out[-1][0], hi, at)
+        else:
+            out.append((lo, hi, at))
+    return tuple(out) if len(out) <= MAX_SYMBOLIC_RUNS else None
+
+
+def _maximal_runs(values: np.ndarray) -> tuple:
+    """The maximal ``(start, stop, value)`` runs of ``values`` as plain
+    Python tuples, or ``()`` when there are more than
+    :data:`MAX_SYMBOLIC_RUNS`."""
+    edges = np.flatnonzero(values[1:] != values[:-1])
+    if edges.size >= MAX_SYMBOLIC_RUNS:
+        return ()
+    stops = (edges + 1).tolist()
+    starts = [0, *stops]
+    stops.append(values.size)
+    return tuple(zip(starts, stops, values[starts].tolist()))
 
 
 def _pageset(runs: list) -> PageSet:

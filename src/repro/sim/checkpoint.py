@@ -195,6 +195,7 @@ class SystemCheckpoint:
             alloc._loc_counts[:] = st.loc_counts
             alloc._gpu_block_counts[:] = st.gpu_block_counts
             alloc.block_last_touch[:] = st.block_last_touch
+            alloc._touch = None  # not captured; relearned from the array
             alloc.counters.base = st.counters_base
             alloc.counters.extra = (
                 None if st.counters_extra is None else st.counters_extra.copy()

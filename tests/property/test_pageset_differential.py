@@ -22,6 +22,7 @@ from repro.mem import pageset
 from repro.mem.pageset import MAP_SPAN_PER_ID, MAX_SYMBOLIC_RUNS, PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.sim.config import Location, SystemConfig
+from tests.helpers.eviction import assert_touch_record
 
 MAX_PAGE = 1 << 12
 
@@ -251,13 +252,14 @@ def test_split_counts_match_bincount(alloc, ps):
 @given(residency(), residency_sets)
 def test_touch_blocks_writes_exactly_the_touched_blocks(alloc, ps):
     ps = ps.clip(alloc.n_pages)
-    alloc.block_last_touch[:] = -1.0
+    alloc.touch_blocks(PageSet.full(alloc.n_pages), -1.0)
     alloc.touch_blocks(ps, 5.0)
     touched = np.flatnonzero(alloc.block_last_touch == 5.0).tolist()
     assert touched == oracle_blocks(oracle(ps), alloc.block_pages)
     assert np.count_nonzero(alloc.block_last_touch == -1.0) == (
         alloc.n_blocks - len(touched)
     )
+    assert_touch_record(alloc)
 
 
 # -- the residency run record against a dense int8 oracle ------------------

@@ -130,6 +130,45 @@ class TestRoundTrip:
                 got = alloc.subset(ps, loc)
                 assert np.array_equal(got.indices(), ps.where(state, loc).indices())
 
+    def test_restored_system_evicts_the_same_blocks(self):
+        """Restore writes ``block_last_touch`` directly, so a target whose
+        own touches spliced a different touch record must relearn it: the
+        restored system then evicts the same blocks, for the same seconds,
+        as the system the checkpoint was captured from."""
+
+        def touched(gh, order):
+            arrays = [
+                gh.cuda_malloc_managed(np.float32, (1 << 21,), name=f"ev.{k}")
+                for k in "ab"
+            ]
+            gh.launch_kernel("fill", [ArrayAccess.write_(x) for x in arrays])
+            for k, head in order:
+                n = arrays[k].alloc.n_pages
+                pages = PageSet.range(0, n // 2) if head else PageSet.range(n // 2, n)
+                gh.launch_kernel("half", [ArrayAccess.read(arrays[k], pages)])
+            return [x.alloc for x in arrays]
+
+        source, target = make_system(), make_system()
+        src_allocs = touched(source, [(0, 0), (1, 1), (0, 1)])
+        dst_allocs = touched(target, [(1, 0), (0, 1), (1, 1), (0, 0)])
+        assert all(a._touch for a in src_allocs + dst_allocs)
+        SystemCheckpoint.capture(source).restore(target)
+
+        def evict(gh):
+            block = gh.config.gpu_page_size
+            needed = gh.mem.physical.gpu.free + 5 * block
+            return gh.mem.managed.evict_bytes(needed, now=gh.now)
+
+        freed, seconds = evict(source)
+        assert freed >= 5 * source.config.gpu_page_size
+        assert evict(target) == (freed, seconds)
+        for a, b in zip(src_allocs, dst_allocs):
+            assert np.array_equal(a.state, b.state)
+            assert a._touch == b._touch
+        assert (
+            target.counters.total.as_dict() == source.counters.total.as_dict()
+        )
+
     def test_fingerprint_ignores_allocation_ids(self):
         """Two identical runs in one process get different global
         allocation ids; their state must fingerprint the same."""

@@ -12,6 +12,7 @@ from repro.interconnect.nvlink import NvlinkC2C
 from repro.profiling.counters import HardwareCounters
 from repro.profiling.timeline import Timeline
 from repro.sim.config import Location, MiB, Processor, SystemConfig
+from tests.helpers.eviction import per_block_evict
 
 
 def make_manager(cfg):
@@ -179,71 +180,6 @@ class TestStreamingThrash:
         assert times[65536] > 1.5 * times[4096]
 
 
-def lru_gpu_blocks(alloc):
-    """An allocation's GPU-resident 2 MB block ids, least recently
-    touched first (ties in block order)."""
-    blocks = np.flatnonzero(alloc._gpu_block_counts)
-    order = np.argsort(alloc.block_last_touch[blocks], kind="stable")
-    return blocks[order]
-
-
-def per_block_evict(mgr, needed, now):
-    """The per-block eviction loop that batched charging replaced: one
-    ``streaming_time`` call and one TLB shootdown per block, in global
-    LRU order. The oracle for ``evict_bytes``."""
-    page = mgr.config.system_page_size
-    if needed <= mgr.physical.gpu.free:
-        return 0, 0.0
-    target = needed - mgr.physical.gpu.free
-    allocs = [a for a in mgr.allocations.values() if a.pages_at(Location.GPU)]
-    if not allocs:
-        return 0, 0.0
-    per_alloc_blocks = [lru_gpu_blocks(a) for a in allocs]
-    blocks = np.concatenate(per_alloc_blocks)
-    touch = np.concatenate(
-        [a.block_last_touch[b] for a, b in zip(allocs, per_alloc_blocks)]
-    )
-    counts = np.concatenate(
-        [a._gpu_block_counts[b] for a, b in zip(allocs, per_alloc_blocks)]
-    )
-    owner = np.repeat(np.arange(len(allocs)), [b.size for b in per_alloc_blocks])
-    order = np.argsort(touch, kind="stable")
-    blocks, counts, owner = blocks[order], counts[order], owner[order]
-    nbytes_each = counts * page
-    cum = np.cumsum(nbytes_each)
-    n_sel = int(np.count_nonzero(cum - nbytes_each < target))
-    blocks, counts, owner = blocks[:n_sel], counts[:n_sel], owner[:n_sel]
-    freed = int(cum[n_sel - 1]) if n_sel else 0
-    seconds = 0.0
-    for i in range(n_sel):
-        t = mgr.link.streaming_time(
-            int(nbytes_each[i]), Processor.GPU, Processor.CPU
-        )
-        seconds += t / mgr.config.eviction_bandwidth_fraction
-        seconds += mgr.config.tlb_shootdown_time(int(counts[i]))
-    for ai in np.unique(owner):
-        alloc = allocs[ai]
-        sel = blocks[owner == ai]
-        gpu_pages = alloc.subset(alloc.block_pageset(sel), Location.GPU)
-        nbytes = gpu_pages.count * page
-        alloc.set_location(gpu_pages, Location.CPU)
-        mgr.physical.gpu.release(nbytes, tag=alloc.tag)
-        mgr.physical.cpu.reserve(nbytes, tag=alloc.tag)
-        mgr.counters.bump(
-            eviction_bytes=nbytes,
-            migration_d2h_bytes=nbytes,
-            pages_evicted=gpu_pages.count,
-            pages_migrated_d2h=gpu_pages.count,
-            tlb_shootdowns=int(sel.size),
-        )
-    if mgr.timeline is not None and freed:
-        mgr.timeline.complete(
-            "evict-batch", now, seconds, cat="mem", track="mem/eviction",
-            bytes=freed,
-        )
-    return freed, seconds
-
-
 class TestBatchedEviction:
     """``evict_bytes`` charges its LRU prefix as one batch; every number
     it produces must equal the per-block loop's, floats bit for bit."""
@@ -273,6 +209,7 @@ class TestBatchedEviction:
             phys.gpu.release(back_bytes, tag=alloc.tag)
             phys.cpu.reserve(back_bytes, tag=alloc.tag)
             alloc.block_last_touch[:] = rng.integers(0, 400, alloc.n_blocks) / 7
+            alloc._touch = None  # written directly: forget the touch record
             allocs.append(alloc)
         mgr.link.streaming_time(12345, Processor.GPU, Processor.CPU)
         mgr.link.streaming_time(67890, Processor.CPU, Processor.GPU)

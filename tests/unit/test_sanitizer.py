@@ -163,6 +163,27 @@ def test_stale_run_record_detected(gh):
     gh.mem.sanitizer.check_alloc(alloc)
 
 
+def test_stale_touch_record_detected(gh):
+    from repro.mem.pageset import PageSet
+
+    t = gh.cuda_malloc_managed(np.float32, 1 << 21, name="t")
+    alloc = t.alloc
+    gh.launch_kernel("all", [ArrayAccess.write_(t)])
+    gh.launch_kernel("head", [ArrayAccess.read(t, PageSet.range(0, 1))])
+    gh.mem.sanitizer.check_alloc(alloc)
+    record = alloc._touch
+    head, rest = alloc.block_last_touch[0], alloc.block_last_touch[-1]
+    assert head > rest and alloc.n_blocks > 2
+    assert record == ((0, 1, head), (1, alloc.n_blocks, rest))
+    # A boundary one block off, and the fragmented marker on two runs.
+    for stale in (((0, 2, head), (2, alloc.n_blocks, rest)), ()):
+        alloc._touch = stale
+        with pytest.raises(InvariantViolation, match="touch-runs"):
+            gh.mem.sanitizer.check_alloc(alloc)
+    alloc._touch = record
+    gh.mem.sanitizer.check_alloc(alloc)
+
+
 def test_link_class_counter_identity_detected(gh):
     _run_kernels(gh)
     gh.counters.total.add(c2c_read_bytes=12345)
