@@ -158,14 +158,6 @@ class TestPageSetAlgebra:
         assert out.index is None
         _record("align_down_runs", _best(lambda: ps.align_down(16), number=100))
 
-    def test_strided_construction(self, benchmark):
-        out = benchmark(lambda: PageSet.strided(0, N_PAGES, 16))
-        assert out.index is None
-        _record(
-            "strided_construction",
-            _best(lambda: PageSet.strided(0, N_PAGES, 16), number=100),
-        )
-
     def test_from_mask_chunky_residency(self, benchmark):
         state = np.zeros(N_PAGES, dtype=np.int8)
         state[: N_PAGES // 2] = 1
@@ -562,8 +554,8 @@ class TestResidencyRuns:
 
         def scans():
             out = _dense_queries(dense, mid)
-            # set_location's dense path, the one index and strided moves
-            # take, reached by forgetting the record first.
+            # set_location's dense path, the one index moves take,
+            # reached by forgetting the record first.
             for loc in (Location.GPU, Location.CPU):
                 dense._runs = None
                 dense.set_location(edge, loc)

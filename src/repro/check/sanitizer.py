@@ -353,18 +353,8 @@ class MemSanitizer:
                 details={"pages_at_remote": n_remote},
             )
 
-    def _tag_for(self, alloc: Allocation) -> str:
-        prefix = {
-            AllocKind.SYSTEM: "sys:",
-            AllocKind.MANAGED: "mng:",
-            AllocKind.DEVICE: "dev:",
-            AllocKind.HOST_PINNED: "pin:",
-            AllocKind.NUMA_CPU: "pin:",
-        }[alloc.kind]
-        return f"{prefix}{alloc.aid}"
-
     def _check_alloc_bytes(self, alloc: Allocation) -> None:
-        tag = self._tag_for(alloc)
+        tag = alloc.tag
         cpu_tag = self.mem.physical.cpu.by_tag.get(tag, 0)
         gpu_tag = self.mem.physical.gpu.by_tag.get(tag, 0)
         if alloc.kind is AllocKind.DEVICE:
@@ -461,7 +451,7 @@ class MemSanitizer:
 
     def _check_freed_drained(self, alloc: Allocation) -> None:
         """After ``free``, no pool may still hold bytes under its tag."""
-        tag = self._tag_for(alloc)
+        tag = alloc.tag
         for pool in (self.mem.physical.cpu, self.mem.physical.gpu):
             left = pool.by_tag.get(tag, 0)
             if left:

@@ -19,7 +19,7 @@ from .optimization import (
     tune_migration_threshold,
 )
 from .phases import Phase, PhaseBreakdown, PhaseTimer
-from .porting import BufferSpec, MemoryMode, UnifiedBuffer
+from .porting import MemoryMode, UnifiedBuffer
 from .runtime import GraceHopperSystem
 from .streams import DeviceResource, Stream, StreamManager
 from .unified_array import UnifiedArray
@@ -37,7 +37,6 @@ __all__ = [
     "Phase",
     "PhaseBreakdown",
     "PhaseTimer",
-    "BufferSpec",
     "MemoryMode",
     "UnifiedBuffer",
     "AllocatorInfo",

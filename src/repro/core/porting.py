@@ -19,10 +19,7 @@ added synchronisation) in the unified modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .runtime import GraceHopperSystem
 from .unified_array import UnifiedArray
@@ -126,29 +123,3 @@ class UnifiedBuffer:
         if self._host is not None and self._host is not self._device:
             self.system.free(self._host)
         self._host = self._device = None
-
-
-@dataclass
-class BufferSpec:
-    """Declarative buffer description used by the application base class."""
-
-    name: str
-    dtype: object
-    shape: tuple
-    gpu_only: bool = False
-    materialize: bool = False
-
-    def build(self, system: GraceHopperSystem, mode: MemoryMode) -> UnifiedBuffer:
-        return UnifiedBuffer(
-            system,
-            mode,
-            self.dtype,
-            self.shape,
-            name=self.name,
-            materialize=self.materialize,
-            gpu_only=self.gpu_only,
-        )
-
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape)) * np.dtype(self.dtype).itemsize

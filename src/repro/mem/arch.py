@@ -73,6 +73,10 @@ class MemoryArchitecture:
     physical_cls: type
     fault_handler_cls: type
     migrator_cls: type
+    #: Whether managed GPU accesses stamp each allocation's 2 MB block
+    #: touch times (:meth:`~repro.mem.pagetable.Allocation.touch_blocks`),
+    #: which only a backend that evicts managed memory by LRU reads.
+    evicts_lru = False
 
     def local_location(self, processor: Processor) -> Location:
         """The residency state that is local to ``processor``: a system

@@ -41,6 +41,7 @@ class GH200Architecture(MemoryArchitecture):
     physical_cls = PhysicalMemory
     fault_handler_cls = FaultHandler
     migrator_cls = AccessCounterMigrator
+    evicts_lru = True
 
     def system_access(self, mem, processor, alloc, pages, shape, write):
         res = AccessResult()

@@ -262,11 +262,9 @@ class SvmArchitecture(MemoryArchitecture):
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
         # Managed memory adds nothing on an SVM machine: cudaMallocManaged
         # *is* fault-driven page migration, which is how every allocation
-        # behaves here. Only the LRU bookkeeping differs.
-        if processor is Processor.GPU:
-            alloc.touch_blocks(pages, now)
-            return self._gpu_access(mem, alloc, pages, shape, write)
-        return self._cpu_access(mem, alloc, pages, shape, write)
+        # behaves here. Eviction goes in registration order
+        # (``_evict_device``), so no touch times are kept.
+        return self.system_access(mem, processor, alloc, pages, shape, write)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):
         res = AccessResult()

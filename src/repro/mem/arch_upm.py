@@ -164,9 +164,7 @@ class UpmArchitecture(MemoryArchitecture):
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):
         # Same path as system memory: uniform fault economics is the
-        # point of the design. Only the LRU bookkeeping differs.
-        if processor is Processor.GPU:
-            alloc.touch_blocks(pages, now)
+        # point of the design, and nothing is evicted, so no touch times.
         return self.system_access(mem, processor, alloc, pages, shape, write)
 
     def pinned_access(self, mem, processor, alloc, pages, shape, write):

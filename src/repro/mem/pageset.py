@@ -1,7 +1,7 @@
 """Compact, symbolic sets of page indices.
 
 Every memory access the simulator processes is described at page
-granularity by a :class:`PageSet`. Four representations share one
+granularity by a :class:`PageSet`. Three representations share one
 immutable interface, ordered from most to least symbolic:
 
 * a dense ``[start, stop)`` **range** (the common case for streaming
@@ -9,19 +9,17 @@ immutable interface, ordered from most to least symbolic:
 * an **interval list** of sorted, non-overlapping, non-adjacent
   ``[start, stop)`` runs (a dense range with holes punched into it, the
   result of partial migrations and budget-capped actions);
-* a **strided** arithmetic progression ``start, start+step, ...``
-  (regular column sweeps), which maps onto numpy's strided slicing;
 * a sorted ``int64`` **index array** (irregular gathers such as BFS
   frontier expansion), the fallback when a set has too many runs to stay
   symbolic.
 
-Ranges, interval lists, and strided sets are kept symbolic so that
-full-allocation sweeps over tens of millions of pages — and holes,
-splits, and unions thereof — never materialise an index array; the
-page-state machinery in :mod:`repro.mem.pagetable` has slice-based fast
-paths for them. Set algebra between any two symbolic sets is O(runs),
-vectorised over the run boundaries rather than the pages. Results are
-re-symbolised automatically: any operation that would produce at most
+Ranges and interval lists are kept symbolic so that full-allocation
+sweeps over tens of millions of pages — and holes, splits, and unions
+thereof — never materialise an index array; the page-state machinery in
+:mod:`repro.mem.pagetable` has slice-based fast paths for them. Set
+algebra between any two symbolic sets is O(runs), vectorised over the
+run boundaries rather than the pages. Results are re-symbolised
+automatically: any operation that would produce at most
 :data:`MAX_SYMBOLIC_RUNS` runs stays an interval list.
 
 Index arrays are always ``int64``, sorted, and duplicate-free, which the
@@ -61,9 +59,6 @@ class PageSet:
     #: Sorted, non-overlapping, non-adjacent ``(start, stop)`` runs; only
     #: present for multi-run symbolic sets (``len(runs) >= 2``).
     runs: tuple[tuple[int, int], ...] | None = None
-    #: Stride of a symbolic arithmetic progression; ``1`` for all other
-    #: representations.
-    step: int = 1
 
     # -- constructors ------------------------------------------------------
 
@@ -114,24 +109,6 @@ class PageSet:
         return PageSet._from_sorted(_dedup_sorted(idx))
 
     @staticmethod
-    def strided(start: int, stop: int, step: int) -> "PageSet":
-        """The pages ``start, start+step, ... < stop`` — O(1), symbolic."""
-        if step <= 0:
-            raise ValueError("step must be positive")
-        if step == 1:
-            return PageSet.range(start, stop)
-        if stop <= start:
-            if start < 0:
-                raise ValueError("page indices must be non-negative")
-            return PageSet.empty()
-        if start < 0:
-            raise ValueError("page indices must be non-negative")
-        last = start + ((stop - start - 1) // step) * step
-        if last == start:
-            return PageSet.range(start, start + 1)
-        return PageSet(int(start), int(last) + 1, step=int(step))
-
-    @staticmethod
     def from_runs(bounds) -> "PageSet":
         """Build from an iterable of ``(start, stop)`` intervals (any
         order, overlaps and adjacency merged)."""
@@ -157,7 +134,7 @@ class PageSet:
 
     @property
     def is_range(self) -> bool:
-        return self.index is None and self.runs is None and self.step == 1
+        return self.index is None and self.runs is None
 
     @property
     def run_count(self) -> int | None:
@@ -167,8 +144,6 @@ class PageSet:
             return len(self.runs)
         if self.index is not None:
             return None
-        if self.step > 1:
-            return self.count
         return 1 if self.stop > self.start else 0
 
     @property
@@ -177,8 +152,6 @@ class PageSet:
             return int(self.index.size)
         if self.runs is not None:
             return sum(hi - lo for lo, hi in self.runs)
-        if self.step > 1:
-            return (self.stop - self.start + self.step - 1) // self.step
         return self.stop - self.start
 
     def __len__(self) -> int:
@@ -198,8 +171,6 @@ class PageSet:
             return np.concatenate(
                 [np.arange(lo, hi, dtype=np.int64) for lo, hi in self.runs]
             )
-        if self.step > 1:
-            return np.arange(self.start, self.stop, self.step, dtype=np.int64)
         return np.arange(self.start, self.stop, dtype=np.int64)
 
     # -- internal representation helpers -----------------------------------
@@ -261,8 +232,8 @@ class PageSet:
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """This set as sorted disjoint interval bounds ``(starts, stops)``.
 
-        O(1)/O(runs) for the symbolic representations; strided and index
-        sets degrade to one run per gap-separated group.
+        O(1)/O(runs) for the symbolic representations; index sets degrade
+        to one run per gap-separated group.
         """
         if self.runs is not None:
             arr = np.asarray(self.runs, dtype=np.int64)
@@ -273,9 +244,6 @@ class PageSet:
             starts = idx[np.concatenate(([0], brk))]
             stops = idx[np.concatenate((brk - 1, [idx.size - 1]))] + 1
             return starts, stops
-        if self.step > 1:
-            starts = np.arange(self.start, self.stop, self.step, dtype=np.int64)
-            return starts, starts + 1
         return (
             np.asarray([self.start], dtype=np.int64),
             np.asarray([self.stop], dtype=np.int64),
@@ -318,10 +286,6 @@ class PageSet:
         if self.is_range and other.is_range:
             lo, hi = max(self.start, other.start), min(self.stop, other.stop)
             return PageSet.range(lo, hi) if lo < hi else PageSet.empty()
-        if self.step > 1 and other.is_range:
-            return self._strided_clip(other.start, other.stop)
-        if other.step > 1 and self.is_range:
-            return other._strided_clip(self.start, self.stop)
         if self.is_range and other.index is not None:
             idx = other.index
             return PageSet._from_sorted(
@@ -372,17 +336,6 @@ class PageSet:
             return self
         return PageSet._sweep(self, other, want=0b0010)
 
-    def _strided_clip(self, lo: int, hi: int) -> "PageSet":
-        """This strided set restricted to ``[lo, hi)`` — stays symbolic."""
-        lo = max(self.start, lo)
-        hi = min(self.stop, hi)
-        if lo >= hi:
-            return PageSet.empty()
-        first = self.start + -(-(lo - self.start) // self.step) * self.step
-        if first >= hi:
-            return PageSet.empty()
-        return PageSet.strided(first, hi, self.step)
-
     def take_first(self, k: int) -> "PageSet":
         """The ``k`` lowest-numbered pages (used by budget-capped actions)."""
         if k <= 0:
@@ -399,10 +352,6 @@ class PageSet:
                 if remaining == 0:
                     break
             return PageSet.from_runs(out)
-        if self.step > 1:
-            return PageSet.strided(
-                self.start, self.start + (k - 1) * self.step + 1, self.step
-            )
         if self.is_range:
             return PageSet.range(self.start, self.start + k)
         return PageSet._from_sorted(self.index[:k])
@@ -426,9 +375,6 @@ class PageSet:
                     bounds.extend(zip((starts + lo).tolist(), (stops + lo).tolist()))
                 off += n
             return PageSet.from_runs(bounds)
-        if self.step > 1:
-            rel = np.flatnonzero(mask).astype(np.int64)
-            return PageSet._from_sorted(self.start + rel * self.step)
         return PageSet._from_sorted(self.index[mask])
 
     # -- vectorised views over per-page state arrays ---------------------------
@@ -436,16 +382,14 @@ class PageSet:
     def view(self, state: np.ndarray) -> np.ndarray:
         """A (possibly writable) view/selection of ``state`` at these pages.
 
-        Range and strided page sets return a slice view (zero copy,
-        writable in place); interval-list and index page sets return a
-        copy — use :meth:`assign` for writes in those cases.
+        Range page sets return a slice view (zero copy, writable in
+        place); interval-list and index page sets return a copy — use
+        :meth:`assign` for writes in those cases.
         """
         if self.runs is not None:
             return np.concatenate([state[lo:hi] for lo, hi in self.runs])
         if self.index is not None:
             return state[self.index]
-        if self.step > 1:
-            return state[self.start : self.stop : self.step]
         return state[self.start : self.stop]
 
     def assign(self, state: np.ndarray, value) -> None:
@@ -455,8 +399,6 @@ class PageSet:
                 state[lo:hi] = value
         elif self.index is not None:
             state[self.index] = value
-        elif self.step > 1:
-            state[self.start : self.stop : self.step] = value
         else:
             state[self.start : self.stop] = value
 
@@ -468,8 +410,6 @@ class PageSet:
             # np.add.at is required for correctness with duplicate indices,
             # but our indices are unique so fancy-index += is safe & faster.
             state[self.index] += value
-        elif self.step > 1:
-            state[self.start : self.stop : self.step] += value
         else:
             state[self.start : self.stop] += value
 
@@ -506,12 +446,6 @@ class PageSet:
                 (-(-hi // g) * g for _, hi in self.runs), dtype=np.int64
             )
             return PageSet._from_bounds(starts, stops)
-        if self.step > 1 and self.step <= g:
-            # Consecutive elements are at most one block apart, so every
-            # aligned block within the bounds is touched.
-            lo = (self.start // g) * g
-            hi = -(-self.stop // g) * g
-            return PageSet.range(lo, hi)
         blocks = self.blocks(g)
         return PageSet._from_bounds(blocks * g, blocks * g + g)
 
@@ -535,10 +469,6 @@ class PageSet:
                     ]
                 )
             )
-        if self.step > 1 and self.step <= g:
-            return np.arange(
-                self.start // g, (self.stop - 1) // g + 1, dtype=np.int64
-            )
         return _dedup_sorted(self.indices() // g)
 
     def clip(self, n_pages: int) -> "PageSet":
@@ -550,8 +480,6 @@ class PageSet:
     def __repr__(self) -> str:
         if self.is_range:
             return f"PageSet[{self.start}:{self.stop}]"
-        if self.step > 1:
-            return f"PageSet[{self.start}:{self.stop}:{self.step}]"
         if self.runs is not None:
             return (
                 f"PageSet({self.count} pages, {len(self.runs)} runs in "

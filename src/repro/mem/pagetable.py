@@ -23,10 +23,9 @@ so each allocation also keeps a *run record*: the maximal ``(start, stop,
 location)`` runs of its ``int8`` state, while there are at most
 :data:`~repro.mem.pageset.MAX_SYMBOLIC_RUNS` of them. Moves by a range or
 an interval list splice it, and queries by one walk it together with the
-set's runs, in O(runs) and without reading the state array. Index and
-strided sets, and fragmented residency, take the dense ``int8`` path; the
-state array stays the source of truth for it, for checkpoints and for the
-sanitizer.
+set's runs, in O(runs) and without reading the state array. Index sets
+and fragmented residency take the dense ``int8`` path; the state array
+stays the source of truth for it, for checkpoints and for the sanitizer.
 
 LRU eviction reads the last GPU touch time of each 2 MB block. Whole
 sweeps stamp every block at once, so each allocation likewise keeps a
@@ -233,11 +232,11 @@ class Allocation:
         #: Run record: the maximal ``(start, stop, location)`` runs of
         #: ``state`` as plain-int tuples, known while there are at most
         #: :data:`MAX_SYMBOLIC_RUNS`. Range and interval-list moves splice
-        #: it. ``None`` once unknown (after an index or strided move, a
-        #: splice past the cap, or a checkpoint restore): the next
-        #: whole-allocation :meth:`subset` relearns it with one scan of
-        #: ``state``. ``()`` when that scan found more runs than the cap,
-        #: so no query rescans before the next move.
+        #: it. ``None`` once unknown (after an index move, a splice past
+        #: the cap, or a checkpoint restore): the next whole-allocation
+        #: :meth:`subset` relearns it with one scan of ``state``. ``()``
+        #: when that scan found more runs than the cap, so no query
+        #: rescans before the next move.
         self._runs: tuple | None = ((0, self.n_pages, int(Location.UNMAPPED)),)
         self._loc_counts = np.zeros(len(Location), dtype=np.int64)
         self._loc_counts[Location.UNMAPPED] = self.n_pages
@@ -252,9 +251,9 @@ class Allocation:
         #: ``block_last_touch``, kept like the run record by
         #: :meth:`touch_blocks` (a whole touch resets it, a range or
         #: interval-list touch splices it). ``None`` once unknown (after an
-        #: index or wide-strided touch, a splice past the cap, or a
-        #: checkpoint restore) until :meth:`touch_runs` relearns it; ``()``
-        #: when that scan found more runs than the cap.
+        #: index touch, a splice past the cap, or a checkpoint restore)
+        #: until :meth:`touch_runs` relearns it; ``()`` when that scan
+        #: found more runs than the cap.
         self._touch: tuple | None = ((0, self.n_blocks, 0.0),)
         #: GPU-resident page count per 2 MB block, maintained
         #: incrementally by :meth:`set_location` (in place, one run at a
@@ -344,12 +343,7 @@ class Allocation:
         can answer for them: the record is known and ``pages`` is a range
         or an interval list inside the allocation. ``None`` sends the
         caller down the dense ``state`` path."""
-        if (
-            not self._runs
-            or pages.index is not None
-            or pages.step > 1
-            or pages.stop > self.n_pages
-        ):
+        if not self._runs or pages.index is not None or pages.stop > self.n_pages:
             return None
         if pages.runs is not None:
             return pages.runs
@@ -492,14 +486,13 @@ class Allocation:
             self.block_last_touch[:] = now
             self._touch = ((0, self.n_blocks, float(now)),)
             return
-        if pages.index is not None or pages.step > self.block_pages:
+        if pages.index is not None:
             # Writing one value is idempotent, so repeated block ids need
             # no np.unique sort.
-            self.block_last_touch[pages.indices() // self.block_pages] = now
+            self.block_last_touch[pages.index // self.block_pages] = now
             self._touch = None
             return
-        # Ranges, interval lists and strided sets with step <= bp (no
-        # block skipped between elements): one slice per block span.
+        # Ranges and interval lists: one slice per block span.
         spans = self._block_spans(pages.runs or ((pages.start, pages.stop),))
         for first, stop in spans:
             self.block_last_touch[first:stop] = now
@@ -554,10 +547,10 @@ class Allocation:
     def _shift_gpu_blocks(self, pages: PageSet, sign: int) -> None:
         """Add ``sign`` times the per-2 MB-block page counts of ``pages``
         to ``_gpu_block_counts``: run by run, or through one ``bincount``
-        for index and strided sets."""
-        if pages.index is not None or pages.step > 1:
+        for index sets."""
+        if pages.index is not None:
             self._gpu_block_counts += sign * np.bincount(
-                pages.indices() // self.block_pages, minlength=self.n_blocks
+                pages.index // self.block_pages, minlength=self.n_blocks
             )
             return
         for lo, hi in pages.runs or ((pages.start, pages.stop),):

@@ -250,9 +250,9 @@ class MemorySubsystem:
             if alloc.is_homogeneous(self.arch.local_location(processor)):
                 # Every page already sits where the processor reads
                 # locally. Each backend's own path would only charge the
-                # local traffic and, for managed memory on the GPU, touch
-                # the LRU blocks.
-                if kind is _MANAGED and processor is _GPU:
+                # local traffic and, for managed memory on the GPU of a
+                # backend that evicts by LRU, touch the blocks.
+                if kind is _MANAGED and processor is _GPU and self.arch.evicts_lru:
                     alloc.touch_blocks(pages, now)
                 res = AccessResult()
                 self.charge_local(res, processor, consumed, write)

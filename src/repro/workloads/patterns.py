@@ -78,6 +78,8 @@ def strided_sweep(
 ) -> ArrayAccess:
     """Touch every ``stride_pages``-th page (butterfly-style statevector
     strides map to this at page granularity)."""
-    pages = PageSet.strided(0, arr.n_pages, stride_pages)
+    if stride_pages < 1:
+        raise ValueError("stride_pages must be positive")
+    pages = PageSet.of(np.arange(0, arr.n_pages, stride_pages))
     maker = ArrayAccess.write_ if write else ArrayAccess.read
     return maker(arr, pages)

@@ -3,13 +3,14 @@ per-block loop.
 
 Random chains of operations run over two or three managed allocations on
 twin managers: block touches of every page-set shape (whole allocation,
-range, interval list, strided at and past the block size, index), with
-tied and distinct times and histories past the touch record's cap;
-residency moves between CPU and GPU; frees; and ``evict_bytes`` calls.
-One twin evicts through ``ManagedMemoryManager.evict_bytes``, the other
-through the per-block oracle, and every result, state array, link ledger
-and counter must agree exactly. After every touch a known touch record
-equals the maximal runs of ``block_last_touch``.
+range, interval list, evenly spaced pages at and past the block size,
+index), with tied and distinct times and histories past the touch
+record's cap; residency moves between CPU and GPU; frees; and
+``evict_bytes`` calls. One twin evicts through
+``ManagedMemoryManager.evict_bytes``, the other through the per-block
+oracle, and every result, state array, link ledger and counter must
+agree exactly. After every touch a known touch record equals the maximal
+runs of ``block_last_touch``.
 """
 
 import numpy as np
@@ -58,11 +59,12 @@ def page_set(alloc, shape: str, a: int, b: int, seed: int) -> PageSet:
         cuts = np.unique(rng.integers(lo, hi + 1, size=2 * (seed % 9 + 1)))
         return PageSet.from_runs(zip(cuts[::2].tolist(), cuts[1::2].tolist()))
     if shape == "strided":
-        return PageSet.strided(lo, hi, int(rng.integers(2, bp + 1)))
+        return PageSet.of(np.arange(lo, hi, int(rng.integers(2, bp + 1))))
     if shape == "wide-strided":
         # Every other block to the end: past the cap once the allocation
         # holds more than 128 blocks.
-        return PageSet.strided(lo % (2 * bp), n, 2 * bp + int(rng.integers(0, 2)))
+        step = 2 * bp + int(rng.integers(0, 2))
+        return PageSet.of(np.arange(lo % (2 * bp), n, step))
     lo = min(lo, n - 1)
     return PageSet.of(rng.integers(lo, max(hi, lo + 1), size=seed % 40 + 1))
 
@@ -191,7 +193,7 @@ def lru_twins(touches):
         ),
         # Every other block stamped with its own time: past the cap.
         (
-            [(0, lambda a: PageSet.strided(0, a.n_pages, 64), 2.0)]
+            [(0, lambda a: PageSet.of(np.arange(0, a.n_pages, 64)), 2.0)]
             + [(1, lambda a, k=k: PageSet.range(32 * k, 32 * k + 1), 0.5 * k)
                for k in range(0, 80, 2)],
             False,

@@ -4,7 +4,7 @@ Random *chains* of symbolic operations are applied to a PageSet and to a
 plain ``frozenset[int]`` oracle in lockstep; after every step the two
 must agree exactly. Unlike the single-op tests in
 ``test_pageset_properties.py`` this exercises operator *composition* —
-representation transitions (range -> runs -> strided -> indices), the
+representation transitions (range -> runs -> indices), the
 interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
 on. The residency helpers built on it (``Allocation.split_counts`` and
@@ -69,7 +69,7 @@ leaf_sets = st.one_of(
         st.integers(0, MAX_PAGE // 2),
         st.integers(0, MAX_PAGE // 2),
         st.integers(1, 33),
-    ).map(lambda t: PageSet.strided(t[0], t[0] + t[1], t[2])),
+    ).map(lambda t: PageSet.of(np.arange(t[0], t[0] + t[1], t[2]))),
 )
 
 ops = st.lists(
@@ -138,7 +138,7 @@ def test_run_count_overflow_preserves_semantics(n_runs, width, gap):
     assert oracle(ps) == ref
     assert ps.count == n_runs * width
     # Algebra still matches after overflow.
-    probe = PageSet.strided(0, n_runs * stride, 2)
+    probe = PageSet.of(np.arange(0, n_runs * stride, 2))
     assert oracle(ps.difference(probe)) == ref - oracle(probe)
     assert oracle(ps.union(probe)) == ref | oracle(probe)
     assert oracle(ps.align_down(8)) == oracle_align_down(ref, 8)
@@ -200,7 +200,7 @@ edge_sets = st.one_of(
         block_edges,
         st.integers(0, MAX_PAGE // 2),
         st.sampled_from([2, 31, 32, 33, 511, 512, 513]),
-    ).map(lambda t: PageSet.strided(t[0], t[0] + t[1], t[2])),
+    ).map(lambda t: PageSet.of(np.arange(t[0], t[0] + t[1], t[2]))),
 )
 residency_sets = st.one_of(leaf_sets, overflow_sets, edge_sets)
 
@@ -292,8 +292,8 @@ def assert_matches_oracle(alloc, state: np.ndarray, probes) -> None:
                 # An empty query may come back as PageSet.empty() or as
                 # itself; either is the empty set.
                 continue
-            assert (got.start, got.stop, got.runs, got.step) == (
-                want.start, want.stop, want.runs, want.step,
+            assert (got.start, got.stop, got.runs) == (
+                want.start, want.stop, want.runs,
             ), (ps, loc)
             if want.index is None:
                 assert got.index is None
@@ -418,8 +418,8 @@ def test_of_matches_unique_path_and_oracle(ids):
     got = PageSet.of(ids)
     assert oracle(got) == frozenset(ids.ravel().tolist())
     want = _unique_of(ids)
-    assert (got.start, got.stop, got.runs, got.step) == (
-        want.start, want.stop, want.runs, want.step,
+    assert (got.start, got.stop, got.runs) == (
+        want.start, want.stop, want.runs,
     )
     if want.index is None:
         assert got.index is None

@@ -22,12 +22,12 @@ page_sets = st.one_of(
     st.lists(
         st.integers(0, MAX_PAGE), min_size=2, max_size=16, unique=True
     ).map(_runs_from_bounds),
-    # Strided arithmetic progressions.
+    # Arithmetic progressions (strided sweeps).
     st.tuples(
         st.integers(0, MAX_PAGE // 2),
         st.integers(0, MAX_PAGE // 2),
         st.integers(1, 17),
-    ).map(lambda t: PageSet.strided(t[0], t[0] + t[1], t[2])),
+    ).map(lambda t: PageSet.of(np.arange(t[0], t[0] + t[1], t[2]))),
 )
 
 
@@ -102,8 +102,10 @@ def test_where_partition(a, seed_mod):
     st.integers(1, 17),
 )
 def test_strided_matches_python_range(start, length, step):
-    ps = PageSet.strided(start, start + length, step)
-    assert as_set(ps) == set(range(start, start + length, step))
+    want = range(start, start + length, step)
+    ps = PageSet.of(np.arange(start, start + length, step))
+    assert ps.indices().tolist() == list(want)
+    assert ps.count == len(want)
 
 
 @given(page_sets)

@@ -124,14 +124,18 @@ def test_svm_sparse_strided_access_conforms():
         npg = a.alloc.n_pages
         gh.cpu_phase(
             "init",
-            [ArrayAccess.write_(a, PageSet.strided(0, npg, 3), density=0.25)],
+            [
+                ArrayAccess.write_(
+                    a, PageSet.of(np.arange(0, npg, 3)), density=0.25
+                )
+            ],
         )
         for i in range(4):
             gh.launch_kernel(
                 "gather",
                 [
                     ArrayAccess.read(
-                        a, PageSet.strided(i % 2, npg, 2), density=0.1
+                        a, PageSet.of(np.arange(i % 2, npg, 2)), density=0.1
                     ),
                     ArrayAccess.write_(b, PageSet.range(0, npg // 2)),
                 ],

@@ -234,6 +234,27 @@ def test_gpu_first_touch_is_one_span(backend, kind):
     assert spans[0].args["pages"] == 24
 
 
+def test_only_the_lru_backend_stamps_touch_times(arch_name):
+    """Managed GPU accesses stamp 2 MB block touch times on gh200, whose
+    eviction reads them, and on no other backend. The first sweep takes
+    the backend path (first touch), the second the local-residency
+    shortcut."""
+    mem = make_mem(arch_name)
+    assert mem.arch.evicts_lru == (arch_name == "gh200")
+    alloc = mem.allocate(AllocKind.MANAGED, 8 * MiB)
+    shape = AccessShape(useful_bytes=mem.config.system_page_size)
+    bp = alloc.block_pages
+    mem.access(Processor.GPU, alloc, PageSet.full(alloc.n_pages), shape, now=1.0)
+    assert alloc.is_homogeneous(mem.arch.local_location(Processor.GPU))
+    mem.access(Processor.GPU, alloc, PageSet.range(bp, 2 * bp + 1), shape, now=2.0)
+    if arch_name == "gh200":
+        want = [1.0, 2.0, 2.0] + [1.0] * (alloc.n_blocks - 3)
+        assert alloc.block_last_touch.tolist() == want
+    else:
+        assert not alloc.block_last_touch.any()
+        assert alloc._touch == ((0, alloc.n_blocks, 0.0),)
+
+
 def test_prefetch_is_nonnegative_and_coherent(arch_name):
     mem = make_mem(arch_name)
     alloc = mem.allocate(AllocKind.MANAGED, 4 * MiB)

@@ -39,13 +39,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PageSet.of([-1, 2])
 
-    def test_strided(self):
-        ps = PageSet.strided(0, 10, 3)
-        assert list(ps.indices()) == [0, 3, 6, 9]
-
-    def test_strided_step_one_is_range(self):
-        assert PageSet.strided(0, 10, 1).is_range
-
     def test_full_and_covers_all(self):
         ps = PageSet.full(100)
         assert ps.covers_all(100)
@@ -190,24 +183,6 @@ class TestSymbolicRepresentation:
         aligned = ps.align_down(16)
         assert aligned.index is None
         assert aligned.run_count == 2
-
-    def test_strided_construction_never_materialises(self):
-        ps = PageSet.strided(0, self.N, 16)
-        assert ps.index is None
-        assert ps.count == self.N // 16
-
-    def test_strided_intersect_range_stays_symbolic(self):
-        ps = PageSet.strided(0, self.N, 16)
-        clipped = ps.intersect(PageSet.range(0, self.N // 2))
-        assert clipped.index is None
-        assert clipped.count == self.N // 32
-
-    def test_strided_state_ops_touch_only_stride(self):
-        n = 1 << 16
-        state = np.zeros(n, dtype=np.int8)
-        PageSet.strided(0, n, 4).assign(state, 2)
-        assert state.sum() == 2 * (n // 4)
-        assert state[0] == 2 and state[1] == 0
 
     def test_from_mask_of_chunky_state_stays_symbolic(self):
         state = np.zeros(self.N, dtype=np.int8)

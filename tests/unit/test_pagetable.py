@@ -122,10 +122,12 @@ class TestAllocation:
     @pytest.mark.parametrize("step_delta", [-1, 0, 1])
     def test_touch_blocks_strided_around_block_size(self, cfg, step_delta):
         # A stride one past the block size skips a block now and then; one
-        # short of it never does. Either way only touched blocks move.
+        # short of it never does. Either way only touched blocks move. The
+        # progression arrives as an interval list of one-page runs.
         a = make_alloc(cfg, nbytes=64 * 2 * 1024 * 1024, kind=AllocKind.MANAGED)
         bp = a.block_pages
-        pages = PageSet.strided(bp - 1, a.n_pages, bp + step_delta)
+        pages = PageSet.of(np.arange(bp - 1, a.n_pages, bp + step_delta))
+        assert pages.runs is not None
         a.touch_blocks(pages, now=1.0)
         want = sorted({int(p) // bp for p in pages.indices()})
         assert np.flatnonzero(a.block_last_touch == 1.0).tolist() == want

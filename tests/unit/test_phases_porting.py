@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.phases import Phase, PhaseBreakdown, PhaseTimer
-from repro.core.porting import BufferSpec, MemoryMode, UnifiedBuffer
+from repro.core.porting import MemoryMode, UnifiedBuffer
 from repro.core.runtime import GraceHopperSystem
 from repro.mem.pagetable import AllocKind
 from repro.sim.config import SystemConfig
@@ -86,9 +86,3 @@ class TestUnifiedBuffer:
         buf = UnifiedBuffer(gh, MemoryMode.EXPLICIT, np.uint8, (1 << 20,), name="e")
         buf.free()
         assert gh.mem.physical.gpu.used == before
-
-    def test_buffer_spec_builds(self, gh):
-        spec = BufferSpec("b", np.float32, (16, 16))
-        assert spec.nbytes == 1024
-        buf = spec.build(gh, MemoryMode.SYSTEM)
-        assert buf.gpu_target.shape == (16, 16)

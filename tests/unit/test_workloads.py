@@ -139,4 +139,6 @@ class TestPatterns:
     def test_strided_sweep(self, gh):
         arr = gh.malloc(np.float32, (1 << 20,))
         acc = strided_sweep(arr, 4)
-        assert acc.pages.count == -(-arr.n_pages // 4)
+        assert acc.pages.indices().tolist() == list(range(0, arr.n_pages, 4))
+        with pytest.raises(ValueError):
+            strided_sweep(arr, 0)
