@@ -19,6 +19,9 @@ epoch executor target:
 * :meth:`PageSet.of` on a sorted needle wave, head to head against the
   numpy ``unique`` construction it replaced, and on unsorted BFS and Gups
   gathers, against the sort it replaced;
+* :meth:`UnifiedArray.pages_of_indices` on a Gups epoch's element ids,
+  mapped and marked in one streaming pass, against the page ids and
+  :meth:`PageSet.of` it replaced;
 * :class:`~repro.sim.checkpoint.SystemCheckpoint` capture/restore, the
   primitive behind incremental what-if re-simulation;
 * range queries and moves on a two-run managed allocation answered from
@@ -48,6 +51,7 @@ import pytest
 
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.core.unified_array import UnifiedArray
 from repro.mem.coherence import AccessShape
 from repro.mem.pageset import PageSet, _dedup_sorted
 from repro.mem.pagetable import Allocation, AllocKind
@@ -255,6 +259,40 @@ class TestPageSetOf:
         benchmark(lambda: PageSet.of(ids))
         # Ids dense in their span take the occupancy map, not the sort.
         assert speedup >= 2.0, f"only {speedup:.1f}x over the sort"
+
+    def test_gups_element_ids_speedup_vs_page_ids(self, benchmark):
+        """One golden-scale Gups epoch as :func:`irregular_gather` draws
+        it: 2^22 random element ids into a table of 2^23 ``uint64``
+        words at 64 KB pages (1,024 pages). The first map chunk marks
+        every page, so the streaming pass stops there; the two-step path
+        maps all the ids to page ids first."""
+        config = SystemConfig(system_page_size=65536)
+        arr = UnifiedArray(
+            Allocation(AllocKind.SYSTEM, 8 << 23, config), np.uint64, (1 << 23,)
+        )
+        ids = np.random.default_rng(23).integers(
+            0, arr.size, size=1 << 22, dtype=np.int64
+        )
+
+        def page_ids_of():
+            pages = ids * arr.itemsize
+            pages //= arr.page_size
+            return PageSet.of(pages)
+
+        got = arr.pages_of_indices(ids)
+        assert got.is_range and got == page_ids_of()
+        new_t = _best(lambda: arr.pages_of_indices(ids), repeat=3, number=5)
+        page_ids_t = _best(page_ids_of, repeat=3, number=3)
+        speedup = page_ids_t / new_t
+        _record(
+            "pages_of_indices_gups",
+            new_t,
+            ids=ids.size,
+            page_ids_seconds=page_ids_t,
+            speedup_vs_page_ids=round(speedup, 1),
+        )
+        benchmark(lambda: arr.pages_of_indices(ids))
+        assert speedup >= 3.0, f"only {speedup:.1f}x over the page ids"
 
 
 class TestSubsystemDispatch:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mem.pagetable import Allocation
-from ..mem.pageset import PageSet, pages_of_byte_range
+from ..mem.pageset import PageSet, pages_by_map, pages_of_byte_range
 
 
 class UnifiedArray:
@@ -88,16 +88,23 @@ class UnifiedArray:
     def pages_of_indices(self, element_indices: np.ndarray) -> PageSet:
         """Pages backing scattered flat element indices (gathers).
 
-        Element ``i`` lies on page ``(i * itemsize) // page_size``; the
-        division runs in place on the byte offsets, so the page ids are
-        the only array built.
+        Element ``i`` lies on page ``(i * itemsize) // page_size``. The
+        ids are marked in one streaming pass with no array their size
+        (:func:`~repro.mem.pageset.pages_by_map`); only a span wider than
+        ``MAP_SPAN_PER_ID`` pages per id builds the page ids for
+        :meth:`PageSet.of`.
         """
-        idx = np.asarray(element_indices, dtype=np.int64)
-        if idx.size == 0:
+        ids = np.asarray(element_indices)
+        if ids.size == 0:
             return PageSet.empty()
-        pages = idx * self.itemsize
-        pages //= self.page_size
-        return PageSet.of(pages)
+        pages = pages_by_map(ids, self.itemsize, self.page_size)
+        if pages is None:
+            page_ids = np.multiply(
+                ids, self.itemsize, dtype=np.int64, casting="unsafe"
+            )
+            page_ids //= self.page_size
+            pages = PageSet.of(page_ids)
+        return pages
 
     def bytes_per_page(self, fraction: float = 1.0) -> int:
         """Useful bytes per page for a sweep touching ``fraction`` of each

@@ -37,14 +37,14 @@ import numpy as np
 #: the O(runs) python-level bookkeeping stops paying for itself.
 MAX_SYMBOLIC_RUNS = 64
 
-#: :meth:`PageSet.of` dedups unsorted ids through a one-byte-per-page
-#: occupancy map when their span is at most this many times their count,
-#: so the map never outweighs the eight-byte ids themselves.
+#: :func:`pages_by_map` marks ids in a one-byte-per-page occupancy map
+#: when their page span is at most this many times their count, so the
+#: map never outweighs eight-byte ids.
 MAP_SPAN_PER_ID = 8
 
-#: Ids offset per step while filling the occupancy map (bounds the
-#: temporary to 512 KB whatever the input size).
-_MAP_CHUNK = 1 << 16
+#: Ids mapped per step while filling the occupancy map: one 256 KB
+#: ``int64`` buffer, which stays in cache whatever the input size.
+_MAP_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ class PageSet:
           differs from the one before it;
         * unsorted input whose span ``[min, max]`` is at most
           :data:`MAP_SPAN_PER_ID` times the id count marks an occupancy
-          map over the span, which takes no more bytes than the ids;
+          map over the span (:func:`pages_by_map`), which takes no more
+          bytes than the ids;
         * wider unsorted input is sorted, then deduped linearly.
 
         Each gives the same set in the same representation, never aliases
@@ -97,15 +98,13 @@ class PageSet:
         idx = np.ravel(np.asarray(indices, dtype=np.int64))
         if idx.size == 0:
             return PageSet.empty()
-        unsorted = bool(np.any(idx[1:] < idx[:-1]))
-        lo = int(idx.min()) if unsorted else int(idx[0])
-        if lo < 0:
-            raise ValueError("page indices must be non-negative")
-        if unsorted:
-            hi = int(idx.max())
-            if hi - lo < MAP_SPAN_PER_ID * idx.size:
-                return _dedup_by_map(idx, lo, hi)
+        if np.any(idx[1:] < idx[:-1]):
+            pages = pages_by_map(idx)
+            if pages is not None:
+                return pages
             idx = np.sort(idx)
+        elif idx[0] < 0:
+            raise ValueError("page indices must be non-negative")
         return PageSet._from_sorted(_dedup_sorted(idx))
 
     @staticmethod
@@ -408,7 +407,7 @@ class PageSet:
                 state[lo:hi] += value
         elif self.index is not None:
             # np.add.at is required for correctness with duplicate indices,
-            # but our indices are unique so fancy-index += is safe & faster.
+            # but our indices are unique, so fancy-index += is safe.
             state[self.index] += value
         else:
             state[self.start : self.stop] += value
@@ -501,16 +500,53 @@ def _dedup_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _dedup_by_map(a: np.ndarray, lo: int, hi: int) -> "PageSet":
-    """The set of the values of ``a``, all in ``[lo, hi]``.
+def pages_by_map(
+    ids: np.ndarray, itemsize: int = 1, page_size: int = 1
+) -> PageSet | None:
+    """The set of pages ``(i * itemsize) // page_size`` of the ids ``i``
+    (the ids themselves by default), or ``None`` when their page span is
+    wider than :data:`MAP_SPAN_PER_ID` times their count.
 
-    Marks each value in a boolean map over the span and reads the set
-    back from the map's runs: O(n + span), no sort. The ids are offset in
-    chunks of :data:`_MAP_CHUNK`, so no temporary is larger than ``a``.
+    The id-to-page map is monotone, so the pages of the ids' min and max
+    bound the span exactly, and a negative id is refused before anything
+    is marked. Chunks of :data:`_MAP_CHUNK` ids are mapped into one
+    buffer (a right shift when ``page_size`` is a power-of-two multiple
+    of ``itemsize``, else a multiply and a floor division) and marked in
+    a one-byte-per-page map over the span, read back as runs: O(n +
+    span), no sort, no array the size of the ids. Once the ids marked
+    number at least the span, each chunk moves a cursor to the first
+    unmarked page; a fully marked span returns as a range without reading
+    the remaining ids.
     """
-    seen = np.zeros(hi - lo + 1, dtype=bool)
-    for i in range(0, a.size, _MAP_CHUNK):
-        seen[a[i : i + _MAP_CHUNK] - lo] = True
+    lo, hi = int(ids.min()), int(ids.max())
+    if lo < 0:
+        raise ValueError("page indices must be non-negative")
+    lo, hi = lo * itemsize // page_size, hi * itemsize // page_size
+    span = hi - lo + 1
+    if span > MAP_SPAN_PER_ID * ids.size:
+        return None
+    ratio, rem = divmod(page_size, itemsize)
+    pow2 = rem == 0 and ratio & (ratio - 1) == 0
+    shift = ratio.bit_length() - 1 if pow2 else None
+    flat = np.ravel(ids)
+    seen = np.zeros(span, dtype=bool)
+    buf = np.empty(min(flat.size, _MAP_CHUNK), dtype=np.int64)
+    covered = 0
+    for i in range(0, flat.size, _MAP_CHUNK):
+        part = flat[i : i + _MAP_CHUNK]
+        out = buf[: part.size]
+        if shift is None:
+            np.multiply(part, itemsize, out=out, dtype=np.int64, casting="unsafe")
+            out //= page_size
+        else:
+            np.right_shift(part, shift, out=out, dtype=np.int64, casting="unsafe")
+        out -= lo
+        seen[out] = True
+        if i + part.size >= span:
+            # argmin stops at the first False.
+            covered += int(seen[covered:].argmin())
+            if seen[covered]:
+                return PageSet(lo, hi + 1)
     return PageSet.from_mask(seen, base=lo)
 
 

@@ -11,6 +11,7 @@ cumulative set plus per-kernel deltas captured around each launch.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 
@@ -139,14 +140,11 @@ class CounterSet:
     pages_spilled_remote: int = 0  # first-touch spills to a peer chip's DDR
 
     def snapshot(self) -> "CounterSet":
-        return CounterSet(**{f.name: getattr(self, f.name) for f in fields(self)})
+        return CounterSet(*_counter_values(self))
 
     def delta(self, earlier: "CounterSet") -> "CounterSet":
         return CounterSet(
-            **{
-                f.name: getattr(self, f.name) - getattr(earlier, f.name)
-                for f in fields(self)
-            }
+            *map(operator.sub, _counter_values(self), _counter_values(earlier))
         )
 
     def add(self, **increments: int) -> None:
@@ -155,6 +153,11 @@ class CounterSet:
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+#: Every field of a :class:`CounterSet`, in declaration order, read in one
+#: call: ``snapshot`` and ``delta`` run around every kernel launch.
+_counter_values = operator.attrgetter(*(f.name for f in fields(CounterSet)))
 
 
 @dataclass

@@ -9,8 +9,9 @@ interval-list overflow past :data:`MAX_SYMBOLIC_RUNS`, and the block
 algebra (``align_down`` / ``blocks``) the managed-memory model relies
 on. The residency helpers built on it (``Allocation.split_counts`` and
 ``Allocation.touch_blocks``) are checked against the same oracles, chains
-of ``Allocation.set_location`` moves against a dense ``int8`` oracle, and
-``PageSet.of`` against the sort-and-unique construction it replaced.
+of ``Allocation.set_location`` moves against a dense ``int8`` oracle,
+``PageSet.of`` against the sort-and-unique construction it replaced, and
+``UnifiedArray.pages_of_indices`` against ``PageSet.of`` of the page ids.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.unified_array import UnifiedArray
 from repro.mem import pageset
 from repro.mem.pageset import MAP_SPAN_PER_ID, MAX_SYMBOLIC_RUNS, PageSet
 from repro.mem.pagetable import Allocation, AllocKind
@@ -374,6 +376,16 @@ def _int64(values) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def assert_same_set(got: PageSet, want: PageSet) -> None:
+    """Same pages in the same representation."""
+    assert (got.start, got.stop, got.runs) == (want.start, want.stop, want.runs)
+    if want.index is None:
+        assert got.index is None
+    else:
+        assert got.index.dtype == np.int64
+        assert np.array_equal(got.index, want.index)
+
+
 page_ids = st.lists(st.integers(0, MAX_PAGE - 1), max_size=6 * MAX_SYMBOLIC_RUNS)
 
 
@@ -417,15 +429,7 @@ id_arrays = st.one_of(
 def test_of_matches_unique_path_and_oracle(ids):
     got = PageSet.of(ids)
     assert oracle(got) == frozenset(ids.ravel().tolist())
-    want = _unique_of(ids)
-    assert (got.start, got.stop, got.runs) == (
-        want.start, want.stop, want.runs,
-    )
-    if want.index is None:
-        assert got.index is None
-    else:
-        assert got.index.dtype == np.int64
-        assert np.array_equal(got.index, want.index)
+    assert_same_set(got, _unique_of(ids))
 
 
 @given(id_arrays)
@@ -471,18 +475,103 @@ def test_of_rejects_a_negative_id_among_dense_ids(ids, negative, at):
 )
 def test_span_rule_picks_the_map_for_dense_unsorted_ids(monkeypatch, ids, by_map):
     calls = []
-    real = pageset._dedup_by_map
+    real = pageset.pages_by_map
 
-    def spy(a, lo, hi):
-        calls.append(hi - lo + 1)
-        return real(a, lo, hi)
+    def spy(a, itemsize=1, page_size=1):
+        got = real(a, itemsize, page_size)
+        if got is not None:
+            lo, hi = (int(x) * itemsize // page_size for x in (a.min(), a.max()))
+            calls.append(hi - lo + 1)
+        return got
 
-    monkeypatch.setattr(pageset, "_dedup_by_map", spy)
+    monkeypatch.setattr(pageset, "pages_by_map", spy)
     got, want = PageSet.of(ids), _unique_of(ids)
     assert bool(calls) == by_map
     # The map holds one byte per page of the span: never more than the ids.
     assert all(span <= MAP_SPAN_PER_ID * ids.size for span in calls)
-    assert (got.start, got.stop, got.runs) == (want.start, want.stop, want.runs)
-    if want.index is not None:
-        assert got.index.dtype == np.int64
-        assert np.array_equal(got.index, want.index)
+    assert_same_set(got, want)
+
+
+# -- UnifiedArray.pages_of_indices against PageSet.of of the page ids ------
+
+
+#: Element sizes on every page-mapping branch: a right shift (1, 4, 8,
+#: 16), a multiply and a floor division (12), and items larger than a
+#: page (8192 at 4 KB pages).
+ITEMSIZES = (1, 4, 8, 12, 16, 8192)
+GATHER_KINDS = (
+    "unsorted", "sorted", "2-D", "covering", "striped", "sparse", "beyond",
+)
+
+
+@st.composite
+def gathers(draw, kinds=GATHER_KINDS):
+    """A ``MAX_PAGE``-page array and element ids into it, drawn from a
+    seed: unsorted, sorted, 2-D, a shuffled element window that marks
+    its whole span within the first map chunk followed by a chunk more of
+    ids in it, two chunks of ids on even pages only (a span checked after
+    each chunk and never covered), a few ids spread too wide for the map,
+    or ids beyond the array's end. The ids are ``int64``, ``int32`` or
+    ``uint64``."""
+    page_size = draw(st.sampled_from([4096, 65536]))
+    itemsize = draw(st.sampled_from(ITEMSIZES))
+    alloc = Allocation(
+        AllocKind.SYSTEM, MAX_PAGE * page_size,
+        SystemConfig(system_page_size=page_size),
+    )
+    arr = UnifiedArray(alloc, f"V{itemsize}", (MAX_PAGE * page_size // itemsize,))
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = min(draw(st.integers(1, 3000)), arr.size)
+    if kind == "covering":
+        lo = int(rng.integers(0, arr.size - n + 1))
+        more = rng.integers(lo, lo + n, size=pageset._MAP_CHUNK)
+        ids = np.concatenate((rng.permutation(np.arange(lo, lo + n)), more))
+    elif kind == "striped":
+        pages = 2 * rng.integers(0, MAX_PAGE // 2, size=2 * pageset._MAP_CHUNK)
+        ids = -(-pages * page_size // itemsize)
+    elif kind == "sparse":
+        ids = np.concatenate((rng.integers(0, arr.size, n % 16), [arr.size - 1, 0]))
+    elif kind == "beyond":
+        ids = rng.integers(arr.size, 2 * arr.size, n)
+    else:
+        ids = rng.integers(0, arr.size, n)
+        if kind == "sorted":
+            ids.sort()
+        elif kind == "2-D":
+            ids = ids[: n // 2 * 2].reshape(-1, 2)
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint64]))
+    return arr, ids.astype(dtype)
+
+
+@given(gathers())
+def test_pages_of_indices_matches_page_ids_through_of(gather):
+    """The same set as the two-step construction (page ids, then
+    :meth:`PageSet.of`), and as numpy's unique of the page ids, which
+    shares no code with the map."""
+    arr, ids = gather
+    pages = (ids.astype(np.int64) * arr.itemsize) // arr.page_size
+    got = arr.pages_of_indices(ids)
+    assert_same_set(got, PageSet.of(pages))
+    assert_same_set(got, _unique_of(pages))
+
+
+@given(gathers())
+def test_pages_of_indices_does_not_alias_its_input(gather):
+    arr, ids = gather
+    ps = arr.pages_of_indices(ids)
+    before = oracle(ps)
+    ids[...] = 0
+    assert oracle(ps) == before
+
+
+@given(gathers(kinds=["covering"]), st.integers(-MAX_PAGE, -1))
+def test_pages_of_indices_rejects_a_negative_id_after_the_span_is_covered(
+    gather, negative
+):
+    """The negative id comes last, a chunk after ids that mark every page
+    of their span."""
+    arr, ids = gather
+    ids = np.concatenate((ids.astype(np.int64), [negative]))
+    with pytest.raises(ValueError, match="non-negative"):
+        arr.pages_of_indices(ids)

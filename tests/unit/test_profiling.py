@@ -1,5 +1,7 @@
 """Unit tests for the profiling tools (Section 3.2)."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,17 @@ class TestCounterSet:
     def test_as_dict_roundtrip(self):
         c = CounterSet(lpddr_read_bytes=3)
         assert c.as_dict()["lpddr_read_bytes"] == 3
+
+    def test_snapshot_and_delta_match_the_field_by_field_form(self):
+        names = [f.name for f in fields(CounterSet)]
+        later = CounterSet(**{n: 1000 + 7 * i for i, n in enumerate(names)})
+        earlier = CounterSet(**{n: 3 * i for i, n in enumerate(names)})
+        snap = later.snapshot()
+        assert snap is not later
+        assert snap == CounterSet(**{n: getattr(later, n) for n in names})
+        assert later.delta(earlier) == CounterSet(
+            **{n: getattr(later, n) - getattr(earlier, n) for n in names}
+        )
 
 
 class TestKernelRecords:
