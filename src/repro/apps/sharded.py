@@ -119,6 +119,7 @@ class ShardedHotspot:
 
         # -- iterate: stencil superstep, then halo exchange ----------------
         halo_bytes = self.cols * 4
+        hbm = [sc.hbm for sc in system.topology.superchips]
         for it in range(self.iterations):
             t0 = system.barrier()
             def stencil(i, gh):
@@ -138,11 +139,10 @@ class ShardedHotspot:
             if P > 1:
                 transfers = []
                 for i in range(P):
-                    me = system.ports[i].hbm
                     if i > 0:
-                        transfers.append((halo_bytes, me, system.ports[i - 1].hbm))
+                        transfers.append((halo_bytes, hbm[i], hbm[i - 1]))
                     if i < P - 1:
-                        transfers.append((halo_bytes, me, system.ports[i + 1].hbm))
+                        transfers.append((halo_bytes, hbm[i], hbm[i + 1]))
                 out = system.exchange(transfers, label=f"halo{it}")
                 result.exchange_seconds += out.seconds
                 result.exchange_bytes += out.total_bytes
@@ -187,6 +187,7 @@ class ShardedQuantumVolume:
         if P & (P - 1):
             raise ValueError("statevector sharding needs a power-of-two P")
         global_qubits = P.bit_length() - 1
+        hbm = [sc.hbm for sc in system.topology.superchips]
         local_amps = (1 << self.qubits) // P
         local_bytes = local_amps * AMPLITUDE_BYTES
         result = ShardedRunResult(self.name, P, self.placement, self.depth)
@@ -219,8 +220,7 @@ class ShardedQuantumVolume:
                 # cross the fabric in each direction (Aer's chunk swap).
                 bit = layer % global_qubits
                 transfers = [
-                    (local_bytes // 2, system.ports[i].hbm,
-                     system.ports[i ^ (1 << bit)].hbm)
+                    (local_bytes // 2, hbm[i], hbm[i ^ (1 << bit)])
                     for i in range(P)
                 ]
                 out = system.exchange(transfers, label=f"butterfly{layer}")

@@ -6,7 +6,7 @@ multi-superchip fabric) left the fast paths without an oracle:
 
 * :mod:`repro.check.sanitizer` — an opt-in, epoch-hooked invariant
   checker (:class:`MemSanitizer`) asserting residency exclusivity, byte
-  conservation across the DDR/HBM/peer pools, counter conservation
+  conservation across the DDR and HBM pools, counter conservation
   against NVLink-C2C traffic, and page-table coherence on every
   allocation/epoch/access/free. Enable with ``SystemConfig.sanitize=True``
   or ``REPRO_SANITIZE=1``.

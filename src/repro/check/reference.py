@@ -24,9 +24,9 @@ tolerance.
 The reference intentionally does not import the production ``PageSet``,
 ``Allocation``, ``MemoryPool``, counter, or wire-traffic code: the only
 shared dependency is :class:`~repro.sim.config.SystemConfig`, whose cost
-constants are the model's specification. Single-superchip scope (traces
-are recorded on single-chip systems; the fabric has its own conservation
-checks in :class:`~repro.topology.ShardedSystem`).
+constants are the model's specification. Single-superchip scope: traces
+are recorded on single-chip systems, and no page ever resides on another
+chip.
 """
 
 from __future__ import annotations
@@ -68,7 +68,6 @@ _COUNTERS = (
     "pages_evicted",
     "tlb_shootdowns",
     "fabric_transfers",
-    "pages_spilled_remote",
 )
 
 

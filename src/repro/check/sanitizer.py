@@ -1,8 +1,8 @@
 """Opt-in invariant checking for the simulated memory subsystem.
 
 The paper's conclusions rest on *relative* numbers from the simulated
-GH200 memory model, so a silent invariant break — bytes unaccounted
-after a REMOTE spill, counters diverging from link traffic, the
+GH200 memory model, so a silent invariant break — pool bytes
+diverging from residency, counters diverging from link traffic, the
 incremental location tallies drifting from the per-page state array —
 corrupts every table the repo regenerates. :class:`MemSanitizer` is the
 guard rail: an epoch-hooked checker wired into
@@ -31,16 +31,16 @@ Invariants enforced
    :class:`~repro.sim.config.Location`, and the incrementally maintained
    ``_loc_counts`` equal a fresh ``bincount`` of the state array.
 3. **Byte conservation** — each live allocation's per-pool ``by_tag``
-   reservations equal its resident bytes per location, including peer
-   pools reached through the fabric port for ``Location.REMOTE`` pages,
-   and ``remote_pages_by_node`` sums to ``pages_at(REMOTE)``.
+   reservations equal its resident bytes per location, and a freed
+   allocation holds none.
 4. **Counter conservation** — migration/eviction byte counters bracket
    their page counters times the page size (the upper bound allows the
    managed thrash amplification), eviction traffic never exceeds D2H
    migration traffic, the NVLink-C2C per-class ledgers are conserved,
-   and the link's "remote" class equals the sum of the four remote-access
-   hardware counters. The fault counters are compared exactly against
-   the reference executors by differential replay (``check.reference``).
+   the link's "remote" class equals the sum of the four remote-access
+   hardware counters, and fabric hop-bytes are at least the fabric
+   payload bytes. The fault counters are compared exactly against the
+   reference executors by differential replay (``check.reference``).
 5. **Page-table coherence** — no freed or mis-kinded allocation is
    registered, managed allocations appear in both tables and in the
    managed manager, device allocations are fully GPU-resident.
@@ -290,7 +290,6 @@ class MemSanitizer:
                     "max_extra": int(counters.extra.max()),
                 },
             )
-        self._check_remote_map(alloc)
         if not alloc.freed:
             self._check_alloc_bytes(alloc)
 
@@ -325,33 +324,6 @@ class MemSanitizer:
                 "array_runs": int(edges.size) + 1,
             },
         )
-
-    def _check_remote_map(self, alloc: Allocation) -> None:
-        n_remote = alloc.pages_at(Location.REMOTE)
-        mapped = sum(alloc.remote_pages_by_node.values())
-        if mapped != n_remote:
-            self._fail(
-                "remote-accounting",
-                "remote_pages_by_node does not sum to the REMOTE residency",
-                alloc=alloc,
-                details={"by_node_sum": mapped, "pages_at_remote": n_remote},
-            )
-        if any(n <= 0 for n in alloc.remote_pages_by_node.values()):
-            self._fail(
-                "remote-accounting",
-                "remote_pages_by_node holds a non-positive page count",
-                alloc=alloc,
-                details={
-                    str(k): v for k, v in alloc.remote_pages_by_node.items()
-                },
-            )
-        if n_remote and self.mem.fabric_port is None:
-            self._fail(
-                "remote-accounting",
-                "REMOTE-resident pages on a system without a fabric port",
-                alloc=alloc,
-                details={"pages_at_remote": n_remote},
-            )
 
     def _check_alloc_bytes(self, alloc: Allocation) -> None:
         tag = alloc.tag
@@ -393,17 +365,6 @@ class MemSanitizer:
                     alloc=alloc,
                     details={"pinned": alloc.pages_at(Location.CPU_PINNED)},
                 )
-            if (
-                alloc.kind is AllocKind.MANAGED
-                and alloc.pages_at(Location.REMOTE)
-            ):
-                self._fail(
-                    "remote-accounting",
-                    "managed allocation holds REMOTE pages (system-only "
-                    "state)",
-                    alloc=alloc,
-                    details={"remote": alloc.pages_at(Location.REMOTE)},
-                )
         if self.mem.physical.cpu is self.mem.physical.gpu:
             # Unified-pool backend (e.g. "upm"): one ledger entry backs
             # both residency classes — conservation is against the sum.
@@ -432,22 +393,6 @@ class MemSanitizer:
                     alloc=alloc,
                     details={"pool_tag_bytes": gpu_tag, "resident": expect_gpu},
                 )
-        if alloc.remote_pages_by_node and self.mem.fabric_port is not None:
-            page_size = alloc.page_size
-            for node, n_pages in alloc.remote_pages_by_node.items():
-                peer = self.mem.fabric_port.pool(node).by_tag.get(tag, 0)
-                if peer != n_pages * page_size:
-                    self._fail(
-                        "byte-conservation",
-                        f"peer pool {node} reservation disagrees with the "
-                        "spilled page count",
-                        alloc=alloc,
-                        details={
-                            "node": str(node),
-                            "pool_tag_bytes": peer,
-                            "expected": n_pages * page_size,
-                        },
-                    )
 
     def _check_freed_drained(self, alloc: Allocation) -> None:
         """After ``free``, no pool may still hold bytes under its tag."""
@@ -461,15 +406,6 @@ class MemSanitizer:
                     alloc=alloc,
                     details={"tag": tag, "bytes": left},
                 )
-        if alloc.remote_pages_by_node:
-            self._fail(
-                "remote-accounting",
-                "freed allocation still records remote residency",
-                alloc=alloc,
-                details={
-                    str(k): v for k, v in alloc.remote_pages_by_node.items()
-                },
-            )
 
     def check_tables(self) -> None:
         mem = self.mem

@@ -2,7 +2,7 @@
 inter-superchip fabric link primitives."""
 
 from .copyengine import CopyEngine
-from .fabric import TRAFFIC_CLASSES, FabricLink, FabricLinkStats, LinkKind
+from .fabric import FabricLink, FabricLinkStats, LinkKind
 from .nvlink import NvlinkC2C
 
 __all__ = [
@@ -11,5 +11,4 @@ __all__ = [
     "FabricLink",
     "FabricLinkStats",
     "LinkKind",
-    "TRAFFIC_CLASSES",
 ]

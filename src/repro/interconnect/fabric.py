@@ -8,16 +8,16 @@ socket links, and every path has its own bandwidth, latency, and
 direction asymmetry.
 
 This module is the *link-level* model beside :mod:`repro.interconnect.nvlink`:
-one :class:`FabricLink` per physical link, with per-direction and
-per-traffic-class byte accounting so multi-hop routing (in
-:mod:`repro.topology.routing`) can charge every traversed link and tests
-can assert traffic conservation. The graph layer — which links exist and
-how transfers route across them — lives in :mod:`repro.topology`.
+one :class:`FabricLink` per physical link, with per-direction byte
+accounting so the exchange phases of multi-hop routing (in
+:mod:`repro.topology.routing`) can charge every traversed link. The graph
+layer — which links exist and how transfers route across them — lives in
+:mod:`repro.topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..sim.config import NodeId
@@ -34,41 +34,17 @@ class LinkKind(Enum):
     SOCKET = "socket"
 
 
-#: Traffic classes distinguished on every link, mirroring the three
-#: classes the paper separates on NVLink-C2C (plus bulk shard exchange).
-TRAFFIC_CLASSES = ("dma", "remote", "migration", "exchange")
-
-
 @dataclass
 class FabricLinkStats:
-    """Per-direction, per-class byte/time accounting of one link.
-
-    ``fwd`` is the a->b direction of the owning link. Per-class byte
-    tallies and the direction totals are updated together, so the class
-    sums always equal the bytes charged — the conservation invariant the
-    property tests pin down.
-    """
+    """Per-direction byte accounting of one link (``fwd`` is the a->b
+    direction of the owning link)."""
 
     fwd_bytes: int = 0
     rev_bytes: int = 0
-    fwd_seconds: float = 0.0
-    rev_seconds: float = 0.0
-    fwd_by_class: dict[str, int] = field(default_factory=dict)
-    rev_by_class: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_bytes(self) -> int:
         return self.fwd_bytes + self.rev_bytes
-
-    def class_bytes(self, cls: str) -> int:
-        return self.fwd_by_class.get(cls, 0) + self.rev_by_class.get(cls, 0)
-
-    def conserved(self) -> bool:
-        """Do the per-class tallies sum to the direction totals?"""
-        return (
-            sum(self.fwd_by_class.values()) == self.fwd_bytes
-            and sum(self.rev_by_class.values()) == self.rev_bytes
-        )
 
 
 class FabricLink:
@@ -115,26 +91,17 @@ class FabricLink:
     def bandwidth(self, forward: bool) -> float:
         return self.fwd_bandwidth if forward else self.rev_bandwidth
 
-    def charge(
-        self, nbytes: int, *, forward: bool, cls: str, seconds: float = 0.0
-    ) -> None:
-        """Account ``nbytes`` of ``cls`` traffic in one direction."""
+    def charge(self, nbytes: int, *, forward: bool) -> None:
+        """Account ``nbytes`` of exchange traffic in one direction."""
         if nbytes < 0:
             raise ValueError("cannot charge negative bytes")
-        if cls not in TRAFFIC_CLASSES:
-            raise ValueError(f"unknown traffic class {cls!r}")
-        s = self.stats
         if forward:
-            s.fwd_bytes += nbytes
-            s.fwd_seconds += seconds
-            s.fwd_by_class[cls] = s.fwd_by_class.get(cls, 0) + nbytes
+            self.stats.fwd_bytes += nbytes
         else:
-            s.rev_bytes += nbytes
-            s.rev_seconds += seconds
-            s.rev_by_class[cls] = s.rev_by_class.get(cls, 0) + nbytes
+            self.stats.rev_bytes += nbytes
         if self.timeline is not None:
             self.timeline.complete(
-                f"{self.kind.value}:{cls}", self.timeline.now(), seconds,
+                f"{self.kind.value}:exchange", self.timeline.now(), 0.0,
                 cat="fabric", track=f"fabric/{self.a}->{self.b}",
                 bytes=nbytes, forward=forward,
             )

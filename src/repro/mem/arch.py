@@ -24,10 +24,11 @@ differs between designs:
   :meth:`~MemoryArchitecture.prefetch_async`) — which counters and
   bandwidth rooflines an access batch charges.
 
-The bookkeeping every backend shares — local-traffic charging,
-first-touch servicing, peer-chip fabric access — lives on
+The bookkeeping every backend shares — local-traffic charging and
+first-touch servicing — lives on
 :class:`~repro.mem.subsystem.MemorySubsystem`, and residency-plus-ledger
-moves on :meth:`~repro.mem.physical.PhysicalMemory.move`.
+placements and moves on :meth:`~repro.mem.physical.PhysicalMemory.place`
+and :meth:`~repro.mem.physical.PhysicalMemory.move`.
 
 The in-tree backends form a fixed table selected per run by
 :attr:`repro.sim.config.SystemConfig.mem_arch`. The application-visible

@@ -22,13 +22,6 @@ from .physical import PhysicalMemory
 from .subsystem import AccessResult
 
 
-def _count_gpu_accesses(mem, alloc, pages, wire: int, n_pages: int) -> None:
-    """Feed the access counters: ``wire`` bytes of GPU traffic spread
-    over the ``n_pages`` non-HBM ``pages``."""
-    per_page = max(1, (wire // n_pages) // mem.config.cacheline_bytes_gpu)
-    mem.migrator.record_gpu_accesses(alloc, pages, per_page)
-
-
 class GH200Architecture(MemoryArchitecture):
     """Split-pool, delayed-migration GH200 backend (default)."""
 
@@ -65,16 +58,12 @@ class GH200Architecture(MemoryArchitecture):
             res.remote_seconds += mem.link.remote_access_time(wire, processor)
             mem.counters.traffic("c2c" if on_gpu else "cpu_remote", wire, write)
             if on_gpu:
-                _count_gpu_accesses(
-                    mem, alloc, alloc.subset(pages, remote_loc), wire, n_remote
-                )
-
-        n_far = int(counts[Location.REMOTE])
-        wire = mem.peer_access(res, processor, alloc, shape, n_far)
-        if wire is not None and on_gpu:
-            _count_gpu_accesses(
-                mem, alloc, alloc.subset(pages, Location.REMOTE), wire, n_far
-            )
+                # Feed the access counters: the wire bytes spread over the
+                # pages outside HBM.
+                cpu_pages = alloc.subset(pages, remote_loc)
+                line = mem.config.cacheline_bytes_gpu
+                per_page = max(1, (wire // n_remote) // line)
+                mem.migrator.record_gpu_accesses(alloc, cpu_pages, per_page)
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):

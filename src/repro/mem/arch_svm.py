@@ -46,7 +46,7 @@ from .coherence import remote_traffic
 from .faults import FaultHandler, FaultOutcome
 from .pagetable import AllocKind
 from .pageset import PageSet
-from .physical import OutOfMemoryError, PhysicalMemory
+from .physical import PhysicalMemory
 from .subsystem import AccessResult
 
 
@@ -64,31 +64,8 @@ class SvmFaultHandler(FaultHandler):
         out = FaultOutcome()
         if not unmapped:
             return out
-        page_size = self.config.system_page_size
-        cpu_part = unmapped
-        spill_part = PageSet.empty()
-        if (
-            self.fabric_port is not None
-            and alloc.kind is AllocKind.SYSTEM
-            and cpu_part.count * page_size > self.physical.cpu.free
-        ):
-            local_fit = cpu_part.take_first(self.physical.cpu.free // page_size)
-            spill_part = cpu_part.difference(local_fit)
-            cpu_part = local_fit
-        if cpu_part:
-            nbytes = cpu_part.count * page_size
-            if nbytes > self.physical.cpu.free:
-                raise OutOfMemoryError(
-                    f"{alloc.name}: host pool exhausted with "
-                    f"{nbytes} bytes still to place"
-                )
-            alloc.set_location(cpu_part, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
-            out.pages_on_cpu = cpu_part.count
-        if spill_part:
-            out.pages_on_cpu += self._spill_to_peers(alloc, spill_part)
-
-        n = unmapped.count
+        self.physical.place(alloc, unmapped, Location.CPU)
+        n = out.pages_on_cpu = unmapped.count
         if accessor is Processor.GPU:
             # The GPU raised a replayable fault per page; service is a
             # driver round-trip over the link, not an SMMU replay.
@@ -97,6 +74,7 @@ class SvmFaultHandler(FaultHandler):
         else:
             out.seconds += self._cpu_fault_time(n)
             self.counters.bump(cpu_page_faults=n)
+        page_size = self.config.system_page_size
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
 
@@ -217,11 +195,7 @@ class SvmArchitecture(MemoryArchitecture):
                     pages_evicted=rest.count,
                 )
 
-        n_far = int(counts[Location.REMOTE])
-        mem.peer_access(res, Processor.GPU, alloc, shape, n_far)
-        mem.charge_local(
-            res, Processor.GPU, shape.useful_bytes * (pages.count - n_far), write
-        )
+        mem.charge_local(res, Processor.GPU, shape.useful_bytes * pages.count, write)
         return res
 
     def _cpu_access(self, mem, alloc, pages, shape, write):
@@ -247,11 +221,7 @@ class SvmArchitecture(MemoryArchitecture):
                 tlb_shootdowns=1,
             )
 
-        n_far = int(alloc.split_counts(pages)[Location.REMOTE])
-        mem.peer_access(res, Processor.CPU, alloc, shape, n_far)
-        mem.charge_local(
-            res, Processor.CPU, shape.useful_bytes * (pages.count - n_far), write
-        )
+        mem.charge_local(res, Processor.CPU, shape.useful_bytes * pages.count, write)
         return res
 
     def system_access(self, mem, processor, alloc, pages, shape, write):

@@ -22,8 +22,7 @@ most of the machinery the GH200 model exists to price:
 
 Capacity is the flip side: the unified pool holds ``cpu + gpu`` bytes
 total, but there is no second tier to spill to, so exhausting it is
-fatal (single chip) or spills across the fabric to peer chips (sharded
-topologies), exactly like DDR exhaustion on GH200.
+fatal, exactly like DDR exhaustion on GH200.
 
 Oversubscription experiments still make sense cross-architecture:
 :meth:`UpmArchitecture.oversubscription_reference_free` reports the
@@ -41,7 +40,7 @@ from .arch import MemoryArchitecture
 from .faults import FaultHandler, FaultOutcome
 from .migration import MigrationReport
 from .pagetable import TAG_PREFIX, AllocKind
-from .physical import MemoryPool, OutOfMemoryError, PhysicalMemory
+from .physical import MemoryPool, PhysicalMemory
 from .subsystem import AccessResult
 
 #: Returned by every ``local_location`` call (an enum member lookup costs
@@ -74,12 +73,12 @@ class NullMigrator:
     """The migration policy of a single pool: there is none.
 
     Mirrors the :class:`~repro.mem.migration.AccessCounterMigrator`
-    surface (recording, epoch servicing, fabric attachment) as no-ops so
-    the subsystem needs no backend-specific branches.
+    surface (recording, epoch servicing) as no-ops so the subsystem needs
+    no backend-specific branches.
     """
 
     def __init__(self, *_components):
-        self.fabric_port = None
+        pass
 
     def record_gpu_accesses(self, alloc, pages, accesses_per_page) -> None:
         return None
@@ -103,28 +102,15 @@ class UpmFaultHandler(FaultHandler):
         out = FaultOutcome()
         if not unmapped:
             return out
-        page_size = self.config.system_page_size
-        pool = self.physical.gpu  # the one unified pool
-        fit = unmapped.take_first(pool.free // page_size)
-        spill = unmapped.difference(fit)
-        if fit:
-            alloc.set_location(fit, Location.GPU)
-            pool.reserve(fit.count * page_size, tag=alloc.tag)
-            out.pages_on_gpu = fit.count
-        if spill:
-            if self.fabric_port is None or alloc.kind is not AllocKind.SYSTEM:
-                raise OutOfMemoryError(
-                    f"{alloc.name}: unified pool exhausted with "
-                    f"{spill.count * page_size} bytes still to place"
-                )
-            out.pages_on_cpu += self._spill_to_peers(alloc, spill)
-
-        n = unmapped.count
+        # The one pool's pages are recorded at Location.GPU.
+        self.physical.place(alloc, unmapped, Location.GPU)
+        n = out.pages_on_gpu = unmapped.count
         if accessor is Processor.GPU:
             self.counters.bump(gpu_replayable_faults=n)
         else:
             self.counters.bump(cpu_page_faults=n)
         out.seconds += n * self.config.upm_fault_cost
+        page_size = self.config.system_page_size
         out.seconds += (n * page_size) / self.config.fault_zeroing_bandwidth
         return out
 
@@ -157,9 +143,6 @@ class UpmArchitecture(MemoryArchitecture):
             + int(counts[Location.CPU_PINNED])
         )
         mem.charge_local(res, processor, shape.useful_bytes * n_local, write)
-        # Pages spilled to a peer chip's pool: fabric-grain access, but
-        # never migrated home (no migrator to pull them).
-        mem.peer_access(res, processor, alloc, shape, int(counts[Location.REMOTE]))
         return res
 
     def managed_access(self, mem, processor, alloc, pages, shape, write, now):

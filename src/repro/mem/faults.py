@@ -25,7 +25,7 @@ from ..profiling.counters import HardwareCounters
 from ..sim.config import FirstTouchPolicy, Location, Processor, SystemConfig
 from .pagetable import Allocation
 from .pageset import PageSet
-from .physical import OutOfMemoryError, PhysicalMemory
+from .physical import PhysicalMemory
 
 
 @dataclass
@@ -50,11 +50,6 @@ class FaultHandler:
         self.config = config
         self.physical = physical
         self.counters = counters
-        #: Fabric port of the owning superchip when part of a
-        #: :class:`~repro.topology.ShardedSystem` (duck-typed; ``None`` on
-        #: the default single-superchip system, which keeps the original
-        #: fail-on-CPU-exhaustion behaviour).
-        self.fabric_port = None
 
     def first_touch(
         self, alloc: Allocation, unmapped: PageSet, accessor: Processor
@@ -64,7 +59,8 @@ class FaultHandler:
         Returns the serviced cost and where pages landed. GPU first-touch
         places on GPU memory while capacity lasts and spills to CPU memory
         afterwards (the balloon-induced oversubscription scenarios exercise
-        the spill path).
+        the spill path). CPU pages that do not fit raise
+        :class:`~repro.mem.physical.OutOfMemoryError` before they are mapped.
         """
         out = FaultOutcome()
         if not unmapped:
@@ -82,28 +78,11 @@ class FaultHandler:
         cpu_part = unmapped.difference(gpu_part)
 
         if gpu_part:
-            nbytes = gpu_part.count * page_size
-            alloc.set_location(gpu_part, Location.GPU)
-            self.physical.gpu.reserve(nbytes, tag=alloc.tag)
+            self.physical.place(alloc, gpu_part, Location.GPU)
             out.pages_on_gpu = gpu_part.count
         if cpu_part:
-            spill_part = PageSet.empty()
-            if (
-                self.fabric_port is not None
-                and cpu_part.count * page_size > self.physical.cpu.free
-            ):
-                # On a multi-superchip node the OS spills first-touch
-                # placement to a peer chip's DDR instead of failing.
-                local_fit = cpu_part.take_first(self.physical.cpu.free // page_size)
-                spill_part = cpu_part.difference(local_fit)
-                cpu_part = local_fit
-            if cpu_part:
-                nbytes = cpu_part.count * page_size
-                alloc.set_location(cpu_part, Location.CPU)
-                self.physical.cpu.reserve(nbytes, tag=alloc.tag)
-                out.pages_on_cpu = cpu_part.count
-            if spill_part:
-                out.pages_on_cpu += self._spill_to_peers(alloc, spill_part)
+            self.physical.place(alloc, cpu_part, Location.CPU)
+            out.pages_on_cpu = cpu_part.count
 
         n = unmapped.count
         if accessor is Processor.GPU:
@@ -131,30 +110,6 @@ class FaultHandler:
             cost += n * self.config.autonuma_hint_fault_cost
         return cost
 
-    def _spill_to_peers(self, alloc: Allocation, pages: PageSet) -> int:
-        """Place ``pages`` on peer superchips' DDR (nearest first)."""
-        page_size = self.config.system_page_size
-        placed = 0
-        for node in self.fabric_port.peer_ddr_nodes():
-            if not pages:
-                break
-            pool = self.fabric_port.pool(node)
-            take = pages.take_first(pool.free // page_size)
-            if not take:
-                continue
-            nbytes = take.count * page_size
-            alloc.set_location(take, Location.REMOTE)
-            alloc.add_remote(node, take.count)
-            pool.reserve(nbytes, tag=alloc.tag)
-            self.counters.bump(pages_spilled_remote=take.count)
-            placed += take.count
-            pages = pages.difference(take)
-        if pages:
-            raise OutOfMemoryError(
-                f"{alloc.name}: first-touch spill exhausted every chip's DDR"
-            )
-        return placed
-
     def prepopulate(self, alloc: Allocation, pages: PageSet) -> float:
         """Populate PTEs CPU-side outside the fault path
         (``cudaHostRegister`` or an artificial pre-init loop,
@@ -162,9 +117,7 @@ class FaultHandler:
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if not unmapped:
             return 0.0
-        loc = self.prepopulate_location
+        self.physical.place(alloc, unmapped, self.prepopulate_location)
         nbytes = unmapped.count * self.config.system_page_size
-        alloc.set_location(unmapped, loc)
-        self.physical.pool(loc).reserve(nbytes, tag=alloc.tag)
         zero = nbytes / self.config.fault_zeroing_bandwidth
         return unmapped.count * self.config.bulk_pte_populate_cost + zero

@@ -303,9 +303,7 @@ class ManagedMemoryManager:
         gpu_part = pages.take_first(fit_pages)
         cpu_part = pages.difference(gpu_part)
         if gpu_part:
-            got = self._page_bytes(gpu_part.count)
-            alloc.set_location(gpu_part, Location.GPU)
-            self.physical.gpu.reserve(got, tag=alloc.tag)
+            self.physical.place(alloc, gpu_part, Location.GPU)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
             # One 2 MB GPU PTE per block: driver-side, no OS round trip.
             out.fault_seconds += n_blocks * self.config.gpu_pte_create_cost
@@ -313,14 +311,12 @@ class ManagedMemoryManager:
         if cpu_part:
             # Nothing evictable: spill to CPU memory. For naturally
             # oversubscribed allocations the driver remote-maps the spill.
-            spill = self._page_bytes(cpu_part.count)
             loc = (
                 Location.CPU_PINNED
                 if self._naturally_oversubscribed(alloc)
                 else Location.CPU
             )
-            alloc.set_location(cpu_part, loc)
-            self.physical.cpu.reserve(spill, tag=alloc.tag)
+            self.physical.place(alloc, cpu_part, loc)
             out.fault_seconds += self._far_fault_time(
                 len(cpu_part.blocks(alloc.block_pages))
             )
@@ -461,9 +457,7 @@ class ManagedMemoryManager:
         if n_unmapped:
             # CPU first-touch: system page table entries, CPU placement.
             unmapped = alloc.subset(pages, Location.UNMAPPED)
-            nbytes = self._page_bytes(unmapped.count)
-            alloc.set_location(unmapped, Location.CPU)
-            self.physical.cpu.reserve(nbytes, tag=alloc.tag)
+            self.physical.place(alloc, unmapped, Location.CPU)
             out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
             self.counters.bump(cpu_page_faults=unmapped.count)
 

@@ -61,10 +61,6 @@ class AccessCounterMigrator:
         self.physical = physical
         self.link = link
         self.counters = counters
-        #: Duck-typed fabric port on multi-superchip nodes (see
-        #: :class:`~repro.topology.ShardedSystem`); ``None`` keeps the
-        #: single-superchip behaviour untouched.
-        self.fabric_port = None
 
     # -- notification side -------------------------------------------------
 
@@ -97,10 +93,7 @@ class AccessCounterMigrator:
                 break
             if alloc.kind is not AllocKind.SYSTEM or alloc.freed:
                 continue
-            n_remote = (
-                alloc.pages_at(Location.REMOTE) if self.fabric_port else 0
-            )
-            if alloc.pages_at(Location.CPU) == 0 and n_remote == 0:
+            if alloc.pages_at(Location.CPU) == 0:
                 continue
             counters = alloc.counters
             if (
@@ -111,16 +104,7 @@ class AccessCounterMigrator:
                 # threshold: ``crossed`` is provably empty, so skip before
                 # materialising the (potentially huge) residency subsets.
                 continue
-            movable = Location.CPU if n_remote == 0 else None
-            if movable is None:
-                # Counters fire on any non-GPU-resident page the GPU keeps
-                # touching; on a multi-superchip node that includes pages
-                # spilled to a peer chip's DDR.
-                pages = alloc.subset(
-                    PageSet.full(alloc.n_pages), Location.CPU
-                ).union(alloc.subset(PageSet.full(alloc.n_pages), Location.REMOTE))
-            else:
-                pages = alloc.subset(PageSet.full(alloc.n_pages), Location.CPU)
+            pages = alloc.subset(PageSet.full(alloc.n_pages), Location.CPU)
             hot = alloc.counters.crossed(pages, self.config.migration_threshold)
             if not hot:
                 continue
@@ -130,17 +114,12 @@ class AccessCounterMigrator:
             # cold pages sharing a region with hot ones move too — the
             # migration amplification Section 5.2 blames for the 64 KB
             # compute-time losses.
-            region_pages = max(1, self.config.gpu_page_size // self.config.system_page_size)
-            hot_regions = hot.align_down(region_pages).clip(alloc.n_pages)
+            hot_regions = hot.align_down(self.config.pages_per_gpu_page).clip(
+                alloc.n_pages
+            )
             candidates = alloc.subset(hot_regions, Location.CPU)
             take = candidates.take_first(budget_pages)
-            moved = self._migrate_to_gpu(alloc, take, report)
-            budget_pages -= moved
-            if n_remote and budget_pages > 0:
-                remote_candidates = alloc.subset(hot_regions, Location.REMOTE)
-                take = remote_candidates.take_first(budget_pages)
-                moved = self._migrate_remote_to_gpu(alloc, take, report)
-                budget_pages -= moved
+            budget_pages -= self._migrate_to_gpu(alloc, take, report)
         return report
 
     def _migrate_to_gpu(
@@ -153,53 +132,14 @@ class AccessCounterMigrator:
         if not pages:
             return 0
         nbytes = self.physical.move(alloc, pages, Location.GPU)
-        alloc.counters.reset(pages.align_down(
-            max(1, self.config.gpu_page_size // self.config.system_page_size)
-        ).clip(alloc.n_pages))
+        alloc.counters.reset(
+            pages.align_down(self.config.pages_per_gpu_page).clip(alloc.n_pages)
+        )
         transfer = self.link.migration_time(nbytes, Processor.CPU, Processor.GPU)
         stall = (
             nbytes
             * self.config.migration_stall_factor
             / self.config.c2c_h2d_bandwidth
-        )
-        # Invalidate the GPU's ATS-TBU entries for the moved pages.
-        shootdown = self.config.tlb_shootdown_time(pages.count)
-        report.pages_migrated += pages.count
-        report.bytes_migrated += nbytes
-        report.transfer_seconds += transfer + self.config.migration_range_cost
-        report.stall_seconds += stall + shootdown
-        self.counters.bump(
-            migration_h2d_bytes=nbytes,
-            pages_migrated_h2d=pages.count,
-            tlb_shootdowns=1,
-        )
-        return pages.count
-
-    def _migrate_remote_to_gpu(
-        self, alloc: Allocation, pages: PageSet, report: MigrationReport
-    ) -> int:
-        """Move hot peer-chip-resident ``pages`` to the local GPU over the
-        inter-chip fabric (multi-superchip nodes only)."""
-        page_size = self.config.system_page_size
-        fit_pages = self.physical.gpu.free // page_size
-        pages = pages.take_first(fit_pages)
-        if not pages:
-            return 0
-        alloc.set_location(pages, Location.GPU)
-        alloc.counters.reset(pages.align_down(
-            max(1, self.config.gpu_page_size // self.config.system_page_size)
-        ).clip(alloc.n_pages))
-        transfer = 0.0
-        nbytes = pages.count * page_size
-        for node, n_from_node in alloc.drop_remote(pages.count):
-            node_bytes = n_from_node * page_size
-            self.fabric_port.pool(node).release(node_bytes, tag=alloc.tag)
-            transfer += self.fabric_port.migrate_in(node_bytes, node)
-        self.physical.gpu.reserve(nbytes, tag=alloc.tag)
-        stall = (
-            nbytes
-            * self.config.migration_stall_factor
-            / self.config.nvlink_fabric_bandwidth
         )
         # Invalidate the GPU's ATS-TBU entries for the moved pages.
         shootdown = self.config.tlb_shootdown_time(pages.count)

@@ -105,40 +105,31 @@ class NumaAllocator:
         unmapped = alloc.subset(PageSet.full(alloc.n_pages), Location.UNMAPPED)
         if policy is NumaPolicy.DEFAULT or not unmapped:
             return
-        page = self.config.system_page_size
+        place = self.physical.place
         if policy is NumaPolicy.BIND:
-            nbytes = unmapped.count * page
-            self.physical.pool(node.location).reserve(nbytes, alloc.tag)
-            alloc.set_location(unmapped, node.location)
+            place(alloc, unmapped, node.location)
             return
         if policy is NumaPolicy.PREFERRED:
             pool = self.physical.pool(node.location)
-            fit_pages = pool.free // page
-            first = unmapped.take_first(fit_pages)
+            first = unmapped.take_first(pool.free // self.config.system_page_size)
             rest = unmapped.difference(first)
             if first:
-                pool.reserve(first.count * page, alloc.tag)
-                alloc.set_location(first, node.location)
+                place(alloc, first, node.location)
             if rest:
                 other = (
                     NumaNode.GPU_HBM
                     if node is NumaNode.CPU_DDR
                     else NumaNode.CPU_DDR
                 )
-                self.physical.pool(other.location).reserve(
-                    rest.count * page, alloc.tag
-                )
-                alloc.set_location(rest, other.location)
+                place(alloc, rest, other.location)
             return
         if policy is NumaPolicy.INTERLEAVE:
             idx = unmapped.indices()
             even = PageSet.of(idx[::2])
             odd = PageSet.of(idx[1::2])
             if even:
-                self.physical.cpu.reserve(even.count * page, alloc.tag)
-                alloc.set_location(even, Location.CPU)
+                place(alloc, even, Location.CPU)
             if odd:
-                self.physical.gpu.reserve(odd.count * page, alloc.tag)
-                alloc.set_location(odd, Location.GPU)
+                place(alloc, odd, Location.GPU)
             return
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover

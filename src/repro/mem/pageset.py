@@ -419,9 +419,6 @@ class PageSet:
             return self
         return self.select(mask)
 
-    def count_where(self, state: np.ndarray, value) -> int:
-        return int(np.count_nonzero(self.view(state) == value))
-
     # -- misc ------------------------------------------------------------------
 
     def align_down(self, granule_pages: int) -> "PageSet":

@@ -244,7 +244,7 @@ class Allocation:
         self.freed = False
         #: Simulated-time of last GPU touch per 2 MB block, for LRU
         #: eviction of managed memory.
-        self.block_pages = max(1, config.pages_per_gpu_page)
+        self.block_pages = config.pages_per_gpu_page
         self.n_blocks = -(-self.n_pages // self.block_pages)
         self.block_last_touch = np.zeros(self.n_blocks, dtype=np.float64)
         #: Touch record: the maximal ``(block_lo, block_hi, time)`` runs of
@@ -267,46 +267,11 @@ class Allocation:
         #: Managed allocations whose pages were pinned CPU-side by the
         #: oversubscription heuristic stop migrating on demand.
         self.oversubscription_pinned = False
-        #: Pages at :attr:`Location.REMOTE` live on *another superchip's*
-        #: memory node; this maps each peer NodeId to its page count
-        #: (invariant: values sum to ``pages_at(Location.REMOTE)``). Empty
-        #: on the default single-superchip topology.
-        self.remote_pages_by_node: dict = {}
 
         if kind is AllocKind.DEVICE:
             self._set_all(Location.GPU)
         elif kind in (AllocKind.HOST_PINNED, AllocKind.NUMA_CPU):
             self._set_all(Location.CPU)
-
-    # -- cross-superchip residency -----------------------------------------
-
-    def add_remote(self, node, n_pages: int) -> None:
-        """Record ``n_pages`` more pages resident on peer node ``node``."""
-        if n_pages:
-            self.remote_pages_by_node[node] = (
-                self.remote_pages_by_node.get(node, 0) + n_pages
-            )
-
-    def drop_remote(self, n_pages: int) -> list:
-        """Remove ``n_pages`` of remote residency; returns the
-        ``(node, pages)`` split they were drawn from (per-node counts are
-        a pool, not a per-page map — the model charges the fabric by
-        node-level byte counts)."""
-        taken = []
-        for node in sorted(self.remote_pages_by_node, key=str):
-            if n_pages <= 0:
-                break
-            have = self.remote_pages_by_node[node]
-            take = min(have, n_pages)
-            taken.append((node, take))
-            n_pages -= take
-            if take == have:
-                del self.remote_pages_by_node[node]
-            else:
-                self.remote_pages_by_node[node] = have - take
-        if n_pages > 0:
-            raise AssertionError("remote page accounting went negative")
-        return taken
 
     # -- location bookkeeping ---------------------------------------------
 
@@ -667,9 +632,6 @@ class PageTable:
 
     def unregister(self, alloc: Allocation) -> None:
         self.allocations.pop(alloc.aid, None)
-
-    def resident_bytes(self, loc: Location) -> int:
-        return sum(a.bytes_at(loc) for a in self.allocations.values())
 
     def live_allocations(self) -> list[Allocation]:
         return list(self.allocations.values())

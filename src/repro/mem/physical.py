@@ -88,6 +88,14 @@ class PhysicalMemory:
     def gpu_free_memory(self) -> int:
         return self.gpu.free
 
+    def place(self, alloc: Allocation, pages: PageSet, loc: Location) -> None:
+        """Map unmapped ``pages`` of ``alloc`` at ``loc``: the pool is
+        reserved first, so a placement that does not fit raises
+        :class:`OutOfMemoryError` and leaves residency untouched."""
+        nbytes = pages.count * self.config.system_page_size
+        self.pool(loc).reserve(nbytes, alloc.tag)
+        alloc.set_location(pages, loc)
+
     def move(self, alloc: Allocation, pages: PageSet, dst: Location) -> int:
         """Migrate or evict ``pages`` of ``alloc`` to ``dst``: residency
         and both pool ledgers move together. Every page must sit in the

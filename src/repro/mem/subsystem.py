@@ -16,10 +16,9 @@ its local traffic without a backend call, the steady state of every
 warm epoch.
 
 The accounting every backend shares lives here: :class:`AccessResult`,
-local-traffic charging (:meth:`MemorySubsystem.charge_local`),
+local-traffic charging (:meth:`MemorySubsystem.charge_local`) and
 first-touch servicing with its timeline span
-(:meth:`MemorySubsystem.first_touch`) and peer-chip fabric access
-(:meth:`MemorySubsystem.peer_access`).
+(:meth:`MemorySubsystem.first_touch`).
 
 The kernel executor calls :meth:`begin_epoch` before each launch so the
 driver can service pending access-counter notifications (migrations land
@@ -36,7 +35,7 @@ from ..interconnect.nvlink import NvlinkC2C
 from ..profiling.counters import HardwareCounters
 from ..sim.config import Location, Processor, SystemConfig
 from .arch import resolve_arch
-from .coherence import AccessShape, remote_traffic
+from .coherence import AccessShape
 from .migration import MigrationReport
 from .pagetable import (
     Allocation,
@@ -101,8 +100,6 @@ class MemorySubsystem:
         self.managed = ManagedMemoryManager(
             config, self.physical, self.link, counters
         )
-        #: Set by :meth:`attach_fabric` on multi-superchip nodes.
-        self.fabric_port = None
         #: Opt-in structured event timeline (wired by the runtime along
         #: with ``managed.timeline`` / ``link.timeline``); ``None`` keeps
         #: the access path emission-free.
@@ -114,21 +111,6 @@ class MemorySubsystem:
 
         if sanitize_requested(config):
             self.sanitizer = MemSanitizer(self)
-
-    # -- multi-superchip fabric -----------------------------------------------
-
-    def attach_fabric(self, port) -> None:
-        """Connect this superchip to an inter-chip fabric.
-
-        ``port`` is duck-typed (see :class:`repro.topology.FabricPort`) so
-        this package never imports :mod:`repro.topology`. It gives the
-        fault path somewhere to spill first-touch placement, the migrator
-        a path to pull hot peer-resident pages home, and the access path a
-        cost model for :attr:`Location.REMOTE` pages.
-        """
-        self.fabric_port = port
-        self.faults.fabric_port = port
-        self.migrator.fabric_port = port
 
     # -- allocation lifecycle ------------------------------------------------
 
@@ -175,13 +157,6 @@ class MemorySubsystem:
                 nbytes = alloc.bytes_at(loc)
                 if nbytes:
                     pool.release(nbytes, tag=alloc.tag)
-            if alloc.remote_pages_by_node:
-                page_size = alloc.page_size
-                for node, n_pages in list(alloc.remote_pages_by_node.items()):
-                    self.fabric_port.pool(node).release(
-                        n_pages * page_size, tag=alloc.tag
-                    )
-                alloc.remote_pages_by_node.clear()
             self.system_table.unregister(alloc)
             if alloc.kind is AllocKind.MANAGED:
                 self.gpu_table.unregister(alloc)
@@ -336,26 +311,6 @@ class MemorySubsystem:
                 pages_on_gpu=fault.pages_on_gpu,
                 pages_on_cpu=fault.pages_on_cpu,
             )
-
-    def peer_access(
-        self,
-        res: AccessResult,
-        processor: Processor,
-        alloc: Allocation,
-        shape: AccessShape,
-        n_far: int,
-    ) -> int | None:
-        """Cacheline-grain access to ``n_far`` pages resident on peer
-        superchips, over the inter-chip fabric (multi-hop, derated).
-        Returns the wire bytes, or ``None`` when nothing was accessed."""
-        if not n_far or self.fabric_port is None:
-            return None
-        wire = remote_traffic(self.config, processor, shape, n_far)
-        res.remote_bytes += wire
-        res.remote_seconds += self.fabric_port.remote_access(
-            wire, alloc, processor
-        )
-        return wire
 
     # -- optimisation APIs (Section 5.1.2, 2.3.2) -------------------------------------
 

@@ -137,7 +137,6 @@ class CounterSet:
     pages_evicted: int = 0
     tlb_shootdowns: int = 0
     fabric_transfers: int = 0
-    pages_spilled_remote: int = 0  # first-touch spills to a peer chip's DDR
 
     def snapshot(self) -> "CounterSet":
         return CounterSet(*_counter_values(self))

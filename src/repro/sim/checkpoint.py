@@ -45,7 +45,7 @@ from ..mem.pagetable import TAG_PREFIX
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 4
+CKPT_SCHEMA = 5
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -77,7 +77,6 @@ class _AllocState:
     counters_peak: int
     freed: bool
     oversubscription_pinned: bool
-    remote_pages_by_node: dict
 
 
 @dataclasses.dataclass
@@ -158,7 +157,6 @@ class SystemCheckpoint:
                 counters_peak=c.peak,
                 freed=alloc.freed,
                 oversubscription_pinned=alloc.oversubscription_pinned,
-                remote_pages_by_node=dict(alloc.remote_pages_by_node),
             )
         return ck
 
@@ -203,7 +201,6 @@ class SystemCheckpoint:
             alloc.counters.peak = st.counters_peak
             alloc.freed = st.freed
             alloc.oversubscription_pinned = st.oversubscription_pinned
-            alloc.remote_pages_by_node = dict(st.remote_pages_by_node)
 
         for side, pool in (("cpu", mem.physical.cpu), ("gpu", mem.physical.gpu)):
             st = self.pools[side]
@@ -273,12 +270,6 @@ class SystemCheckpoint:
                         "base": st.counters_base,
                         "freed": st.freed,
                         "pinned": st.oversubscription_pinned,
-                        "remote": {
-                            repr(k): v
-                            for k, v in sorted(
-                                st.remote_pages_by_node.items(), key=repr
-                            )
-                        },
                     },
                     sort_keys=True,
                     default=repr,

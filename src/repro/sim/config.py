@@ -65,15 +65,6 @@ class Location(IntEnum):
     #: heuristic: accessed remotely over NVLink-C2C, no longer migrated on
     #: demand (Section 7, 34-qubit behaviour).
     CPU_PINNED = 3
-    #: Page resident on *another superchip's* memory, reached over the
-    #: multi-superchip NVLink/socket fabric. Which peer node holds the
-    #: page is recorded per allocation (:attr:`Allocation.remote_node`);
-    #: never occurs on the default single-superchip topology.
-    REMOTE = 4
-
-
-def location_for(processor: Processor) -> Location:
-    return Location.CPU if processor is Processor.CPU else Location.GPU
 
 
 class MemKind(Enum):
@@ -228,10 +219,6 @@ class SystemConfig:
     #: (the Grace CPUs' coherent CPU-to-CPU path).
     cpu_socket_bandwidth: float = 100 * GB
     cpu_socket_latency: float = 1.3e-6
-    #: Efficiency of fine-grained (cacheline) remote access across the
-    #: inter-chip fabric relative to its streaming rate; cross-chip
-    #: paths degrade more than the local C2C link.
-    fabric_remote_efficiency: float = 0.65
 
     # ------------------------------------------------------------------
     # Page tables and translation (Sections 2.1.2, 2.1.3)
@@ -398,8 +385,10 @@ class SystemConfig:
                 f"system_page_size must be one of {VALID_SYSTEM_PAGE_SIZES}, "
                 f"got {self.system_page_size}"
             )
-        if self.gpu_page_size % self.system_page_size != 0:
-            raise ValueError("gpu_page_size must be a multiple of system_page_size")
+        if self.gpu_page_size <= 0 or self.gpu_page_size % self.system_page_size:
+            raise ValueError(
+                "gpu_page_size must be a positive multiple of system_page_size"
+            )
         check_migration_threshold(self.migration_threshold)
         for name in (
             "hbm_bandwidth",

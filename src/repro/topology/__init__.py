@@ -13,7 +13,7 @@ every paper experiment bit-for-bit unchanged.
 
 from .model import LinkSpec, Superchip, Topology
 from .routing import ExchangeOutcome, FabricRouter, Route
-from .sharded import FabricPort, ShardedSystem
+from .sharded import ShardedSystem
 
 __all__ = [
     "LinkSpec",
@@ -22,6 +22,5 @@ __all__ = [
     "Route",
     "FabricRouter",
     "ExchangeOutcome",
-    "FabricPort",
     "ShardedSystem",
 ]

@@ -70,7 +70,6 @@ class Topology:
             for i in range(self.n_superchips)
         ]
         self.links: list[FabricLink] = []
-        self._by_endpoints: dict[frozenset, FabricLink] = {}
         self._build(config)
 
     # -- construction ----------------------------------------------------
@@ -105,7 +104,6 @@ class Topology:
             latency=spec.latency,
         )
         self.links.append(link)
-        self._by_endpoints[frozenset((a, b))] = link
 
     def _build(self, cfg: SystemConfig) -> None:
         c2c = LinkSpec(
@@ -152,18 +150,6 @@ class Topology:
             if node.kind is MemKind.DDR
             else self.config.hbm_bandwidth
         )
-
-    def link_between(self, a: NodeId, b: NodeId) -> FabricLink | None:
-        return self._by_endpoints.get(frozenset((a, b)))
-
-    def neighbors(self, node: NodeId) -> list[NodeId]:
-        out = []
-        for link in self.links:
-            if link.a == node:
-                out.append(link.b)
-            elif link.b == node:
-                out.append(link.a)
-        return out
 
     # -- the declarative schema ------------------------------------------
 

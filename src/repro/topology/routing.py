@@ -1,18 +1,13 @@
 """Routing and contention over the multi-superchip fabric.
 
 A transfer between two memory nodes traverses every link on its route
-and is charged to each of them — the property the per-link traffic
-conservation tests pin down. Two timing views are provided:
-
-* :meth:`FabricRouter.transfer` — one isolated transfer. Hops pipeline
-  (the fabric cuts packets through), so time is payload over the
-  *bottleneck* link bandwidth plus the sum of per-hop latencies.
-* :meth:`FabricRouter.exchange_phase` — a bulk-synchronous exchange step
-  (halo exchange, statevector butterfly): all transfers proceed
-  concurrently, each link serialises the bytes routed through it per
-  direction, and the phase completes when the most loaded link direction
-  drains. This is the standard BSP congestion model and what makes
-  exchange-heavy sharded workloads fabric-bound.
+and is charged to each of them, per direction. Transfers run only as
+:meth:`FabricRouter.exchange_phase` — a bulk-synchronous exchange step
+(halo exchange, statevector butterfly): all transfers proceed
+concurrently, each link serialises the bytes routed through it per
+direction, and the phase completes when the most loaded link direction
+drains. This is the standard BSP congestion model and what makes
+exchange-heavy sharded workloads fabric-bound.
 """
 
 from __future__ import annotations
@@ -115,40 +110,10 @@ class FabricRouter:
         except KeyError:
             raise ValueError(f"no route from {src} to {dst}") from None
 
-    # -- isolated transfers ----------------------------------------------
-
-    def transfer(
-        self,
-        nbytes: int,
-        src: NodeId,
-        dst: NodeId,
-        *,
-        cls: str = "dma",
-        efficiency: float = 1.0,
-    ) -> float:
-        """Time for one pipelined transfer; charges every traversed link.
-
-        ``efficiency`` derates the bottleneck bandwidth for fine-grained
-        (cacheline) remote access, which never reaches the streaming rate.
-        """
-        if nbytes <= 0 or src == dst:
-            return 0.0
-        if not 0 < efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
-        route = self.route(src, dst)
-        t = nbytes / (route.bottleneck_bandwidth * efficiency) + route.latency
-        per_hop = t / max(route.n_hops, 1)
-        for link, fwd in route.hops:
-            link.charge(nbytes, forward=fwd, cls=cls, seconds=per_hop)
-        return t
-
     # -- bulk-synchronous exchange phases --------------------------------
 
     def exchange_phase(
-        self,
-        transfers: list[tuple[int, NodeId, NodeId]],
-        *,
-        cls: str = "exchange",
+        self, transfers: list[tuple[int, NodeId, NodeId]]
     ) -> ExchangeOutcome:
         """Run concurrent transfers as one BSP step.
 
@@ -171,7 +136,7 @@ class FabricRouter:
                 out.hop_bytes += nbytes
                 key = (id(link), fwd)
                 loads[key] = loads.get(key, 0) + nbytes
-                link.charge(nbytes, forward=fwd, cls=cls)
+                link.charge(nbytes, forward=fwd)
                 name = link.name
                 out.per_link_bytes[name] = out.per_link_bytes.get(name, 0) + nbytes
         if not loads:
@@ -191,21 +156,12 @@ class FabricRouter:
 
     def link_traffic_table(self) -> list[dict]:
         """Per-link traffic rows (the ``topo_scaling`` report columns)."""
-        rows = []
-        for link in self.topology.links:
-            s = link.stats
-            rows.append(
-                {
-                    "link": link.name,
-                    "kind": link.kind.value,
-                    "fwd_bytes": s.fwd_bytes,
-                    "rev_bytes": s.rev_bytes,
-                    "by_class": {
-                        c: s.class_bytes(c)
-                        for c in sorted(
-                            set(s.fwd_by_class) | set(s.rev_by_class)
-                        )
-                    },
-                }
-            )
-        return rows
+        return [
+            {
+                "link": link.name,
+                "kind": link.kind.value,
+                "fwd_bytes": link.stats.fwd_bytes,
+                "rev_bytes": link.stats.rev_bytes,
+            }
+            for link in self.topology.links
+        ]

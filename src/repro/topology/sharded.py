@@ -12,129 +12,17 @@ over a shared :class:`~repro.topology.Topology` and
   the fabric with per-link contention, whose duration is charged to every
   shard's clock.
 
-Each shard's memory subsystem is wired to the fabric through a
-:class:`FabricPort` (``gh.mem.attach_fabric``), which is what lets
-first-touch placement spill to a peer chip's DDR, hot peer-resident pages
-migrate home over the fabric, and :attr:`Location.REMOTE` accesses be
-charged multi-hop costs — all duck-typed, so :mod:`repro.mem` never
-imports this package.
+Shards share no memory: every page of a shard lives on its own chip, and
+the fabric carries only exchange phases.
 """
 
 from __future__ import annotations
 
 from ..core.runtime import GraceHopperSystem
 from ..profiling.counters import CounterSet
-from ..sim.config import MemKind, NodeId, Processor, SystemConfig
+from ..sim.config import NodeId, SystemConfig
 from .model import Topology
 from .routing import ExchangeOutcome, FabricRouter
-
-
-class FabricPort:
-    """One superchip's window onto the shared fabric.
-
-    Instances are attached to a shard's :class:`~repro.mem.subsystem.
-    MemorySubsystem` via ``attach_fabric`` and consumed duck-typed by the
-    fault handler, migrator and access path.
-    """
-
-    def __init__(self, system: "ShardedSystem", chip: int):
-        self.system = system
-        self.chip = chip
-        self.router = system.router
-        self.config = system.config
-
-    # -- node inventory ---------------------------------------------------
-
-    @property
-    def ddr(self) -> NodeId:
-        return NodeId(self.chip, MemKind.DDR)
-
-    @property
-    def hbm(self) -> NodeId:
-        return NodeId(self.chip, MemKind.HBM)
-
-    def pool(self, node: NodeId):
-        """The physical pool backing ``node`` (peer chips included)."""
-        phys = self.system.shards[node.chip].mem.physical
-        return phys.cpu if node.kind is MemKind.DDR else phys.gpu
-
-    def peer_ddr_nodes(self) -> list[NodeId]:
-        """Peer chips' DDR nodes, nearest (fewest hops) first — the
-        first-touch spill order."""
-        me = self.ddr
-        peers = [
-            sc.ddr for sc in self.system.topology.superchips if sc.chip != self.chip
-        ]
-        peers.sort(key=lambda n: (self.router.route(me, n).n_hops, n.chip))
-        return peers
-
-    # -- fabric traffic ---------------------------------------------------
-
-    def _bump(self, nbytes: int, n_hops: int) -> None:
-        self.system.shards[self.chip].counters.bump(
-            fabric_bytes=nbytes,
-            fabric_hop_bytes=nbytes * n_hops,
-            fabric_transfers=1,
-        )
-
-    def transfer(
-        self, nbytes: int, src: NodeId, dst: NodeId, *, cls: str = "dma"
-    ) -> float:
-        """One pipelined streaming transfer between any two nodes."""
-        if nbytes <= 0 or src == dst:
-            return 0.0
-        t = self.router.transfer(nbytes, src, dst, cls=cls)
-        self._bump(nbytes, self.router.route(src, dst).n_hops)
-        return t
-
-    def migrate_in(self, nbytes: int, owner: NodeId) -> float:
-        """Pull migrating pages from ``owner`` into this chip's HBM
-        (driver rate-limited, like local C2C migrations)."""
-        if nbytes <= 0:
-            return 0.0
-        t = self.router.transfer(
-            nbytes,
-            owner,
-            self.hbm,
-            cls="migration",
-            efficiency=self.config.migration_bandwidth_fraction,
-        )
-        self._bump(nbytes, self.router.route(owner, self.hbm).n_hops)
-        return t
-
-    def remote_access(self, wire_bytes: int, alloc, processor: Processor) -> float:
-        """Cacheline-grain access to an allocation's peer-resident pages.
-
-        ``wire_bytes`` are apportioned over the owning peer nodes by their
-        page share and each slice is charged along its route, derated by
-        :attr:`SystemConfig.fabric_remote_efficiency` (fine-grained
-        traffic never reaches the streaming rate).
-        """
-        if wire_bytes <= 0 or not alloc.remote_pages_by_node:
-            return 0.0
-        accessor = self.hbm if processor is Processor.GPU else self.ddr
-        total_pages = sum(alloc.remote_pages_by_node.values())
-        seconds = 0.0
-        remaining = wire_bytes
-        owners = sorted(alloc.remote_pages_by_node.items(), key=lambda kv: str(kv[0]))
-        for i, (node, n_pages) in enumerate(owners):
-            share = (
-                remaining
-                if i == len(owners) - 1
-                else wire_bytes * n_pages // total_pages
-            )
-            remaining -= share
-            if share <= 0:
-                continue
-            seconds += self.router.transfer(
-                share,
-                node,
-                accessor,
-                cls="remote",
-                efficiency=self.config.fabric_remote_efficiency,
-            )
-            self._bump(share, self.router.route(node, accessor).n_hops)
-        return seconds
 
 
 class ShardedSystem:
@@ -158,11 +46,6 @@ class ShardedSystem:
             GraceHopperSystem(base.copy(), chip=i)
             for i in range(base.n_superchips)
         ]
-        self.ports = []
-        for i, gh in enumerate(self.shards):
-            port = FabricPort(self, i)
-            gh.mem.attach_fabric(port)
-            self.ports.append(port)
         from ..profiling.timeline import maybe_timeline
 
         #: Node-level timeline on the lockstep time axis (``None`` unless
@@ -213,7 +96,7 @@ class ShardedSystem:
         self.barrier(activity=f"{label}:enter")
         results = [fn(i, gh) for i, gh in enumerate(self.shards)]
         self.barrier(activity=f"{label}:exit")
-        self._sanitize(label)
+        self._sanitize()
         return results
 
     # -- fabric exchange phases -------------------------------------------
@@ -222,7 +105,6 @@ class ShardedSystem:
         self,
         transfers: list[tuple[int, NodeId, NodeId]],
         *,
-        cls: str = "exchange",
         label: str = "exchange",
     ) -> ExchangeOutcome:
         """One concurrent transfer phase (halo exchange, statevector
@@ -230,7 +112,7 @@ class ShardedSystem:
         shard's clock, and tallied on each *sending* chip's counters."""
         self.barrier(activity=f"{label}:enter")
         start = self.now
-        outcome = self.router.exchange_phase(transfers, cls=cls)
+        outcome = self.router.exchange_phase(transfers)
         if self.timeline is not None:
             self.timeline.complete(
                 label, start, outcome.seconds,
@@ -250,7 +132,7 @@ class ShardedSystem:
         if outcome.seconds:
             for gh in self.shards:
                 gh.clock.advance(outcome.seconds, activity=label)
-        self._sanitize(label)
+        self._sanitize()
         return outcome
 
     # -- reporting --------------------------------------------------------
@@ -266,37 +148,12 @@ class ShardedSystem:
         """Per-link traffic rows for the whole run so far."""
         return self.router.link_traffic_table()
 
-    def conserved(self) -> bool:
-        """Do all fabric links satisfy per-class byte conservation?"""
-        return all(link.stats.conserved() for link in self.topology.links)
-
-    def _sanitize(self, label: str) -> None:
+    def _sanitize(self) -> None:
         """Node-level sanitizer hook: after every superstep / exchange,
-        sweep each sanitizing shard and check fabric-link conservation.
-        No-op unless a shard has its sanitizer enabled."""
-        active = [gh for gh in self.shards if gh.mem.sanitizer is not None]
-        if not active:
-            return
-        for gh in active:
-            gh.mem.sanitizer.check_all()
-        if not self.conserved():
-            from ..check.sanitizer import InvariantViolation
-
-            raise InvariantViolation(
-                "fabric-conservation",
-                f"per-class fabric-link byte tallies diverged after "
-                f"{label!r}",
-                sim_time=self.now,
-                epoch=active[0].mem.sanitizer.epoch,
-                details={
-                    str(link): {
-                        "fwd": link.stats.fwd_bytes,
-                        "rev": link.stats.rev_bytes,
-                    }
-                    for link in self.topology.links
-                    if not link.stats.conserved()
-                },
-            )
+        sweep each shard whose sanitizer is enabled."""
+        for gh in self.shards:
+            if gh.mem.sanitizer is not None:
+                gh.mem.sanitizer.check_all()
 
     def __repr__(self) -> str:
         return f"<ShardedSystem {self.n_superchips} superchip(s) @ {self.now:.6f}s>"

@@ -1,10 +1,11 @@
 """Property tests: per-link traffic accounting is conservative.
 
-Every link model keeps per-direction byte totals *and* per-traffic-class
+NVLink-C2C keeps per-direction byte totals *and* per-traffic-class
 tallies; the invariant is that the class tallies always sum to the
 direction totals, no matter what sequence of transfers runs. Bandwidth
-asymmetry (H2D faster than D2H on NVLink-C2C) must survive any traffic
-mix as well.
+asymmetry (H2D faster than D2H) must survive any traffic mix as well.
+A fabric link keeps per-direction totals only, which must equal the
+bytes charged each way.
 """
 
 from hypothesis import given
@@ -97,14 +98,7 @@ def test_copy_engine_totals_and_link_conservation(ops):
     assert link.stats.conserved()
 
 
-fabric_ops = st.lists(
-    st.tuples(
-        st.booleans(),
-        st.sampled_from(["dma", "remote", "migration", "exchange"]),
-        SIZES,
-    ),
-    max_size=30,
-)
+fabric_ops = st.lists(st.tuples(st.booleans(), SIZES), max_size=30)
 
 
 @given(fabric_ops)
@@ -118,14 +112,13 @@ def test_fabric_link_conservation(ops):
         latency=1e-6,
     )
     fwd = rev = 0
-    for forward, cls, nbytes in ops:
-        link.charge(nbytes, forward=forward, cls=cls, seconds=1e-6)
+    for forward, nbytes in ops:
+        link.charge(nbytes, forward=forward)
         if forward:
             fwd += nbytes
         else:
             rev += nbytes
 
-    assert link.stats.conserved()
     assert link.stats.fwd_bytes == fwd
     assert link.stats.rev_bytes == rev
     assert link.stats.total_bytes == fwd + rev

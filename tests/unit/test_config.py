@@ -7,10 +7,8 @@ from repro.sim.config import (
     KiB,
     GiB,
     FirstTouchPolicy,
-    Location,
     Processor,
     SystemConfig,
-    location_for,
 )
 
 
@@ -23,6 +21,15 @@ class TestValidation:
     def test_rejects_bad_page_size(self):
         with pytest.raises(ValueError, match="system_page_size"):
             SystemConfig(system_page_size=8192)
+
+    @pytest.mark.parametrize("gpu_page_size", [0, -GPU_PAGE_SIZE, 6 * KiB])
+    def test_gpu_page_size_must_be_a_positive_multiple(self, gpu_page_size):
+        with pytest.raises(ValueError, match="gpu_page_size"):
+            SystemConfig(gpu_page_size=gpu_page_size)
+
+    def test_accepts_a_gpu_page_of_one_system_page(self):
+        cfg = SystemConfig(system_page_size=64 * KiB, gpu_page_size=64 * KiB)
+        assert cfg.pages_per_gpu_page == 1
 
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError, match="hbm_bandwidth"):
@@ -122,10 +129,6 @@ class TestEnums:
     def test_processor_other(self):
         assert Processor.CPU.other is Processor.GPU
         assert Processor.GPU.other is Processor.CPU
-
-    def test_location_for(self):
-        assert location_for(Processor.CPU) is Location.CPU
-        assert location_for(Processor.GPU) is Location.GPU
 
     def test_first_touch_policy_values(self):
         assert FirstTouchPolicy.ACCESSOR.value == "accessor"

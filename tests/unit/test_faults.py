@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.runtime import GraceHopperSystem
 from repro.mem.faults import FaultHandler
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
@@ -14,6 +15,7 @@ from repro.sim.config import (
     Processor,
     SystemConfig,
 )
+from tests.helpers.placement import assert_overflowing_touch_leaves_no_trace
 
 
 def make_handler(cfg):
@@ -60,6 +62,13 @@ class TestFirstTouchPlacement:
         out = handler.first_touch(alloc, PageSet.full(alloc.n_pages), Processor.GPU)
         assert out.pages_on_gpu == 0
         assert out.pages_on_cpu == alloc.n_pages
+
+    @pytest.mark.parametrize("mem_arch", ["gh200", "upm", "svm"])
+    def test_overflowing_cpu_touch_leaves_no_trace(self, mem_arch):
+        cfg = SystemConfig.scaled(
+            1 / 1024, page_size=65536, mem_arch=mem_arch, sanitize=True
+        )
+        assert_overflowing_touch_leaves_no_trace(GraceHopperSystem(cfg))
 
 
 class TestFaultCosts:

@@ -122,10 +122,6 @@ class TestStateOps:
         ps = PageSet.range(0, 4)
         assert ps.where(state, 1) is ps
 
-    def test_count_where(self):
-        state = np.array([2, 2, 0, 2], dtype=np.int8)
-        assert PageSet.range(0, 4).count_where(state, 2) == 3
-
 
 class TestGranularity:
     def test_align_down_range(self):

@@ -98,12 +98,12 @@ class TestAllocation:
         a.set_location(PageSet.range(1500, 4096), Location.GPU)
         a.state = a.state.view(Unreadable)
         mid = PageSet.range(1000, 3000)
-        assert a.split_counts(mid).tolist() == [0, 500, 1500, 0, 0]
+        assert a.split_counts(mid).tolist() == [0, 500, 1500, 0]
         assert a.subset(mid, Location.CPU) == PageSet.range(1000, 1500)
         assert a.subset(mid, Location.GPU) == PageSet.range(1500, 3000)
         holes = PageSet.from_runs([(1400, 1600), (2000, 2100)])
         prev = a.set_location(holes, Location.CPU)
-        assert prev.tolist() == [0, 100, 200, 0, 0]
+        assert prev.tolist() == [0, 100, 200, 0]
         assert a.subset(PageSet.full(a.n_pages), Location.GPU).runs == (
             (1600, 2000), (2100, 4096),
         )
@@ -111,7 +111,7 @@ class TestAllocation:
         # 512-page blocks: 1500-1599 and 2000-2099 left the GPU.
         assert a._gpu_block_counts.tolist() == [0, 0, 0, 400, 460, 512, 512, 512]
         a.set_location(PageSet.range(0, 4096).difference(holes), Location.UNMAPPED)
-        assert a.split_counts(mid).tolist() == [1700, 300, 0, 0, 0]
+        assert a.split_counts(mid).tolist() == [1700, 300, 0, 0]
         assert a._gpu_block_counts.tolist() == [0] * 8
 
     def test_bytes_at(self, cfg):
@@ -209,13 +209,6 @@ class TestPageTables:
         assert a in table.live_allocations()
         table.unregister(a)
         assert not table.live_allocations()
-
-    def test_resident_bytes(self, cfg):
-        table = SystemPageTable(cfg)
-        a = make_alloc(cfg)
-        a.set_location(PageSet.range(0, 10), Location.CPU)
-        table.register(a)
-        assert table.resident_bytes(Location.CPU) == 10 * 4096
 
     def test_teardown_cost_scales_with_pages(self, cfg):
         table = SystemPageTable(cfg)

@@ -121,16 +121,6 @@ def test_byte_conservation_drift_detected(gh):
         gh.mem.sanitizer.check_all()
 
 
-def test_remote_without_fabric_port_detected(gh):
-    a, _ = _run_kernels(gh)
-    alloc = a.alloc
-    from repro.mem.pageset import PageSet
-
-    alloc.set_location(PageSet.range(0, 1), Location.REMOTE)
-    with pytest.raises(InvariantViolation, match="remote-accounting"):
-        gh.mem.sanitizer.check_alloc(alloc)
-
-
 def test_counter_peak_below_a_count_detected(gh):
     a, _ = _run_kernels(gh)
     counters = a.alloc.counters
@@ -230,16 +220,3 @@ def test_sharded_step_sweeps_every_shard():
 
     node.step(phase)
     assert all(gh.mem.sanitizer.checks_run > 0 for gh in node)
-
-
-def test_sharded_fabric_conservation_violation():
-    from repro.topology.sharded import ShardedSystem
-
-    cfg = SystemConfig.paper_gh200().scaled(1 / 64).copy(
-        sanitize=True, n_superchips=2
-    )
-    node = ShardedSystem(cfg)
-    link = node.topology.links[0]
-    link.stats.fwd_bytes += 4096  # direction total without a class entry
-    with pytest.raises(InvariantViolation, match="fabric-conservation"):
-        node.step(lambda chip, gh: None)

@@ -1,11 +1,11 @@
-"""Unit tests for lockstep sharded execution and cross-chip memory paths."""
+"""Unit tests for lockstep sharded execution and fabric exchanges."""
 
-import numpy as np
 import pytest
 
-from repro.core.kernels import ArrayAccess
-from repro.sim.config import Location, MemKind, NodeId, SystemConfig
+from repro.interconnect import LinkKind
+from repro.sim.config import MemKind, NodeId, SystemConfig
 from repro.topology import ShardedSystem
+from tests.helpers.placement import assert_overflowing_touch_leaves_no_trace
 
 
 @pytest.fixture
@@ -16,16 +16,6 @@ def cfg():
 @pytest.fixture
 def duo(cfg):
     return ShardedSystem(cfg, n_superchips=2)
-
-
-def spilled_array(duo, cfg, extra_pages=64):
-    """A system allocation on shard 0 bigger than its local DDR, first
-    touched by the CPU so the overflow spills to chip 1's DDR."""
-    gh = duo[0]
-    nbytes = gh.mem.physical.cpu.free + extra_pages * cfg.system_page_size
-    arr = gh.malloc(np.int8, (nbytes,))
-    gh.cpu_phase("touch", [ArrayAccess.write_(arr)])
-    return arr
 
 
 class TestLockstep:
@@ -59,7 +49,6 @@ class TestLockstep:
         assert duo[0].counters.total.fabric_bytes == 1 << 20
         assert duo[1].counters.total.fabric_bytes == 1 << 20
         assert duo.aggregate_counters().fabric_transfers == 2
-        assert duo.conserved()
 
     def test_empty_exchange_is_free(self, duo):
         before = duo.now
@@ -68,59 +57,34 @@ class TestLockstep:
         assert duo.now == before
 
 
-class TestPeerSpill:
-    def test_first_touch_spills_overflow_to_peer_ddr(self, duo, cfg):
-        peer_free = duo[1].mem.physical.cpu.free
-        arr = spilled_array(duo, cfg, extra_pages=64)
-        alloc = arr.alloc
-        n_remote = alloc.pages_at(Location.REMOTE)
-        assert n_remote == 64
-        assert alloc.remote_pages_by_node == {NodeId(1, MemKind.DDR): 64}
-        # The spilled pages are physically reserved on chip 1's pool.
-        spilled = 64 * cfg.system_page_size
-        assert duo[1].mem.physical.cpu.free == peer_free - spilled
-        assert duo[0].counters.total.pages_spilled_remote == 64
-
-    def test_gpu_access_to_spilled_pages_rides_the_fabric(self, duo, cfg):
-        arr = spilled_array(duo, cfg)
-        rec = duo[0].launch_kernel("read", [ArrayAccess.read(arr)])
-        assert rec.result.remote_bytes > 0
-        # GPU 0 pulling from chip 1's DDR routes over c2c+nvlink.
-        traffic = {row["kind"]: row for row in duo.link_traffic()}
-        assert traffic["nvlink"]["by_class"].get("remote", 0) > 0
-        assert duo[0].counters.total.fabric_bytes > 0
-        assert duo.conserved()
-
-    def test_free_releases_the_peer_reservation(self, duo, cfg):
-        peer_free = duo[1].mem.physical.cpu.free
-        arr = spilled_array(duo, cfg)
-        assert duo[1].mem.physical.cpu.free < peer_free
-        duo[0].free(arr)
-        assert duo[1].mem.physical.cpu.free == peer_free
-        assert arr.alloc.remote_pages_by_node == {}
+    def test_multi_hop_exchange_charges_each_link_in_its_direction(self, duo):
+        ddr0, hbm0 = NodeId(0, MemKind.DDR), NodeId(0, MemKind.HBM)
+        hbm1 = NodeId(1, MemKind.HBM)
+        there, back = 3 << 20, 1 << 20
+        out = duo.exchange([(there, ddr0, hbm1), (back, hbm1, ddr0)])
+        assert out.hop_bytes == 2 * (there + back)
+        # chip 0's DDR reaches chip 1's HBM over its C2C link, then the
+        # GPU-GPU NVLink; both links run a->b on the way there.
+        (c2c, c2c_fwd), (nvl, nvl_fwd) = duo.router.route(ddr0, hbm1).hops
+        assert (c2c.kind, c2c.a, c2c.b, c2c_fwd) == (LinkKind.C2C, ddr0, hbm0, True)
+        assert (nvl.kind, nvl.a, nvl.b, nvl_fwd) == (LinkKind.NVLINK, hbm0, hbm1, True)
+        for link in (c2c, nvl):
+            assert (link.stats.fwd_bytes, link.stats.rev_bytes) == (there, back)
+        others = [link for link in duo.topology.links if link not in (c2c, nvl)]
+        assert others and all(link.stats.total_bytes == 0 for link in others)
+        assert duo.aggregate_counters().fabric_hop_bytes == sum(
+            link.stats.fwd_bytes + link.stats.rev_bytes
+            for link in duo.topology.links
+        )
 
 
-class TestRemoteMigration:
-    def test_hot_spilled_pages_migrate_home_over_the_fabric(self, duo, cfg):
-        # Pin down all of chip 0's DDR so the test array spills entirely:
-        # the migrator's per-epoch budget then goes to REMOTE pages alone.
-        gh = duo[0]
-        filler = gh.malloc(np.int8, (gh.mem.physical.cpu.free,))
-        gh.cpu_phase("fill", [ArrayAccess.write_(filler)])
-        arr = gh.malloc(np.int8, (64 * cfg.system_page_size,))
-        gh.cpu_phase("touch", [ArrayAccess.write_(arr)])
-        assert arr.alloc.pages_at(Location.REMOTE) == 64
-
-        peer_free = duo[1].mem.physical.cpu.free
-        duo[0].set_migration_threshold(1)
-        for _ in range(40):
-            duo[0].launch_kernel("hammer", [ArrayAccess.read(arr)])
-        counters = duo[0].counters.total
-        assert counters.pages_migrated_h2d > 0
-        assert arr.alloc.pages_at(Location.REMOTE) < 64
-        # Migrated pages released their peer-DDR reservation and now
-        # occupy local HBM; the move was charged to the fabric.
-        assert duo[1].mem.physical.cpu.free > peer_free
-        traffic = {row["kind"]: row for row in duo.link_traffic()}
-        assert traffic["nvlink"]["by_class"].get("migration", 0) > 0
-        assert duo.conserved()
+class TestShardMemory:
+    def test_cpu_touch_past_shard_ddr_raises_and_leaves_no_trace(self, cfg):
+        # A shard's pages live on its own chip: overflowing its LPDDR
+        # fails as on a single superchip, and no peer pool is touched.
+        duo = ShardedSystem(cfg.copy(sanitize=True), n_superchips=2)
+        peer = duo[1].mem.physical
+        peer_used = (peer.cpu.used, peer.gpu.used)
+        assert_overflowing_touch_leaves_no_trace(duo[0])
+        assert (peer.cpu.used, peer.gpu.used) == peer_used
+        assert duo.aggregate_counters().fabric_bytes == 0

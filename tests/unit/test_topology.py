@@ -46,17 +46,6 @@ class TestTopologyModel:
         assert topo.capacity(node(1, "ddr")) == cfg.cpu_memory_bytes
         assert topo.capacity(node(1, "hbm")) == cfg.gpu_memory_bytes
 
-    def test_link_between_and_neighbors(self, cfg):
-        topo = Topology.multi(2, cfg)
-        c2c = topo.link_between(node(0, "ddr"), node(0, "hbm"))
-        assert c2c is not None and c2c.kind is LinkKind.C2C
-        nvl = topo.link_between(node(0, "hbm"), node(1, "hbm"))
-        assert nvl is not None and nvl.kind is LinkKind.NVLINK
-        assert topo.link_between(node(0, "ddr"), node(1, "hbm")) is None
-        assert set(topo.neighbors(node(0, "hbm"))) == {
-            node(0, "ddr"), node(1, "hbm"),
-        }
-
     def test_fingerprint_stable_and_distinct(self, cfg):
         assert Topology.multi(2, cfg).fingerprint() == Topology.multi(2, cfg).fingerprint()
         assert Topology.multi(2, cfg).fingerprint() != Topology.multi(4, cfg).fingerprint()
@@ -98,25 +87,6 @@ class TestRouting:
         route = router.route(node(0, "hbm"), node(0, "hbm"))
         assert route.n_hops == 0 and route.latency == 0.0
 
-    def test_transfer_charges_every_traversed_link(self, cfg):
-        router = FabricRouter(Topology.multi(2, cfg))
-        nbytes = 1 << 20
-        t = router.transfer(nbytes, node(0, "ddr"), node(1, "hbm"))
-        route = router.route(node(0, "ddr"), node(1, "hbm"))
-        expect = nbytes / route.bottleneck_bandwidth + route.latency
-        assert t == pytest.approx(expect)
-        for link, fwd in route.hops:
-            stats = link.stats
-            assert (stats.fwd_bytes if fwd else stats.rev_bytes) == nbytes
-            assert stats.conserved()
-
-    def test_transfer_degenerate_cases(self, cfg):
-        router = FabricRouter(Topology.multi(2, cfg))
-        assert router.transfer(0, node(0, "ddr"), node(1, "hbm")) == 0.0
-        assert router.transfer(1 << 20, node(0, "hbm"), node(0, "hbm")) == 0.0
-        with pytest.raises(ValueError):
-            router.transfer(1, node(0, "ddr"), node(1, "ddr"), efficiency=0.0)
-
     def test_exchange_same_direction_contends(self, cfg):
         nbytes = 64 << 20
         src, dst = node(0, "hbm"), node(1, "hbm")
@@ -143,7 +113,6 @@ class TestRouting:
              (1 << 20, node(0, "hbm"), node(0, "hbm"))]    # self, dropped
         )
         assert out.n_transfers == 2
-        assert all(link.stats.conserved() for link in topo.links)
         by_kind = {}
         for row in router.link_traffic_table():
             by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + (
