@@ -519,8 +519,8 @@ class TestEvictLruPrefix:
 
     def test_record_speedup_vs_dense(self, benchmark):
         record, dense = self.filled(), self.filled()
-        (alloc,) = record.mem.managed.allocations.values()
-        (fragmented,) = dense.mem.managed.allocations.values()
+        (alloc,) = record.mem.allocations.values()
+        (fragmented,) = dense.mem.allocations.values()
         assert len(alloc._touch) == 1
         assert alloc.pages_at(Location.GPU) // alloc.block_pages > 48_000
         record_t = dense_t = float("inf")

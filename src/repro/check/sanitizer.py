@@ -41,9 +41,10 @@ Invariants enforced
    hardware counters, and fabric hop-bytes are at least the fabric
    payload bytes. The fault counters are compared exactly against the
    reference executors by differential replay (``check.reference``).
-5. **Page-table coherence** — no freed or mis-kinded allocation is
-   registered, managed allocations appear in both tables and in the
-   managed manager, device allocations are fully GPU-resident.
+5. **Page-table coherence** — no freed allocation stays registered in
+   :attr:`~repro.mem.subsystem.MemorySubsystem.allocations`, the one
+   registry of live allocations; device allocations are fully
+   GPU-resident.
 6. **Access-counter bound** — each allocation's ``counters.peak`` is at
    least its largest per-page count, since ``crossed`` skips its scan on
    that bound.
@@ -185,16 +186,9 @@ class MemSanitizer:
         self.checks_run += 1
         self.check_pools()
         self.check_tables()
-        for a in self._live_allocations():
+        for a in self.mem.allocations.values():
             self.check_alloc(a)
         self.check_counters()
-
-    def _live_allocations(self) -> list[Allocation]:
-        seen: dict[int, Allocation] = {}
-        for table in (self.mem.system_table, self.mem.gpu_table):
-            for a in table.live_allocations():
-                seen[a.aid] = a
-        return list(seen.values())
 
     # -- invariant groups -------------------------------------------------
 
@@ -408,44 +402,11 @@ class MemSanitizer:
                 )
 
     def check_tables(self) -> None:
-        mem = self.mem
-        for alloc in mem.system_table.live_allocations():
+        for alloc in self.mem.allocations.values():
             if alloc.freed:
                 self._fail(
                     "table-coherence",
-                    "freed allocation still registered in the system table",
-                    alloc=alloc,
-                )
-            if alloc.kind is AllocKind.DEVICE:
-                self._fail(
-                    "table-coherence",
-                    "device allocation registered in the system page table",
-                    alloc=alloc,
-                )
-            if alloc.kind is AllocKind.MANAGED:
-                if alloc.aid not in mem.gpu_table.allocations:
-                    self._fail(
-                        "table-coherence",
-                        "managed allocation missing from the GPU page table",
-                        alloc=alloc,
-                    )
-                if alloc.aid not in mem.managed.allocations:
-                    self._fail(
-                        "table-coherence",
-                        "managed allocation missing from the managed manager",
-                        alloc=alloc,
-                    )
-        for alloc in mem.gpu_table.live_allocations():
-            if alloc.freed:
-                self._fail(
-                    "table-coherence",
-                    "freed allocation still registered in the GPU table",
-                    alloc=alloc,
-                )
-            if alloc.kind not in (AllocKind.DEVICE, AllocKind.MANAGED):
-                self._fail(
-                    "table-coherence",
-                    "non-device, non-managed allocation in the GPU table",
+                    "freed allocation still registered",
                     alloc=alloc,
                 )
 

@@ -77,9 +77,6 @@ class FabricLink:
     def name(self) -> str:
         return f"{self.kind.value}:{self.a}->{self.b}"
 
-    def endpoints(self) -> tuple[NodeId, NodeId]:
-        return (self.a, self.b)
-
     def direction(self, src: NodeId, dst: NodeId) -> bool:
         """``True`` for the forward (a->b) direction of this link."""
         if (src, dst) == (self.a, self.b):

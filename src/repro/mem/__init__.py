@@ -30,8 +30,6 @@ from .pagetable import (
     AccessCounters,
     Allocation,
     AllocKind,
-    GpuPageTable,
-    SystemPageTable,
 )
 from .pageset import PageSet, pages_of_byte_range
 from .physical import MemoryPool, OutOfMemoryError, PhysicalMemory
@@ -61,8 +59,6 @@ __all__ = [
     "AccessCounters",
     "Allocation",
     "AllocKind",
-    "GpuPageTable",
-    "SystemPageTable",
     "PageSet",
     "pages_of_byte_range",
     "MemoryPool",

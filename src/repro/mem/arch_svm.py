@@ -64,7 +64,7 @@ class SvmFaultHandler(FaultHandler):
         out = FaultOutcome()
         if not unmapped:
             return out
-        self.physical.place(alloc, unmapped, Location.CPU)
+        self.physical.place(alloc, (unmapped, Location.CPU))
         n = out.pages_on_cpu = unmapped.count
         if accessor is Processor.GPU:
             # The GPU raised a replayable fault per page; service is a
@@ -112,7 +112,7 @@ class SvmArchitecture(MemoryArchitecture):
         page_size = cfg.system_page_size
         target = needed - gpu.free
         seconds = 0.0
-        for victim in list(mem.system_table.live_allocations()):
+        for victim in mem.allocations.values():
             if target <= 0:
                 break
             if victim.kind not in (AllocKind.SYSTEM, AllocKind.MANAGED):

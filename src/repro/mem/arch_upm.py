@@ -103,7 +103,7 @@ class UpmFaultHandler(FaultHandler):
         if not unmapped:
             return out
         # The one pool's pages are recorded at Location.GPU.
-        self.physical.place(alloc, unmapped, Location.GPU)
+        self.physical.place(alloc, (unmapped, Location.GPU))
         n = out.pages_on_gpu = unmapped.count
         if accessor is Processor.GPU:
             self.counters.bump(gpu_replayable_faults=n)

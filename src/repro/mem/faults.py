@@ -60,7 +60,8 @@ class FaultHandler:
         places on GPU memory while capacity lasts and spills to CPU memory
         afterwards (the balloon-induced oversubscription scenarios exercise
         the spill path). CPU pages that do not fit raise
-        :class:`~repro.mem.physical.OutOfMemoryError` before they are mapped.
+        :class:`~repro.mem.physical.OutOfMemoryError` before any page,
+        GPU or CPU, is mapped.
         """
         out = FaultOutcome()
         if not unmapped:
@@ -77,12 +78,11 @@ class FaultHandler:
             gpu_part = unmapped.take_first(fit_pages)
         cpu_part = unmapped.difference(gpu_part)
 
-        if gpu_part:
-            self.physical.place(alloc, gpu_part, Location.GPU)
-            out.pages_on_gpu = gpu_part.count
-        if cpu_part:
-            self.physical.place(alloc, cpu_part, Location.CPU)
-            out.pages_on_cpu = cpu_part.count
+        self.physical.place(
+            alloc, (gpu_part, Location.GPU), (cpu_part, Location.CPU)
+        )
+        out.pages_on_gpu = gpu_part.count
+        out.pages_on_cpu = cpu_part.count
 
         n = unmapped.count
         if accessor is Processor.GPU:
@@ -117,7 +117,7 @@ class FaultHandler:
         unmapped = alloc.subset(pages, Location.UNMAPPED)
         if not unmapped:
             return 0.0
-        self.physical.place(alloc, unmapped, self.prepopulate_location)
+        self.physical.place(alloc, (unmapped, self.prepopulate_location))
         nbytes = unmapped.count * self.config.system_page_size
         zero = nbytes / self.config.fault_zeroing_bandwidth
         return unmapped.count * self.config.bulk_pte_populate_cost + zero

@@ -3,8 +3,11 @@
 Section 2.3: ``cudaMallocManaged`` provides a single VA range backed by
 *two* page tables. GPU-resident parts live in the GPU-exclusive table at
 2 MB granularity; CPU-resident parts live in the system page table at the
-system page size. The behaviours modelled here, each anchored to a paper
-observation:
+system page size. Each page's residency state says which table maps it;
+the manager keeps no registry of its own and evicts across the managed
+allocations of the subsystem's one
+(:attr:`~repro.mem.subsystem.MemorySubsystem.allocations`). The
+behaviours modelled here, each anchored to a paper observation:
 
 * **GPU first-touch** maps pages directly into GPU memory through the GPU
   page table — cheap, no OS round trip — which is why managed memory wins
@@ -53,6 +56,7 @@ class ManagedMemoryManager:
         physical: PhysicalMemory,
         link: NvlinkC2C,
         counters: HardwareCounters,
+        allocations: dict[int, Allocation],
     ):
         self.config = config
         self.physical = physical
@@ -60,15 +64,9 @@ class ManagedMemoryManager:
         self.counters = counters
         #: Optional structured event timeline (wired by the runtime).
         self.timeline = None
-        #: All live managed allocations, for cross-allocation LRU eviction.
-        self.allocations: dict[int, Allocation] = {}
-
-    def register(self, alloc: Allocation) -> None:
-        assert alloc.kind is AllocKind.MANAGED
-        self.allocations[alloc.aid] = alloc
-
-    def unregister(self, alloc: Allocation) -> None:
-        self.allocations.pop(alloc.aid, None)
+        #: The subsystem's registry of live allocations (every kind, in
+        #: allocation order); LRU eviction reads its managed ones.
+        self.allocations = allocations
 
     # -- helpers ------------------------------------------------------------
 
@@ -100,7 +98,11 @@ class ManagedMemoryManager:
         if needed <= self.physical.gpu.free:
             return 0, 0.0
         target = needed - self.physical.gpu.free
-        allocs = [a for a in self.allocations.values() if a.pages_at(Location.GPU)]
+        allocs = [
+            a
+            for a in self.allocations.values()
+            if a.kind is AllocKind.MANAGED and a.pages_at(Location.GPU)
+        ]
         if not allocs:
             return 0, 0.0
         # LRU order is last touch time, then position among ``allocs``,
@@ -302,21 +304,20 @@ class ManagedMemoryManager:
         )
         gpu_part = pages.take_first(fit_pages)
         cpu_part = pages.difference(gpu_part)
+        # Nothing evictable: spill to CPU memory. For naturally
+        # oversubscribed allocations the driver remote-maps the spill.
+        spill = (
+            Location.CPU_PINNED
+            if self._naturally_oversubscribed(alloc)
+            else Location.CPU
+        )
+        self.physical.place(alloc, (gpu_part, Location.GPU), (cpu_part, spill))
         if gpu_part:
-            self.physical.place(alloc, gpu_part, Location.GPU)
             n_blocks = len(gpu_part.blocks(alloc.block_pages))
             # One 2 MB GPU PTE per block: driver-side, no OS round trip.
             out.fault_seconds += n_blocks * self.config.gpu_pte_create_cost
             out.hbm_bytes += shape.useful_bytes * gpu_part.count
         if cpu_part:
-            # Nothing evictable: spill to CPU memory. For naturally
-            # oversubscribed allocations the driver remote-maps the spill.
-            loc = (
-                Location.CPU_PINNED
-                if self._naturally_oversubscribed(alloc)
-                else Location.CPU
-            )
-            self.physical.place(alloc, cpu_part, loc)
             out.fault_seconds += self._far_fault_time(
                 len(cpu_part.blocks(alloc.block_pages))
             )
@@ -457,7 +458,7 @@ class ManagedMemoryManager:
         if n_unmapped:
             # CPU first-touch: system page table entries, CPU placement.
             unmapped = alloc.subset(pages, Location.UNMAPPED)
-            self.physical.place(alloc, unmapped, Location.CPU)
+            self.physical.place(alloc, (unmapped, Location.CPU))
             out.fault_seconds += unmapped.count * self.config.cpu_fault_cost
             self.counters.bump(cpu_page_faults=unmapped.count)
 

@@ -27,6 +27,7 @@ Model highlights, matching the behaviour the paper measures:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..interconnect.nvlink import NvlinkC2C
@@ -75,12 +76,14 @@ class AccessCounterMigrator:
 
     # -- servicing side -------------------------------------------------------
 
-    def service(self, allocations: list[Allocation]) -> MigrationReport:
+    def service(self, allocations: Iterable[Allocation]) -> MigrationReport:
         """Service pending notifications before a kernel epoch.
 
-        Migrates CPU-resident pages whose counters crossed the threshold,
-        bounded by the per-epoch byte budget. Returns the transfer time and
-        the stall charged to the upcoming epoch.
+        Walks ``allocations`` in order (the subsystem passes its registry)
+        and migrates CPU-resident pages of system allocations whose
+        counters crossed the threshold, bounded by the per-epoch byte
+        budget. Returns the transfer time and the stall charged to the
+        upcoming epoch.
         """
         report = MigrationReport()
         if not self.config.migration_enable:

@@ -99,7 +99,9 @@ class NumaAllocator:
         node: NumaNode = NumaNode.CPU_DDR,
     ) -> None:
         """Apply an explicit placement policy to an allocation's unmapped
-        pages (DEFAULT leaves them to first-touch)."""
+        pages (DEFAULT leaves them to first-touch). A placement that does
+        not fit raises :class:`~repro.mem.physical.OutOfMemoryError` with
+        no page mapped."""
         if alloc.kind not in (AllocKind.SYSTEM, AllocKind.NUMA_CPU):
             raise ValueError("NUMA placement applies to system allocations")
         unmapped = alloc.subset(PageSet.full(alloc.n_pages), Location.UNMAPPED)
@@ -107,29 +109,26 @@ class NumaAllocator:
             return
         place = self.physical.place
         if policy is NumaPolicy.BIND:
-            place(alloc, unmapped, node.location)
+            place(alloc, (unmapped, node.location))
             return
         if policy is NumaPolicy.PREFERRED:
             pool = self.physical.pool(node.location)
             first = unmapped.take_first(pool.free // self.config.system_page_size)
-            rest = unmapped.difference(first)
-            if first:
-                place(alloc, first, node.location)
-            if rest:
-                other = (
-                    NumaNode.GPU_HBM
-                    if node is NumaNode.CPU_DDR
-                    else NumaNode.CPU_DDR
-                )
-                place(alloc, rest, other.location)
+            other = (
+                NumaNode.GPU_HBM if node is NumaNode.CPU_DDR else NumaNode.CPU_DDR
+            )
+            place(
+                alloc,
+                (first, node.location),
+                (unmapped.difference(first), other.location),
+            )
             return
         if policy is NumaPolicy.INTERLEAVE:
             idx = unmapped.indices()
-            even = PageSet.of(idx[::2])
-            odd = PageSet.of(idx[1::2])
-            if even:
-                place(alloc, even, Location.CPU)
-            if odd:
-                place(alloc, odd, Location.GPU)
+            place(
+                alloc,
+                (PageSet.of(idx[::2]), Location.CPU),
+                (PageSet.of(idx[1::2]), Location.GPU),
+            )
             return
         raise ValueError(f"unhandled policy {policy}")  # pragma: no cover

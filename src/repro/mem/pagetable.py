@@ -11,6 +11,13 @@ Grace Hopper uses two page tables (Section 2.1.3):
   allocations and the GPU-resident part of managed allocations, at a fixed
   2 MB page size.
 
+Neither table is a data structure here. Each allocation's kind and
+residency state say which table maps which of its pages, and the PTE
+costs are charged where they are taken: first-touch faults, one 2 MB GPU
+PTE per managed block mapped, and :func:`teardown_cost` at free time.
+The one registry of live allocations is
+:attr:`~repro.mem.subsystem.MemorySubsystem.allocations`.
+
 The simulator keeps one :class:`Allocation` record per virtual allocation
 with numpy arrays of per-system-page state. Aggregate per-location page
 counts are maintained incrementally so that full-allocation sweeps (the
@@ -620,78 +627,34 @@ def _pageset(runs: list) -> PageSet:
     return PageSet(*runs[0]) if runs else PageSet.empty()
 
 
-class PageTable:
-    """Base class: a registry of live allocations."""
+def teardown_cost(alloc: Allocation) -> float:
+    """Cost of destroying an allocation's PTEs at free/munmap time.
 
-    def __init__(self, config: SystemConfig):
-        self.config = config
-        self.allocations: dict[int, Allocation] = {}
+    System allocations keep *all* their PTEs in the system page table
+    (even GPU-resident pages), so teardown is proportional to the full
+    mapped page count at the system page size. Managed allocations
+    only keep their CPU-resident part there; the GPU-resident part is
+    2 MB GPU-page-table entries, torn down by the driver at block
+    granularity.
 
-    def register(self, alloc: Allocation) -> None:
-        self.allocations[alloc.aid] = alloc
-
-    def unregister(self, alloc: Allocation) -> None:
-        self.allocations.pop(alloc.aid, None)
-
-    def live_allocations(self) -> list[Allocation]:
-        return list(self.allocations.values())
-
-
-class SystemPageTable(PageTable):
-    """The integrated system-wide page table (OS-managed, SMMU-walked).
-
-    Holds system allocations entirely, and the CPU-resident portion of
-    managed allocations. PTE init/teardown costs are page-count
-    proportional, which drives the paper's Figure 6 and Figure 9.
+    Per-page unmap work dominates; beyond
+    :attr:`SystemConfig.pte_teardown_knee_pages` live pages the
+    struct-page traffic falls out of cache and the per-page cost rises
+    (Section 5.2 observes up to 38x dealloc ratios between 4 KB and
+    64 KB pages, beyond the naive 16x page-count ratio).
     """
-
-    def pte_count(self) -> int:
-        return sum(a.mapped_pages for a in self.allocations.values())
-
-    def teardown_cost(self, alloc: Allocation) -> float:
-        """Cost of destroying an allocation's PTEs at free/munmap time.
-
-        System allocations keep *all* their PTEs in the system page table
-        (even GPU-resident pages), so teardown is proportional to the full
-        mapped page count at the system page size. Managed allocations
-        only keep their CPU-resident part here; the GPU-resident part is
-        2 MB GPU-page-table entries, torn down by the driver at block
-        granularity.
-
-        Per-page unmap work dominates; beyond
-        :attr:`SystemConfig.pte_teardown_knee_pages` live pages the
-        struct-page traffic falls out of cache and the per-page cost rises
-        (Section 5.2 observes up to 38x dealloc ratios between 4 KB and
-        64 KB pages, beyond the naive 16x page-count ratio).
-        """
-        cfg = self.config
-        if alloc.kind is AllocKind.MANAGED:
-            pages = alloc.pages_at(Location.CPU) + alloc.pages_at(
-                Location.CPU_PINNED
-            )
-            gpu_blocks = -(-alloc.pages_at(Location.GPU) // alloc.block_pages)
-            gpu_cost = gpu_blocks * cfg.gpu_pte_create_cost
-        else:
-            pages = alloc.mapped_pages
-            gpu_cost = 0.0
-        if pages == 0:
-            return gpu_cost
-        if pages <= cfg.pte_teardown_knee_pages:
-            per_page = cfg.pte_teardown_cost
-        else:
-            per_page = cfg.pte_teardown_cost_thrashed
-        return pages * per_page + cfg.tlb_shootdown_cost + gpu_cost
-
-
-class GpuPageTable(PageTable):
-    """The GPU-exclusive page table (2 MB pages, GPU-resident)."""
-
-    def pte_count(self) -> int:
-        total = 0
-        for a in self.allocations.values():
-            if a.kind is AllocKind.DEVICE:
-                total += -(-a.nbytes // self.config.gpu_page_size)
-            else:  # managed: only GPU-resident blocks have GPU PTEs
-                gpu_pages = a.pages_at(Location.GPU)
-                total += -(-gpu_pages // a.block_pages)
-        return total
+    cfg = alloc.config
+    if alloc.kind is AllocKind.MANAGED:
+        pages = alloc.pages_at(Location.CPU) + alloc.pages_at(Location.CPU_PINNED)
+        gpu_blocks = -(-alloc.pages_at(Location.GPU) // alloc.block_pages)
+        gpu_cost = gpu_blocks * cfg.gpu_pte_create_cost
+    else:
+        pages = alloc.mapped_pages
+        gpu_cost = 0.0
+    if pages == 0:
+        return gpu_cost
+    if pages <= cfg.pte_teardown_knee_pages:
+        per_page = cfg.pte_teardown_cost
+    else:
+        per_page = cfg.pte_teardown_cost_thrashed
+    return pages * per_page + cfg.tlb_shootdown_cost + gpu_cost

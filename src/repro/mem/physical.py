@@ -2,10 +2,16 @@
 
 The Grace Hopper system exposes CPU LPDDR5X and GPU HBM3 as two NUMA
 nodes (Section 2.1). The simulator tracks physical occupancy by byte
-accounting per node: page tables decide *which* pages exist, the pools
-decide *whether* a placement fits and how much free capacity remains —
-which is exactly the quantity the oversubscription experiments
-(Section 7) manipulate with their balloon ``cudaMalloc`` allocation.
+accounting per node: each allocation's residency state decides *which*
+pages are mapped where, the pools decide *whether* a placement fits and
+how much free capacity remains — which is exactly the quantity the
+oversubscription experiments (Section 7) manipulate with their balloon
+``cudaMalloc`` allocation.
+
+Residency and the pool ledgers change together, through two helpers:
+:meth:`PhysicalMemory.place` maps unmapped pages, reserving every part
+of a placement before it maps any, so one that does not fit leaves no
+trace; :meth:`PhysicalMemory.move` migrates or evicts mapped pages.
 """
 
 from __future__ import annotations
@@ -88,13 +94,25 @@ class PhysicalMemory:
     def gpu_free_memory(self) -> int:
         return self.gpu.free
 
-    def place(self, alloc: Allocation, pages: PageSet, loc: Location) -> None:
-        """Map unmapped ``pages`` of ``alloc`` at ``loc``: the pool is
-        reserved first, so a placement that does not fit raises
-        :class:`OutOfMemoryError` and leaves residency untouched."""
-        nbytes = pages.count * self.config.system_page_size
-        self.pool(loc).reserve(nbytes, alloc.tag)
-        alloc.set_location(pages, loc)
+    def place(self, alloc: Allocation, *parts: tuple[PageSet, Location]) -> None:
+        """Map unmapped pages of ``alloc``, each ``(pages, location)`` part
+        at its location. Every part's pool is reserved before any page is
+        mapped, so a placement that does not fit raises
+        :class:`OutOfMemoryError` with no page mapped and no byte held."""
+        parts = [(pages, loc) for pages, loc in parts if pages]
+        held: list = []
+        for pages, loc in parts:
+            pool = self.pool(loc)
+            nbytes = pages.count * self.config.system_page_size
+            try:
+                pool.reserve(nbytes, alloc.tag)
+            except OutOfMemoryError:
+                for reserved, n in held:
+                    reserved.release(n, alloc.tag)
+                raise
+            held.append((pool, nbytes))
+        for pages, loc in parts:
+            alloc.set_location(pages, loc)
 
     def move(self, alloc: Allocation, pages: PageSet, dst: Location) -> int:
         """Migrate or evict ``pages`` of ``alloc`` to ``dst``: residency

@@ -20,6 +20,12 @@ local-traffic charging (:meth:`MemorySubsystem.charge_local`) and
 first-touch servicing with its timeline span
 (:meth:`MemorySubsystem.first_touch`).
 
+:attr:`MemorySubsystem.allocations` is the one registry of live
+allocations, every kind in allocation order. ``allocate`` adds an
+allocation once its reservation succeeded and ``free`` removes it; the
+managed-memory manager holds the same dict, and each reader filters it
+by kind.
+
 The kernel executor calls :meth:`begin_epoch` before each launch so the
 driver can service pending access-counter notifications (migrations land
 *between* kernel launches, with their stall charged to the epoch that
@@ -37,12 +43,7 @@ from ..sim.config import Location, Processor, SystemConfig
 from .arch import resolve_arch
 from .coherence import AccessShape
 from .migration import MigrationReport
-from .pagetable import (
-    Allocation,
-    AllocKind,
-    GpuPageTable,
-    SystemPageTable,
-)
+from .pagetable import Allocation, AllocKind, teardown_cost
 from .pageset import PageSet
 
 #: Module-level aliases of the enum members the per-descriptor path
@@ -88,8 +89,10 @@ class MemorySubsystem:
         self.physical = arch.physical_cls(config)
         self.link = NvlinkC2C(config)
         self.copy_engine = CopyEngine(config, self.link)
-        self.system_table = SystemPageTable(config)
-        self.gpu_table = GpuPageTable(config)
+        #: Every live allocation of every kind by id, in allocation order:
+        #: the one registry. The migrator, LRU and registration-order
+        #: eviction, the sanitizer and checkpoints read it.
+        self.allocations: dict[int, Allocation] = {}
         self.faults = arch.fault_handler_cls(config, self.physical, counters)
         self.migrator = arch.migrator_cls(
             config, self.physical, self.link, counters
@@ -98,7 +101,7 @@ class MemorySubsystem:
         from .managed import ManagedMemoryManager
 
         self.managed = ManagedMemoryManager(
-            config, self.physical, self.link, counters
+            config, self.physical, self.link, counters, self.allocations
         )
         #: Opt-in structured event timeline (wired by the runtime along
         #: with ``managed.timeline`` / ``link.timeline``); ``None`` keeps
@@ -125,19 +128,15 @@ class MemorySubsystem:
         alloc = Allocation(
             kind, nbytes, self.config, name=name, materialize=materialize
         )
-        if kind in (AllocKind.SYSTEM, AllocKind.MANAGED):
-            self.system_table.register(alloc)
-            if kind is AllocKind.MANAGED:
-                self.gpu_table.register(alloc)
-                self.managed.register(alloc)
-        elif kind is AllocKind.DEVICE:
-            # Reserve first: an allocation that does not fit raises
-            # OutOfMemoryError and leaves no trace in the page tables.
-            self.physical.gpu.reserve(alloc.bytes_at(Location.GPU), alloc.tag)
-            self.gpu_table.register(alloc)
-        else:  # pinned / numa, reserved first likewise
-            self.physical.cpu.reserve(alloc.bytes_at(Location.CPU), alloc.tag)
-            self.system_table.register(alloc)
+        # Reserve what the allocation starts mapped with (device memory on
+        # the GPU, pinned and NUMA memory on the CPU) before registering
+        # it: one that does not fit raises OutOfMemoryError and leaves no
+        # trace.
+        for loc in (Location.CPU, Location.GPU):
+            held = alloc.bytes_at(loc)
+            if held:
+                self.physical.pool(loc).reserve(held, alloc.tag)
+        self.allocations[alloc.aid] = alloc
         if self.sanitizer is not None:
             self.sanitizer.after_alloc(alloc)
         return alloc
@@ -146,29 +145,17 @@ class MemorySubsystem:
         """Release an allocation; returns the teardown time."""
         if alloc.freed:
             raise RuntimeError(f"{alloc.name}: double free")
+        kind = alloc.kind
         seconds = 0.0
-        if alloc.kind in (AllocKind.SYSTEM, AllocKind.MANAGED):
-            seconds += self.system_table.teardown_cost(alloc)
-            for loc, pool in (
-                (Location.CPU, self.physical.cpu),
-                (Location.CPU_PINNED, self.physical.cpu),
-                (Location.GPU, self.physical.gpu),
-            ):
-                nbytes = alloc.bytes_at(loc)
-                if nbytes:
-                    pool.release(nbytes, tag=alloc.tag)
-            self.system_table.unregister(alloc)
-            if alloc.kind is AllocKind.MANAGED:
-                self.gpu_table.unregister(alloc)
-                self.managed.unregister(alloc)
-                seconds += self.config.cuda_free_call_cost
-        elif alloc.kind is AllocKind.DEVICE:
-            self.physical.gpu.release(alloc.bytes_at(Location.GPU), alloc.tag)
-            self.gpu_table.unregister(alloc)
+        if kind is AllocKind.SYSTEM or kind is AllocKind.MANAGED:
+            seconds += teardown_cost(alloc)
+        for loc in (Location.CPU, Location.CPU_PINNED, Location.GPU):
+            held = alloc.bytes_at(loc)
+            if held:
+                self.physical.pool(loc).release(held, alloc.tag)
+        if kind is AllocKind.MANAGED or kind is AllocKind.DEVICE:
             seconds += self.config.cuda_free_call_cost
-        else:
-            self.physical.cpu.release(alloc.bytes_at(Location.CPU), alloc.tag)
-            self.system_table.unregister(alloc)
+        del self.allocations[alloc.aid]
         alloc.freed = True
         self.counters.bump(tlb_shootdowns=1)
         if self.sanitizer is not None:
@@ -179,7 +166,7 @@ class MemorySubsystem:
 
     def begin_epoch(self) -> MigrationReport:
         """Service pending access-counter notifications (Section 2.2.1)."""
-        report = self.migrator.service(self.system_table.live_allocations())
+        report = self.migrator.service(self.allocations.values())
         if self.timeline is not None:
             now = self.timeline.now()
             self.timeline.instant(
@@ -342,10 +329,9 @@ class MemorySubsystem:
         """Resident set size: CPU-resident pages of all live allocations
         (what /proc/<pid>/smaps_rollup reports, Section 3.2)."""
         total = 0
-        for table in (self.system_table,):
-            for alloc in table.live_allocations():
-                total += alloc.bytes_at(Location.CPU)
-                total += alloc.bytes_at(Location.CPU_PINNED)
+        for alloc in self.allocations.values():
+            total += alloc.bytes_at(Location.CPU)
+            total += alloc.bytes_at(Location.CPU_PINNED)
         return total
 
     def gpu_used_bytes(self) -> int:

@@ -86,16 +86,6 @@ class _PoolState:
     by_tag: dict
 
 
-def _all_allocations(mem) -> list:
-    """Every live allocation, each once (managed allocations are
-    registered in both page tables)."""
-    seen: dict[int, object] = {}
-    for table in (mem.system_table, mem.gpu_table):
-        for alloc in table.allocations.values():
-            seen[id(alloc)] = alloc
-    return list(seen.values())
-
-
 class SystemCheckpoint:
     """A restorable snapshot of one simulated system's mutable state."""
 
@@ -136,7 +126,7 @@ class SystemCheckpoint:
             d2h_by_class=dict(ls.d2h_by_class),
         )
 
-        for alloc in _all_allocations(mem):
+        for alloc in mem.allocations.values():
             if alloc.name in ck.allocs:
                 raise CheckpointUnavailable(
                     f"duplicate allocation name {alloc.name!r}; restore is "
@@ -170,9 +160,7 @@ class SystemCheckpoint:
         prefix); allocation *ids* may differ — pool tags are remapped.
         """
         mem = gh.mem
-        live = {}
-        for alloc in _all_allocations(mem):
-            live[alloc.name] = alloc
+        live = {alloc.name: alloc for alloc in mem.allocations.values()}
         missing = sorted(set(self.allocs) - set(live))
         if missing:
             raise CheckpointUnavailable(

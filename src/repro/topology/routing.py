@@ -151,17 +151,3 @@ class FabricRouter:
                 out.bottleneck_link = ("fwd:" if fwd else "rev:") + link.name
         out.seconds = worst + max_latency
         return out
-
-    # -- reporting --------------------------------------------------------
-
-    def link_traffic_table(self) -> list[dict]:
-        """Per-link traffic rows (the ``topo_scaling`` report columns)."""
-        return [
-            {
-                "link": link.name,
-                "kind": link.kind.value,
-                "fwd_bytes": link.stats.fwd_bytes,
-                "rev_bytes": link.stats.rev_bytes,
-            }
-            for link in self.topology.links
-        ]

@@ -144,10 +144,6 @@ class ShardedSystem:
             total.add(**gh.counters.total.as_dict())
         return total
 
-    def link_traffic(self) -> list[dict]:
-        """Per-link traffic rows for the whole run so far."""
-        return self.router.link_traffic_table()
-
     def _sanitize(self) -> None:
         """Node-level sanitizer hook: after every superstep / exchange,
         sweep each shard whose sanitizer is enabled."""

@@ -29,3 +29,24 @@ def assert_overflowing_touch_leaves_no_trace(gh, extra_pages: int = 64):
     assert _pools(gh) == before
     gh.mem.sanitizer.check_all()
     return arr.alloc
+
+
+def assert_overflowing_gpu_touch_leaves_no_trace(gh, allocate, extra_pages=64):
+    """A GPU first touch (a ``launch_kernel`` write) of an allocation from
+    ``allocate`` (``gh.malloc`` or ``gh.cuda_malloc_managed``)
+    ``extra_pages`` pages larger than free GPU plus free CPU memory raises
+    :class:`OutOfMemoryError`, maps no page, leaves both pools' used bytes
+    as they were with no byte held under its tag, and leaves the sanitizer
+    passing. Returns the allocation."""
+    phys = gh.mem.physical
+    room = phys.gpu.free + phys.cpu.free
+    arr = allocate(np.int8, (room + extra_pages * gh.config.system_page_size,))
+    used = [phys.cpu.used, phys.gpu.used]
+    with pytest.raises(OutOfMemoryError):
+        gh.launch_kernel("touch", [ArrayAccess.write_(arr)])
+    assert arr.alloc.is_homogeneous(Location.UNMAPPED)
+    assert [phys.cpu.used, phys.gpu.used] == used
+    for pool in (phys.cpu, phys.gpu):
+        assert pool.by_tag.get(arr.alloc.tag, 0) == 0
+    gh.mem.sanitizer.check_all()
+    return arr.alloc

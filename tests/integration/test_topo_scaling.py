@@ -65,7 +65,8 @@ class TestConservation:
         app = get_sharded_application("hotspot-sharded", scale=SCALE, iterations=2)
         app.run(system)
         total = sum(
-            row["fwd_bytes"] + row["rev_bytes"] for row in system.link_traffic()
+            link.stats.fwd_bytes + link.stats.rev_bytes
+            for link in system.topology.links
         )
         agg = system.aggregate_counters()
         assert agg.fabric_hop_bytes == total

@@ -35,15 +35,23 @@ def twin(page_size: int, sizes: list[tuple[int, int]]):
     are wholly GPU-resident, touched at time 0."""
     cfg = SystemConfig.scaled(1 / 64, page_size=page_size)
     phys = PhysicalMemory(cfg)
-    mgr = ManagedMemoryManager(cfg, phys, NvlinkC2C(cfg), HardwareCounters())
+    mgr = ManagedMemoryManager(cfg, phys, NvlinkC2C(cfg), HardwareCounters(), {})
     for blocks, short in sizes:
-        alloc = Allocation(
-            AllocKind.MANAGED, blocks * cfg.gpu_page_size - short * page_size, cfg
-        )
-        mgr.register(alloc)
-        alloc.set_location(PageSet.full(alloc.n_pages), Location.GPU)
-        phys.gpu.reserve(alloc.nbytes, tag=alloc.tag)
+        resident(mgr, AllocKind.MANAGED, blocks, short)
     return mgr
+
+
+def resident(mgr, kind: AllocKind, blocks: int, short: int) -> Allocation:
+    """Register a wholly GPU-resident allocation of ``kind``, ``blocks``
+    2 MB blocks less ``short`` pages, touched at time 0."""
+    cfg = mgr.config
+    alloc = Allocation(
+        kind, blocks * cfg.gpu_page_size - short * cfg.system_page_size, cfg
+    )
+    mgr.allocations[alloc.aid] = alloc
+    alloc.set_location(PageSet.full(alloc.n_pages), Location.GPU)
+    mgr.physical.gpu.reserve(alloc.nbytes, tag=alloc.tag)
+    return alloc
 
 
 def page_set(alloc, shape: str, a: int, b: int, seed: int) -> PageSet:
@@ -101,11 +109,11 @@ def move(mgr, alloc, pages: PageSet, dst: Location) -> None:
 
 
 def free(mgr, alloc) -> None:
-    """Release ``alloc``'s pool bytes and drop it from the manager."""
+    """Release ``alloc``'s pool bytes and drop it from the registry."""
     physical = mgr.physical
     for loc, pool in ((Location.CPU, physical.cpu), (Location.GPU, physical.gpu)):
         pool.release(alloc.bytes_at(loc), tag=alloc.tag)
-    mgr.unregister(alloc)
+    del mgr.allocations[alloc.aid]
     alloc.freed = True
 
 
@@ -214,3 +222,45 @@ def test_eviction_path_follows_the_touch_record(monkeypatch, touches, record_pat
         needed = mgr.physical.gpu.free + k * mgr.config.gpu_page_size // 2
         assert mgr.evict_bytes(needed, 9.0) == per_block_evict(ref, needed, 9.0)
         assert_twins_equal(mgr, ref)
+
+
+def test_eviction_passes_over_system_and_device_allocations():
+    """System and device allocations between managed ones in the registry
+    hold GPU blocks touched before any managed block. Eviction takes the
+    blocks, in the order, that the oracle takes over the managed
+    allocations alone, and leaves the others GPU-resident."""
+    mixed, ref = twin(65536, []), twin(65536, [])
+    others = []
+    for kind, blocks in (
+        (AllocKind.MANAGED, 30),
+        (AllocKind.SYSTEM, 20),
+        (AllocKind.MANAGED, 40),
+        (AllocKind.DEVICE, 10),
+        (AllocKind.MANAGED, 25),
+    ):
+        alloc = resident(mixed, kind, blocks, 3)
+        if kind is AllocKind.MANAGED:
+            resident(ref, kind, blocks, 3)
+        else:
+            others.append(alloc)
+    for mgr in (mixed, ref):
+        m0, m1, m2 = (
+            a for a in mgr.allocations.values() if a.kind is AllocKind.MANAGED
+        )
+        m1.touch_blocks(PageSet.full(m1.n_pages), 1.0)
+        m0.touch_blocks(PageSet.full(m0.n_pages), 2.0)
+        m2.touch_blocks(PageSet.full(m2.n_pages), 1.0)
+        m1.touch_blocks(PageSet.from_runs([(0, 96), (640, 900)]), 3.0)
+    for k in (3, 40, 90):
+        extra = k * mixed.config.gpu_page_size // 2
+        got = mixed.evict_bytes(mixed.physical.gpu.free + extra, 9.0)
+        want = per_block_evict(ref, ref.physical.gpu.free + extra, 9.0)
+        assert got == want
+        assert mixed.link.stats == ref.link.stats
+        assert mixed.counters.total.as_dict() == ref.counters.total.as_dict()
+        managed = [
+            a for a in mixed.allocations.values() if a.kind is AllocKind.MANAGED
+        ]
+        for a, b in zip(managed, ref.allocations.values(), strict=True):
+            assert np.array_equal(a.state, b.state)
+        assert all(a.is_homogeneous(Location.GPU) for a in others)

@@ -74,7 +74,7 @@ class TestRoundTrip:
         warm(target, iterations=0)
         ck.restore(target)
         (restored,) = [
-            x for x in target.mem.system_table.allocations.values()
+            x for x in target.mem.allocations.values()
             if x.name == "ck.a"
         ]
         want = a.alloc.counters.crossed(PageSet.full(a.alloc.n_pages), 256)

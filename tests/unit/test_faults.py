@@ -15,7 +15,10 @@ from repro.sim.config import (
     Processor,
     SystemConfig,
 )
-from tests.helpers.placement import assert_overflowing_touch_leaves_no_trace
+from tests.helpers.placement import (
+    assert_overflowing_gpu_touch_leaves_no_trace,
+    assert_overflowing_touch_leaves_no_trace,
+)
 
 
 def make_handler(cfg):
@@ -69,6 +72,17 @@ class TestFirstTouchPlacement:
             1 / 1024, page_size=65536, mem_arch=mem_arch, sanitize=True
         )
         assert_overflowing_touch_leaves_no_trace(GraceHopperSystem(cfg))
+
+    @pytest.mark.parametrize("allocator", ["malloc", "cuda_malloc_managed"])
+    @pytest.mark.parametrize("mem_arch", ["gh200", "upm", "svm"])
+    def test_overflowing_gpu_touch_leaves_no_trace(self, mem_arch, allocator):
+        # On gh200 the GPU part fits and only the CPU spill does not: it
+        # must not stay mapped once the spill raises.
+        cfg = SystemConfig.scaled(
+            1 / 1024, page_size=65536, mem_arch=mem_arch, sanitize=True
+        )
+        gh = GraceHopperSystem(cfg)
+        assert_overflowing_gpu_touch_leaves_no_trace(gh, getattr(gh, allocator))
 
 
 class TestFaultCosts:

@@ -18,13 +18,13 @@ from tests.helpers.eviction import per_block_evict
 def make_manager(cfg):
     phys = PhysicalMemory(cfg)
     counters = HardwareCounters()
-    mgr = ManagedMemoryManager(cfg, phys, NvlinkC2C(cfg), counters)
+    mgr = ManagedMemoryManager(cfg, phys, NvlinkC2C(cfg), counters, {})
     return mgr, phys, counters
 
 
 def managed_alloc(cfg, mgr, nbytes=32 * MiB):
     alloc = Allocation(AllocKind.MANAGED, nbytes, cfg)
-    mgr.register(alloc)
+    mgr.allocations[alloc.aid] = alloc
     return alloc
 
 

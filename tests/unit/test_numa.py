@@ -81,6 +81,28 @@ class TestPlacement:
         assert a.pages_at(Location.GPU) == 4 * MiB // cfg.system_page_size
         assert a.pages_at(Location.CPU) == a.n_pages - a.pages_at(Location.GPU)
 
+    @pytest.mark.parametrize(
+        "policy, node",
+        [
+            (NumaPolicy.PREFERRED, NumaNode.CPU_DDR),
+            (NumaPolicy.PREFERRED, NumaNode.GPU_HBM),
+            (NumaPolicy.INTERLEAVE, NumaNode.CPU_DDR),
+        ],
+    )
+    def test_placement_past_capacity_leaves_no_trace(self, cfg, env, policy, node):
+        # The part that fits is reserved before the one that does not:
+        # it must be released, not left mapped.
+        numa, phys = env
+        a = system_alloc(
+            cfg, nbytes=phys.cpu.free + phys.gpu.free + 64 * cfg.system_page_size
+        )
+        used = [phys.cpu.used, phys.gpu.used]
+        with pytest.raises(OutOfMemoryError):
+            numa.place(a, policy, node)
+        assert a.is_homogeneous(Location.UNMAPPED)
+        assert [phys.cpu.used, phys.gpu.used] == used
+        assert phys.cpu.by_tag.get(a.tag, 0) == phys.gpu.by_tag.get(a.tag, 0) == 0
+
     def test_interleave_splits_evenly(self, cfg, env):
         numa, _ = env
         a = system_alloc(cfg)

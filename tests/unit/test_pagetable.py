@@ -1,4 +1,4 @@
-"""Unit tests for allocations, access counters, and the two page tables."""
+"""Unit tests for allocations, access counters, and PTE teardown costs."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from repro.mem.pagetable import (
     AccessCounters,
     Allocation,
     AllocKind,
-    GpuPageTable,
-    SystemPageTable,
+    teardown_cost,
 )
 from repro.sim.config import Location, SystemConfig
 
@@ -202,47 +201,30 @@ class TestAccessCounters:
 
 
 class TestPageTables:
-    def test_register_unregister(self, cfg):
-        table = SystemPageTable(cfg)
-        a = make_alloc(cfg)
-        table.register(a)
-        assert a in table.live_allocations()
-        table.unregister(a)
-        assert not table.live_allocations()
-
     def test_teardown_cost_scales_with_pages(self, cfg):
-        table = SystemPageTable(cfg)
         small = make_alloc(cfg, nbytes=16 * 4096)
         big = make_alloc(cfg, nbytes=1024 * 4096)
         for a in (small, big):
             a.set_location(PageSet.full(a.n_pages), Location.CPU)
-        assert table.teardown_cost(big) > table.teardown_cost(small)
+        assert teardown_cost(big) > teardown_cost(small)
 
     def test_teardown_knee_raises_per_page_cost(self):
         cfg = SystemConfig(system_page_size=4096, pte_teardown_knee_pages=100)
-        table = SystemPageTable(cfg)
         below = make_alloc(cfg, nbytes=100 * 4096)
         above = make_alloc(cfg, nbytes=200 * 4096)
         for a in (below, above):
             a.set_location(PageSet.full(a.n_pages), Location.CPU)
-        per_page_below = table.teardown_cost(below) / 100
-        per_page_above = table.teardown_cost(above) / 200
+        per_page_below = teardown_cost(below) / 100
+        per_page_above = teardown_cost(above) / 200
         assert per_page_above > per_page_below
 
     def test_managed_teardown_only_counts_cpu_side(self, cfg):
-        table = SystemPageTable(cfg)
         a = make_alloc(cfg, nbytes=1024 * 4096, kind=AllocKind.MANAGED)
         a.set_location(PageSet.full(a.n_pages), Location.GPU)
-        gpu_resident = table.teardown_cost(a)
+        gpu_resident = teardown_cost(a)
         a.set_location(PageSet.full(a.n_pages), Location.CPU)
-        cpu_resident = table.teardown_cost(a)
+        cpu_resident = teardown_cost(a)
         assert gpu_resident < cpu_resident / 10
-
-    def test_gpu_table_pte_count(self, cfg):
-        table = GpuPageTable(cfg)
-        dev = make_alloc(cfg, nbytes=5 * 2 * 1024 * 1024, kind=AllocKind.DEVICE)
-        table.register(dev)
-        assert table.pte_count() == 5
 
     def test_memory_type_table_matches_paper(self):
         interfaces = [row["interface"] for row in MEMORY_TYPE_TABLE]

@@ -26,15 +26,16 @@ def shape(cfg, density=1.0):
 
 
 class TestLifecycle:
-    def test_system_allocation_registers_in_system_table(self, mem):
-        a = mem.allocate(AllocKind.SYSTEM, 4 * MiB)
-        assert a in mem.system_table.live_allocations()
-        assert a not in mem.gpu_table.live_allocations()
-
-    def test_managed_allocation_registers_in_both_tables(self, mem):
-        a = mem.allocate(AllocKind.MANAGED, 4 * MiB)
-        assert a in mem.system_table.live_allocations()
-        assert a in mem.gpu_table.live_allocations()
+    @pytest.mark.parametrize("kind", list(AllocKind), ids=lambda k: k.name)
+    def test_allocation_is_registered_once_until_freed(self, mem, kind):
+        first = mem.allocate(AllocKind.SYSTEM, 1 * MiB)
+        a = mem.allocate(kind, 4 * MiB)
+        last = mem.allocate(AllocKind.MANAGED, 1 * MiB)
+        assert list(mem.allocations.items()) == [
+            (first.aid, first), (a.aid, a), (last.aid, last)
+        ]
+        mem.free(a)
+        assert list(mem.allocations.values()) == [first, last]
 
     def test_device_allocation_reserves_gpu_upfront(self, mem, cfg):
         before = mem.physical.gpu.used
@@ -52,8 +53,7 @@ class TestLifecycle:
         with pytest.raises(OutOfMemoryError):
             mem.allocate(kind, pool.free + 1)
         assert pool.used == used
-        assert not mem.gpu_table.live_allocations()
-        assert not mem.system_table.live_allocations()
+        assert not mem.allocations
 
     def test_double_free_raises(self, mem):
         a = mem.allocate(AllocKind.SYSTEM, 1 * MiB)

@@ -114,9 +114,10 @@ class TestRouting:
         )
         assert out.n_transfers == 2
         by_kind = {}
-        for row in router.link_traffic_table():
-            by_kind[row["kind"]] = by_kind.get(row["kind"], 0) + (
-                row["fwd_bytes"] + row["rev_bytes"]
+        for link in topo.links:
+            kind = link.kind.value
+            by_kind[kind] = by_kind.get(kind, 0) + (
+                link.stats.fwd_bytes + link.stats.rev_bytes
             )
         assert by_kind.get("nvlink") == 1 << 20
         assert by_kind.get("socket") == 1 << 20

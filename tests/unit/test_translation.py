@@ -35,10 +35,10 @@ def touch(handler, n_pages, accessor):
 def managed(cfg, nbytes):
     """A manager holding one fresh managed allocation of ``nbytes``."""
     mgr = ManagedMemoryManager(
-        cfg, PhysicalMemory(cfg), NvlinkC2C(cfg), HardwareCounters()
+        cfg, PhysicalMemory(cfg), NvlinkC2C(cfg), HardwareCounters(), {}
     )
     alloc = Allocation(AllocKind.MANAGED, nbytes, cfg)
-    mgr.register(alloc)
+    mgr.allocations[alloc.aid] = alloc
     return mgr, alloc
 
 
