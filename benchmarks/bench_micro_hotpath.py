@@ -25,8 +25,12 @@ epoch executor target:
 * :class:`~repro.sim.checkpoint.SystemCheckpoint` capture/restore, the
   primitive behind incremental what-if re-simulation;
 * range queries and moves on a two-run managed allocation answered from
-  its residency run record, head to head against the per-page scans it
-  replaced.
+  its residency run record, and index-set queries answered from it with
+  one ``searchsorted``, head to head against the per-page scans they
+  replaced;
+* every wave of one full-scale needle run, built with each row's ends
+  computed in place, against the pair stack and :meth:`PageSet.of` dedup
+  it replaced.
 
 Besides the pytest-benchmark tables, the measured timings are exported
 to ``BENCH_hotpath.json`` at the repo root, with the command, Python
@@ -49,6 +53,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.apps.needle import Needle
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
 from repro.core.unified_array import UnifiedArray
@@ -616,3 +621,91 @@ class TestResidencyRuns:
         )
         benchmark(record)
         assert speedup >= 20.0, f"only {speedup:.1f}x over the dense scans"
+
+
+class TestIndexResidency:
+    """Residency queries on an index set of 32,768 pages, every 64th page
+    of the two-run allocation above, answered from its run record with
+    one ``searchsorted``; against the dense scans."""
+
+    def test_record_speedup_vs_dense(self, benchmark):
+        alloc = TestResidencyRuns.two_runs()
+        ids = PageSet.of(np.arange(0, N_PAGES, 64))
+        assert ids.index is not None and ids.count == 32_768
+
+        def record():
+            counts = alloc.split_counts(ids)
+            return counts, [alloc.subset(ids, loc) for loc in Location]
+
+        counts, subsets = record()
+        want_counts, want_subsets = _dense_queries(alloc, ids)
+        assert counts.tolist() == want_counts.tolist()
+        subsets = [s for s in subsets if s]
+        assert len(subsets) == len(want_subsets) == 2
+        for got, want in zip(subsets, want_subsets):
+            assert np.array_equal(got.index, want.index)
+        new_t = _best(lambda: record(), number=50)
+        dense_t = _best(lambda: _dense_queries(alloc, ids), number=50)
+        speedup = dense_t / new_t
+        _record(
+            "index_residency_queries",
+            new_t,
+            ids=ids.count,
+            dense_seconds=dense_t,
+            speedup_vs_dense=round(speedup, 1),
+        )
+        benchmark(record)
+        assert speedup >= 1.5, f"only {speedup:.1f}x over the dense scans"
+
+
+def _pair_stack_wave(app: Needle, arr, d: int, nblocks: int) -> PageSet:
+    """A wave's pages as built before each row's ends were computed in place:
+    a ``(rows, 2)`` stack of first and last element, a floor division, a
+    bounds filter, and :meth:`PageSet.of`'s sortedness pass and dedup.
+    Kept inline as the baseline."""
+    lo, hi = max(0, d - nblocks + 1), min(nblocks, d + 1)
+    cols = app.n + 1
+    r = np.arange(lo * app.block, min(hi * app.block, cols), dtype=np.int64)
+    c0 = (d - r // app.block) * app.block
+    c1 = np.minimum(c0 + app.block, cols)
+    pairs = np.stack((r * cols + c0, r * cols + c1 - 1), axis=1)
+    pages = pairs.ravel() * 4 // arr.page_size
+    return PageSet.of(pages[pages < arr.n_pages])
+
+
+class TestNeedleWaves:
+    """All 255 anti-diagonal waves of one full-scale needle run (32k x 32k,
+    256-element blocks) at 64 KB pages."""
+
+    def test_in_place_ends_speedup_vs_pair_stack(self, benchmark):
+        app = Needle()
+        cols = app.n + 1
+        alloc = Allocation(
+            AllocKind.SYSTEM, cols * cols * 4, SystemConfig(system_page_size=65536)
+        )
+        arr = UnifiedArray(alloc, np.int32, (cols, cols))
+        nblocks = -(-app.n // app.block)
+        waves = range(2 * nblocks - 1)
+        assert len(waves) == 255
+
+        def in_place():
+            return [app._diagonal_pages(arr, d, nblocks) for d in waves]
+
+        def pair_stack():
+            return [_pair_stack_wave(app, arr, d, nblocks) for d in waves]
+
+        for got, want in zip(in_place(), pair_stack()):
+            assert (got.start, got.stop, got.runs) == (want.start, want.stop, want.runs)
+            assert np.array_equal(got.indices(), want.indices())
+        new_t = _best(in_place, repeat=5, number=1)
+        stack_t = _best(pair_stack, repeat=5, number=1)
+        speedup = stack_t / new_t
+        _record(
+            "needle_waves",
+            new_t,
+            waves=len(waves),
+            pair_stack_seconds=stack_t,
+            speedup_vs_pair_stack=round(speedup, 1),
+        )
+        benchmark.pedantic(in_place, rounds=3)
+        assert speedup >= 1.5, f"only {speedup:.1f}x over the pair stack"

@@ -25,16 +25,18 @@ import sys
 
 #: The hot paths the batched epoch executor, the batched eviction charge,
 #: the page-id dedup (linear on sorted ids, an occupancy map on dense
-#: unsorted ones), the streaming gather and the residency run record own.
-#: CI boxes are noisy, so only a >2x regression fails. evict_batch reads
-#: about 17x slower with a per-block charging loop, pageset_of_sorted
-#: about 3x slower with a sort before the dedup, pageset_of_unsorted
-#: about 4x and pageset_of_gups about 9x slower with the sort in place
-#: of the occupancy map, pages_of_indices_gups about 4.5x slower with
-#: its page ids built first, residency_queries about 80x slower with
-#: per-page scans in place of the run record, evict_lru_prefix about 20x
-#: slower with the dense sort of every resident block in place of the
-#: touch record.
+#: unsorted ones), the streaming gather, the residency run record and
+#: needle's wave construction own. CI boxes are noisy, so only a >2x
+#: regression fails. evict_batch reads about 17x slower with a per-block
+#: charging loop, pageset_of_sorted about 3x slower with a sort before
+#: the dedup, pageset_of_unsorted about 4x and pageset_of_gups about 9x
+#: slower with the sort in place of the occupancy map,
+#: pages_of_indices_gups about 4.5x slower with its page ids built first,
+#: residency_queries about 80x and index_residency_queries about 3.4-5x
+#: slower with per-page scans in place of the run record,
+#: evict_lru_prefix about 20x slower with the dense sort of every
+#: resident block in place of the touch record, needle_waves about 4x
+#: slower with the pair stack and PageSet.of's dedup.
 GATED = (
     "access_batch_fused",
     "migrator_service",
@@ -44,7 +46,9 @@ GATED = (
     "pageset_of_gups",
     "pages_of_indices_gups",
     "residency_queries",
+    "index_residency_queries",
     "evict_lru_prefix",
+    "needle_waves",
 )
 BOUND = 2.0
 

@@ -122,19 +122,45 @@ class Needle(Application):
         across distant rows — the irregular signature of needle.
 
         The wave's blocks sit on consecutive block rows, so its rows form
-        one range, and row ``r`` falls in block column ``d - r // block``.
-        Each row's first and last page are emitted as a pair, row by row;
-        the matrix is row-major, so the pairs are non-decreasing and
-        :meth:`PageSet.of` skips its sort.
+        one range, and block row ``i`` falls in block column ``d - i``.
+        Each row's first byte is the row's offset plus its block row's
+        column offset, spread over the block's rows with ``np.repeat``;
+        its last byte follows, and a right shift (page sizes are powers
+        of two) turns both into pages in place. The matrix is row-major,
+        so the ends are non-decreasing row by row. When no row starts on
+        the page the row before it ended on (every full-scale wave), each
+        row's first page, followed by its last page where the row
+        straddles two, is strictly increasing and goes to
+        :meth:`PageSet._from_sorted` as it is. Rows shorter than a page
+        can share pages; their interleaved ends go through
+        :meth:`PageSet.of`, which drops the repeats.
         """
         lo, hi = max(0, d - nblocks + 1), min(nblocks, d + 1)
-        cols = self.n + 1
-        r = np.arange(lo * self.block, min(hi * self.block, cols), dtype=np.int64)
-        c0 = (d - r // self.block) * self.block
-        c1 = np.minimum(c0 + self.block, cols)
-        pairs = np.stack((r * cols + c0, r * cols + c1 - 1), axis=1)
-        pages = pairs.ravel() * 4 // arr.page_size
-        return PageSet.of(pages[pages < arr.n_pages])
+        cols, block = self.n + 1, self.block
+        r0 = lo * block
+        rows = min(hi * block, cols) - r0
+        row_bytes = 4 * cols
+        # Byte offset of each row's first element in the wave.
+        col0 = (d - np.arange(lo, hi, dtype=np.int64)) * block
+        first = np.repeat(4 * col0, block)[:rows]
+        first += np.arange(r0 * row_bytes, (r0 + rows) * row_bytes, row_bytes)
+        last = first + 4 * (block - 1)
+        edge = nblocks * block - cols
+        if edge > 0 and d >= nblocks - 1:
+            # Only the last block column runs past the matrix edge, and
+            # a wave meets it in its first block row.
+            last[:block] -= 4 * edge
+        shift = arr.page_size.bit_length() - 1
+        first >>= shift
+        last >>= shift
+        if not (first[1:] > last[:-1]).all():
+            return PageSet.of(np.stack((first, last), axis=1).ravel())
+        straddles = last != first
+        if not straddles.any():
+            return PageSet._from_sorted(first)
+        # Each straddling row's last page follows its first.
+        keep = np.stack((np.ones_like(straddles), straddles), axis=1)
+        return PageSet._from_sorted(np.stack((first, last), axis=1)[keep])
 
     def compute(self, gh: GraceHopperSystem, mode: MemoryMode, result: AppResult):
         self.itemsets.h2d()

@@ -402,13 +402,14 @@ class PageSet:
             state[self.start : self.stop] = value
 
     def add_at(self, state: np.ndarray, value) -> None:
+        """Add ``value`` to ``state`` at these pages, vectorised."""
         if self.runs is not None:
             for lo, hi in self.runs:
                 state[lo:hi] += value
         elif self.index is not None:
-            # np.add.at is required for correctness with duplicate indices,
-            # but our indices are unique, so fancy-index += is safe.
-            state[self.index] += value
+            # One unbuffered pass, where fancy ``+=`` gathers, adds and
+            # scatters (numpy >= 1.25 gave ``ufunc.at`` its fast path).
+            np.add.at(state, self.index, value)
         else:
             state[self.start : self.stop] += value
 

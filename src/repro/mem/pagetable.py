@@ -30,9 +30,12 @@ so each allocation also keeps a *run record*: the maximal ``(start, stop,
 location)`` runs of its ``int8`` state, while there are at most
 :data:`~repro.mem.pageset.MAX_SYMBOLIC_RUNS` of them. Moves by a range or
 an interval list splice it, and queries by one walk it together with the
-set's runs, in O(runs) and without reading the state array. Index sets
-and fragmented residency take the dense ``int8`` path; the state array
-stays the source of truth for it, for checkpoints and for the sanitizer.
+set's runs, in O(runs) and without reading the state array. Queries by
+an index set split its sorted ids at the run stops with one
+``np.searchsorted``, in O(runs log n). Moves by an index set, and every
+query while the record is unknown or fragmented, take the dense ``int8``
+path; the state array stays the source of truth for it, for checkpoints
+and for the sanitizer.
 
 LRU eviction reads the last GPU touch time of each 2 MB block. Whole
 sweeps stamp every block at once, so each allocation likewise keeps a
@@ -134,14 +137,17 @@ class AccessCounters:
     page plus an optional per-page ``extra`` array that is only
     materialised by non-uniform accesses.
 
-    ``peak`` is an upper bound on ``extra``: a partial add raises it by the
-    amount added, a reset leaves it valid (no count is below the zero a
-    reset writes), and a :meth:`crossed` query over every page sets it to
-    the exact maximum. While ``base + peak`` is below the threshold,
-    :meth:`crossed` answers without reading ``extra``. The migrator asks
-    once per kernel epoch, and under irregular access (needle and bfs at
-    4 KB pages) it asks about 1-2M pages whose counters sit far below the
-    threshold.
+    ``peak`` is an upper bound on ``extra``: a range or interval-list add
+    raises it to the largest count it wrote (a max over the slices it
+    just wrote), an index add raises it by the amount added, a reset
+    leaves it valid (no count is below the zero a reset writes), and a
+    :meth:`crossed` query over every page sets it to the exact maximum.
+    While ``base + peak`` is below the threshold, :meth:`crossed` answers
+    without reading ``extra``. The migrator asks once per kernel epoch,
+    and under irregular access (needle and bfs at 4 KB pages) it asks
+    about 1-2M pages whose counters sit far below the threshold; slab by
+    slab sweeps (pathfinder) add to each page once, so the bound stays at
+    the one count they wrote.
     """
 
     __slots__ = ("n_pages", "base", "extra", "peak")
@@ -161,11 +167,17 @@ class AccessCounters:
     def add(self, pages: PageSet, amount: int) -> None:
         if amount <= 0 or not pages:
             return
+        amount = int(amount)
         if pages.covers_all(self.n_pages):
-            self.base += int(amount)
+            self.base += amount
+        elif pages.index is not None:
+            pages.add_at(self._materialise(), amount)
+            self.peak += amount
         else:
-            pages.add_at(self._materialise(), int(amount))
-            self.peak += int(amount)
+            extra = self._materialise()
+            for lo, hi in pages.runs or ((pages.start, pages.stop),):
+                extra[lo:hi] += amount
+                self.peak = max(self.peak, int(extra[lo:hi].max()))
 
     def value(self, page: int) -> int:
         extra = 0 if self.extra is None else int(self.extra[page])
@@ -321,6 +333,17 @@ class Allocation:
             return pages.runs
         return ((pages.start, pages.stop),) if pages.stop > pages.start else ()
 
+    def _index_runs(self, pages: PageSet):
+        """``pages``' sorted ids split by the run record: ``(location,
+        first, stop)`` per run, ``pages.index[first:stop]`` being its ids,
+        from one ``np.searchsorted`` of the run stops, O(runs log n).
+        ``None`` unless the record is known and ``pages`` is an index set
+        inside the allocation."""
+        if not self._runs or pages.index is None or pages.stop > self.n_pages:
+            return None
+        cuts = np.searchsorted(pages.index, [hi for _, hi, _ in self._runs]).tolist()
+        return zip([at for _, _, at in self._runs], [0, *cuts], cuts)
+
     def _learn_runs(self) -> None:
         """Relearn the run record with one scan of ``state`` (``()`` when
         it holds more than :data:`MAX_SYMBOLIC_RUNS` runs)."""
@@ -345,6 +368,12 @@ class Allocation:
             for lo, hi, loc, inside in _cut(self._runs, spans):
                 if inside:
                     counts[loc] += hi - lo
+            return np.array(counts, dtype=np.int64)
+        index_runs = self._index_runs(pages)
+        if index_runs is not None:
+            counts = [0] * _N_LOC
+            for loc, first, stop in index_runs:
+                counts[loc] += stop - first
             return np.array(counts, dtype=np.int64)
         # Count on the int8 view itself (np.bincount would widen it to
         # intp first; so would comparing with a numpy int64, hence the
@@ -380,16 +409,23 @@ class Allocation:
                 )
             return pages.where(self.state, loc)
         spans = self._spans(pages)
-        if spans is None:
+        if spans is not None:
+            hits = [
+                (lo, hi)
+                for lo, hi, at, inside in _cut(self._runs, spans)
+                if inside and at == loc
+            ]
+            if sum(hi - lo for lo, hi in hits) == pages.count:
+                return pages
+            return _pageset(hits)
+        index_runs = self._index_runs(pages)
+        if index_runs is None:
             return pages.where(self.state, loc)
-        hits = [
-            (lo, hi)
-            for lo, hi, at, inside in _cut(self._runs, spans)
-            if inside and at == loc
-        ]
-        if sum(hi - lo for lo, hi in hits) == pages.count:
+        idx = pages.index
+        hits = [idx[first:stop] for at, first, stop in index_runs if at == loc]
+        if sum(hit.size for hit in hits) == idx.size:
             return pages
-        return _pageset(hits)
+        return PageSet._from_sorted(np.concatenate(hits))
 
     def set_location(self, pages: PageSet, new: Location) -> np.ndarray:
         """Move ``pages`` to ``new``; returns previous per-location counts.

@@ -38,6 +38,7 @@ class MemoryPool:
     peak: int = 0
     #: Bytes charged by category (allocator bookkeeping, Section 3.2's
     #: profiler distinguishes cudaMalloc / managed / system residency).
+    #: Only tags holding bytes have an entry.
     by_tag: dict[str, int] = field(default_factory=dict)
 
     @property
@@ -53,7 +54,8 @@ class MemoryPool:
                 f"{self.free} of {self.capacity} free"
             )
         self.used += nbytes
-        self.by_tag[tag] = self.by_tag.get(tag, 0) + nbytes
+        if nbytes:
+            self.by_tag[tag] = self.by_tag.get(tag, 0) + nbytes
         self.peak = max(self.peak, self.used)
 
     def release(self, nbytes: int, tag: str = "anon") -> None:
@@ -66,7 +68,10 @@ class MemoryPool:
                 f"{have} bytes reserved under tag {tag!r}"
             )
         self.used -= nbytes
-        self.by_tag[tag] = have - nbytes
+        if nbytes == have:
+            self.by_tag.pop(tag, None)
+        else:
+            self.by_tag[tag] = have - nbytes
 
 
 class PhysicalMemory:

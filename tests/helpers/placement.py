@@ -36,7 +36,7 @@ def assert_overflowing_gpu_touch_leaves_no_trace(gh, allocate, extra_pages=64):
     ``allocate`` (``gh.malloc`` or ``gh.cuda_malloc_managed``)
     ``extra_pages`` pages larger than free GPU plus free CPU memory raises
     :class:`OutOfMemoryError`, maps no page, leaves both pools' used bytes
-    as they were with no byte held under its tag, and leaves the sanitizer
+    as they were with no entry under its tag, and leaves the sanitizer
     passing. Returns the allocation."""
     phys = gh.mem.physical
     room = phys.gpu.free + phys.cpu.free
@@ -47,6 +47,6 @@ def assert_overflowing_gpu_touch_leaves_no_trace(gh, allocate, extra_pages=64):
     assert arr.alloc.is_homogeneous(Location.UNMAPPED)
     assert [phys.cpu.used, phys.gpu.used] == used
     for pool in (phys.cpu, phys.gpu):
-        assert pool.by_tag.get(arr.alloc.tag, 0) == 0
+        assert arr.alloc.tag not in pool.by_tag
     gh.mem.sanitizer.check_all()
     return arr.alloc

@@ -31,6 +31,11 @@ ops = st.lists(
             st.lists(st.integers(0, N_PAGES - 1), min_size=1, max_size=N_PAGES),
             st.integers(1, 500),
         ),
+        st.tuples(
+            st.just("add_runs"),
+            st.lists(st.integers(0, N_PAGES), min_size=2, max_size=12, unique=True),
+            st.integers(1, 500),
+        ),
         # A query between updates, with its own threshold: it can tighten
         # the counters' peak bound, which later updates must keep sound.
         st.tuples(
@@ -44,11 +49,18 @@ ops = st.lists(
 )
 
 
-def to_pageset(spec):
+def to_pageset(kind, spec):
+    """The set an op applies to. ``add_index`` ids become an index set
+    whatever their run count (``PageSet.of`` would keep at most 64 pages
+    symbolic), so index adds take the index path."""
     if spec is None:
         return PageSet.full(N_PAGES)
+    if kind == "add_runs":
+        bounds = sorted(spec)
+        return PageSet.from_runs(zip(bounds[::2], bounds[1::2]))
     if isinstance(spec, list):
-        return PageSet.of(spec)
+        idx = np.unique(spec)
+        return PageSet(int(idx[0]), int(idx[-1]) + 1, idx)
     lo, hi = min(spec), max(spec)
     return PageSet.range(lo, hi)
 
@@ -64,7 +76,7 @@ def test_counters_match_dense_reference(op_list, threshold):
     lazy = AccessCounters(N_PAGES)
     dense = np.zeros(N_PAGES, dtype=np.int64)
     for kind, spec, amount in op_list:
-        ps = to_pageset(spec)
+        ps = to_pageset(kind, spec)
         if kind.startswith("add"):
             lazy.add(ps, amount)
             dense[ps.indices()] += amount
@@ -94,3 +106,29 @@ def test_uniform_adds_never_materialise(amounts, threshold):
     assert c.base == sum(amounts)
     crossed = c.crossed(PageSet.full(N_PAGES), threshold)
     assert crossed.count in (0, N_PAGES)
+
+
+class Unread(np.ndarray):
+    """A counter array that fails any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("read a counter")
+
+
+@given(
+    st.lists(st.integers(0, N_PAGES), min_size=2, max_size=20, unique=True),
+    st.lists(st.integers(1, 500), min_size=10, max_size=10),
+)
+def test_disjoint_range_adds_keep_the_peak_exact(cuts, amounts):
+    """Each symbolic add raises ``peak`` to the largest count it wrote, so
+    adds to disjoint ranges (a slab-by-slab sweep) leave it exact, and a
+    ``crossed`` below that floor returns without reading a counter."""
+    c = AccessCounters(N_PAGES)
+    bounds = sorted(cuts)
+    for (lo, hi), amount in zip(zip(bounds[::2], bounds[1::2]), amounts):
+        c.add(PageSet.range(lo, hi), amount)
+    if c.extra is None:
+        return
+    assert c.peak == c.extra.max()
+    c.extra = c.extra.view(Unread)
+    assert not c.crossed(PageSet.range(0, N_PAGES - 1), c.peak + 1)

@@ -168,12 +168,13 @@ def _per_block_wave(app, arr, d: int, nblocks: int) -> PageSet:
 
 
 class TestNeedleWaves:
-    @pytest.mark.parametrize("page_size", [4096, 65536])
-    @pytest.mark.parametrize("block", [24, 256])
-    @pytest.mark.parametrize("n", [8, 9, 17, 255, 256, 257, 513, 2048])
-    def test_every_wave_matches_per_block_loop(
-        self, n, block, page_size, monkeypatch
-    ):
+    """Every wave of :meth:`Needle._diagonal_pages` against the per-block
+    loop, in set and representation, and the route each wave takes."""
+
+    @staticmethod
+    def check_waves(n, block, page_size, waves, monkeypatch) -> list:
+        """Check ``waves`` of an ``n`` x ``n`` needle; returns which
+        constructor each took ("sorted" or "of")."""
         app = Needle(scale=(n / Needle.PAPER_DIM) ** 2, block=block)
         assert app.n == n
         gh = GraceHopperSystem(SystemConfig.paper_gh200(page_size=page_size))
@@ -184,12 +185,19 @@ class TestNeedleWaves:
         class Recorder:
             @staticmethod
             def of(pages):
-                seen.append(pages.copy())
+                seen.append(("of", pages.copy()))
                 return PageSet.of(pages)
+
+            @staticmethod
+            def _from_sorted(pages):
+                seen.append(("sorted", pages.copy()))
+                return PageSet._from_sorted(pages)
 
         monkeypatch.setattr(needle, "PageSet", Recorder)
         nblocks = -(-n // app.block)
-        for d in range(2 * nblocks - 1):
+        routes = []
+        for d in waves(2 * nblocks - 1):
+            seen.clear()
             got = app._diagonal_pages(arr, d, nblocks)
             want = _per_block_wave(app, arr, d, nblocks)
             assert (got.start, got.stop, got.runs) == (
@@ -198,6 +206,39 @@ class TestNeedleWaves:
             assert (got.index is None) == (want.index is None)
             if want.index is not None:
                 assert np.array_equal(got.index, want.index), f"wave {d}"
-        # Every wave reaches PageSet.of non-decreasing, so it skips the sort.
-        assert len(seen) == 2 * nblocks - 1
-        assert all(np.all(p[1:] >= p[:-1]) for p in seen)
+            # One constructor per wave: strictly increasing ids go to
+            # _from_sorted as they are; ids with a page shared between
+            # rows reach PageSet.of non-decreasing, so it skips the sort.
+            ((route, ids),) = seen
+            steps = np.diff(ids)
+            if route == "sorted":
+                assert np.all(steps > 0), f"wave {d}"
+            else:
+                assert np.all(steps >= 0) and not np.all(steps > 0), f"wave {d}"
+            routes.append(route)
+        return routes
+
+    @pytest.mark.parametrize("page_size", [4096, 65536])
+    @pytest.mark.parametrize("block", [24, 256])
+    @pytest.mark.parametrize("n", [8, 9, 17, 255, 256, 257, 513, 2048])
+    def test_every_wave_matches_per_block_loop(
+        self, n, block, page_size, monkeypatch
+    ):
+        self.check_waves(n, block, page_size, range, monkeypatch)
+
+    def test_rows_sharing_pages_take_pageset_of(self, monkeypatch):
+        # 2049 columns of int32 are 8 KB a row: at 64 KB pages a page
+        # holds eight rows, so consecutive rows share pages.
+        routes = self.check_waves(2048, 256, 65536, range, monkeypatch)
+        assert set(routes) == {"of"}
+
+    @pytest.mark.parametrize("page_size", [4096, 65536])
+    def test_full_scale_waves_skip_pageset_of(self, page_size, monkeypatch):
+        # Every 5th wave, plus every wave whose rows straddle two pages
+        # (d = 3 mod 4 at 4 KB, d = 63 mod 64 at 64 KB).
+        routes = self.check_waves(
+            Needle.PAPER_DIM, 256, page_size,
+            lambda n: [d for d in range(n) if d % 5 == 0 or d % 4 == 3],
+            monkeypatch,
+        )
+        assert set(routes) == {"sorted"}

@@ -1,7 +1,10 @@
 """Unit tests for physical memory pools."""
 
+import numpy as np
 import pytest
 
+from repro.core.kernels import ArrayAccess
+from repro.core.runtime import GraceHopperSystem
 from repro.mem.arch_upm import UnifiedPhysicalMemory
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
@@ -48,8 +51,28 @@ class TestMemoryPool:
         with pytest.raises(ValueError):
             pool.release(-1)
 
+    def test_ledger_keeps_only_tags_holding_bytes(self):
+        pool = MemoryPool("p", capacity=1000)
+        pool.reserve(400, tag="a")
+        pool.release(150, tag="a")
+        assert pool.by_tag == {"a": 250}
+        pool.release(250, tag="a")
+        pool.reserve(0, tag="b")
+        pool.release(0, tag="c")
+        assert pool.by_tag == {} and pool.used == 0
+
 
 class TestPhysicalMemory:
+    def test_ledgers_do_not_grow_with_freed_allocations(self):
+        gh = GraceHopperSystem(SystemConfig.scaled(1 / 64, page_size=65536))
+        for _ in range(300):
+            arr = gh.malloc(np.float32, (1 << 16,))
+            gh.launch_kernel("write", [ArrayAccess.write_(arr)])
+            gh.free(arr)
+        phys = gh.mem.physical
+        assert phys.gpu.by_tag == {"driver": gh.config.gpu_driver_baseline_bytes}
+        assert phys.cpu.by_tag == {}
+
     def test_driver_baseline_reserved(self, cfg):
         phys = PhysicalMemory(cfg)
         assert phys.gpu.used == cfg.gpu_driver_baseline_bytes
