@@ -35,7 +35,8 @@ epoch executor target:
 Besides the pytest-benchmark tables, the measured timings are exported
 to ``BENCH_hotpath.json`` at the repo root, with the command, Python
 version and CPU that produced them, so speedups are tracked in version
-control. CI runs this file on the change and on its parent on one runner
+control. A run that selects only some of the tests leaves the file as
+it was. CI runs this file on the change and on its parent on one runner
 and compares the two with ``benchmarks/perf_gate.py``.
 """
 
@@ -48,6 +49,7 @@ import shlex
 import sys
 import time
 import timeit
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +99,28 @@ def _machine() -> dict:
     }
 
 
+def _selects_some(config) -> bool:
+    """Does this run pick only some tests (``-k``, ``-m``, ``--deselect``,
+    ``--lf`` or node ids)? Its results would replace the whole file."""
+    opt = config.option
+    return bool(
+        opt.keyword
+        or opt.markexpr
+        or opt.deselect
+        or getattr(opt, "lf", False)
+        or any("::" in str(arg) for arg in config.args)
+    )
+
+
 @pytest.fixture(scope="module", autouse=True)
-def export_results():
+def export_results(request):
     yield
+    if _selects_some(request.config):
+        warnings.warn(
+            "only some microbenchmarks were selected; BENCH_hotpath.json "
+            "is left as it was (run the whole file to regenerate it)"
+        )
+        return
     path = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
     # Other keys in the file (the cluster bench's "cluster" headline
     # numbers) are kept.

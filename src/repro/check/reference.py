@@ -8,17 +8,16 @@ a plain Python list with one entry per page, subsets and counts are
 ``for`` loops, access counters are per-page integers — and
 :func:`differential_replay` runs a recorded
 :class:`~repro.profiling.trace.AccessTrace` through both executors,
-demanding **identical** hardware counters, link traffic, and simulated
-time. Any vectorisation bug in the fast paths (a wrong mask, a stale
-tally, an off-by-one interval split) shows up as a non-empty
-:attr:`DifferentialReport.divergent`.
+demanding **identical** hardware counters (NVLink-C2C traffic
+included) and simulated time. Any vectorisation bug in the fast paths
+(a wrong mask, a stale tally, an off-by-one interval split) shows up as
+a non-empty :attr:`DifferentialReport.divergent`.
 
 Exactness: counters and wire traffic are integers, so equality is exact
 by construction. Times are floats; the reference reproduces the
 production model's *batch-level* cost expressions in the same operation
 order (per-page naivety applies to state and integer bookkeeping), so
-time equality — simulated time and the link's ``h2d_seconds`` /
-``d2h_seconds`` ledgers — is also exact: asserted with ``==``, no
+simulated-time equality is also exact: asserted with ``==``, no
 tolerance.
 
 The reference intentionally does not import the production ``PageSet``,
@@ -115,33 +114,16 @@ class _RefPool:
 
 
 class _RefLink:
-    """NVLink-C2C cost/accounting, one formula per traffic class."""
+    """NVLink-C2C cost of streaming and cacheline-remote transfers."""
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.h2d_bytes = 0
-        self.d2h_bytes = 0
-        self.h2d_seconds = 0.0
-        self.d2h_seconds = 0.0
-        self.by_class: dict[str, int] = {}
-
-    def _account(
-        self, nbytes: int, src: Processor, seconds: float, cls: str
-    ) -> None:
-        if src is Processor.CPU:
-            self.h2d_bytes += nbytes
-            self.h2d_seconds += seconds
-        else:
-            self.d2h_bytes += nbytes
-            self.d2h_seconds += seconds
-        self.by_class[cls] = self.by_class.get(cls, 0) + nbytes
 
     def streaming_time(self, nbytes, src, dst) -> float:
         if nbytes <= 0:
             return 0.0
-        t = nbytes / self.config.c2c_bandwidth(src, dst) + self.config.c2c_latency
-        self._account(nbytes, src, t, "dma")
-        return t
+        bw = self.config.c2c_bandwidth(src, dst)
+        return nbytes / bw + self.config.c2c_latency
 
     def remote_access_time(self, nbytes, accessor, *, efficiency=None) -> float:
         if nbytes <= 0:
@@ -153,20 +135,7 @@ class _RefLink:
         )
         src = accessor.other
         bw = self.config.c2c_bandwidth(src, accessor) * eff
-        t = nbytes / bw + self.config.c2c_latency
-        self._account(nbytes, src, t, "remote")
-        return t
-
-    def migration_time(self, nbytes, src, dst) -> float:
-        if nbytes <= 0:
-            return 0.0
-        bw = (
-            self.config.c2c_bandwidth(src, dst)
-            * self.config.migration_bandwidth_fraction
-        )
-        t = nbytes / bw + self.config.c2c_latency
-        self._account(nbytes, src, t, "migration")
-        return t
+        return nbytes / bw + self.config.c2c_latency
 
 
 class _RefAlloc:
@@ -293,20 +262,7 @@ class ReferenceSystem:
         return self.summary()
 
     def summary(self) -> dict:
-        return {
-            "replay_seconds": self.time,
-            "counters": dict(self.counters),
-            "link": {
-                "h2d_bytes": self.link.h2d_bytes,
-                "d2h_bytes": self.link.d2h_bytes,
-                "h2d_seconds": self.link.h2d_seconds,
-                "d2h_seconds": self.link.d2h_seconds,
-                **{
-                    f"class_{cls}": n
-                    for cls, n in sorted(self.link.by_class.items())
-                },
-            },
-        }
+        return {"replay_seconds": self.time, "counters": dict(self.counters)}
 
     def _allocate(self, rec) -> _RefAlloc:
         alloc = _RefAlloc(
@@ -761,9 +717,7 @@ class ReferenceSystem:
         self.cpu.release(nbytes)
         self.gpu.reserve(nbytes)
         # The transfer/stall seconds land in a MigrationReport the trace
-        # replay discards, so the reference computes only the link-ledger
-        # side effect of migration_time (the time value is dropped).
-        self.link.migration_time(nbytes, Processor.CPU, Processor.GPU)
+        # replay discards, so the reference does not compute them.
         self._bump(
             migration_h2d_bytes=nbytes,
             pages_migrated_h2d=len(pages),
@@ -962,9 +916,9 @@ class SvmReferenceSystem(ReferenceSystem):
             victim.set_location(take, Location.CPU)
             self.gpu.release(nbytes)
             self.cpu.reserve(nbytes)
-            t = cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
-            self.link._account(nbytes, Processor.GPU, t, "dma")
-            seconds += t
+            seconds += (
+                cfg.svm_transfer_time(nbytes) / cfg.eviction_bandwidth_fraction
+            )
             seconds += cfg.tlb_shootdown_cost + len(take) * 1e-9
             self._bump(
                 eviction_bytes=nbytes,
@@ -1004,9 +958,7 @@ class SvmReferenceSystem(ReferenceSystem):
                 alloc.set_location(fit, Location.GPU)
                 self.cpu.release(nbytes)
                 self.gpu.reserve(nbytes)
-                t = cfg.svm_transfer_time(nbytes)
-                self.link._account(nbytes, Processor.CPU, t, "migration")
-                out.transfer_seconds += t
+                out.transfer_seconds += cfg.svm_transfer_time(nbytes)
                 self._bump(
                     migration_h2d_bytes=nbytes,
                     pages_migrated_h2d=len(fit),
@@ -1018,8 +970,6 @@ class SvmReferenceSystem(ReferenceSystem):
                     cfg.svm_transfer_time(nbytes)
                     / cfg.eviction_bandwidth_fraction
                 )
-                self.link._account(nbytes, Processor.CPU, t_in, "migration")
-                self.link._account(nbytes, Processor.GPU, t_out, "dma")
                 out.transfer_seconds += t_in + t_out
                 self._bump(
                     migration_h2d_bytes=nbytes,
@@ -1054,9 +1004,7 @@ class SvmReferenceSystem(ReferenceSystem):
             alloc.set_location(gpu_set, Location.CPU)
             self.gpu.release(nbytes)
             self.cpu.reserve(nbytes)
-            t = cfg.svm_transfer_time(nbytes)
-            self.link._account(nbytes, Processor.GPU, t, "dma")
-            out.transfer_seconds += t
+            out.transfer_seconds += cfg.svm_transfer_time(nbytes)
             out.fault_seconds += cfg.tlb_shootdown_cost + n * 1e-9
             self._bump(
                 migration_d2h_bytes=nbytes,
@@ -1103,10 +1051,8 @@ class SvmReferenceSystem(ReferenceSystem):
         else:
             # Page-granularity DMA over the link, not a coherent load.
             wire = self._per_page_wire(proc, rec) * len(pages)
-            t = self.config.svm_transfer_time(wire)
-            self.link._account(wire, Processor.CPU, t, "remote")
             out.remote_bytes = wire
-            out.remote_seconds = t
+            out.remote_seconds = self.config.svm_transfer_time(wire)
             self._bump(
                 **{("c2c_write_bytes" if write else "c2c_read_bytes"): wire}
             )
@@ -1177,8 +1123,7 @@ def differential_replay(
     :func:`repro.profiling.trace.replay` on a fresh
     :class:`~repro.core.runtime.GraceHopperSystem`; the reference side
     through :class:`ReferenceSystem`. Equality is exact — integers for
-    counters and link traffic, identical-expression floats for time and
-    for the link's per-direction seconds ledgers.
+    counters, identical-expression floats for time.
     """
     from ..core.runtime import GraceHopperSystem
     from ..profiling.trace import replay as production_replay
@@ -1186,22 +1131,9 @@ def differential_replay(
     config = config or SystemConfig()
     gh = GraceHopperSystem(config)
     production_replay(trace, gh, epoch_every=epoch_every)
-    stats = gh.mem.link.stats
     production = {
         "replay_seconds": gh.now,
         "counters": gh.counters.total.as_dict(),
-        "link": {
-            "h2d_bytes": stats.h2d_bytes,
-            "d2h_bytes": stats.d2h_bytes,
-            "h2d_seconds": stats.h2d_seconds,
-            "d2h_seconds": stats.d2h_seconds,
-            **{
-                f"class_{cls}": stats.class_bytes(cls)
-                for cls in sorted(
-                    set(stats.h2d_by_class) | set(stats.d2h_by_class)
-                )
-            },
-        },
     }
 
     reference = reference_system_for(config.copy()).run(
@@ -1214,11 +1146,6 @@ def differential_replay(
         ref = reference["counters"].get(name, 0)
         if prod != ref:
             divergent[f"counter:{name}"] = (prod, ref)
-    for name in set(production["link"]) | set(reference["link"]):
-        prod = production["link"].get(name, 0)
-        ref = reference["link"].get(name, 0)
-        if prod != ref:
-            divergent[f"link:{name}"] = (prod, ref)
     if production["replay_seconds"] != reference["replay_seconds"]:
         divergent["replay_seconds"] = (
             production["replay_seconds"],

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import os
+import queue
 import subprocess
 import sys
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,31 +72,46 @@ class LocalReplicaProcess:
             env=_repro_env(),
             text=True,
         )
-        self.host, self.port = self._await_ready(spawn_timeout)
-        # Keep the pipe drained so the child can never block on stdout.
+        # One thread reads stdout for the child's whole life: it hands
+        # over the ready line and keeps the pipe drained, so the child
+        # can never block on stdout and a silent child cannot outlast
+        # ``spawn_timeout``.
+        self._ready: queue.SimpleQueue = queue.SimpleQueue()
         threading.Thread(
-            target=self._drain_stdout, name=f"{name}-stdout", daemon=True
+            target=self._read_stdout, name=f"{name}-stdout", daemon=True
         ).start()
+        try:
+            self.host, self.port = self._await_ready(spawn_timeout)
+        except BaseException:
+            self.kill()
+            raise
 
     def _await_ready(self, timeout: float) -> tuple[str, int]:
-        deadline = time.monotonic() + timeout
-        while True:
-            line = self.proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    f"{self.name} exited before binding "
-                    f"(exit={self.proc.poll()})"
-                )
-            if line.startswith(_READY_PREFIX):
-                host, _, port = line[len(_READY_PREFIX):].strip().partition(":")
-                return host, int(port)
-            if time.monotonic() > deadline:
-                raise TimeoutError(f"{self.name} never reported ready")
+        try:
+            address = self._ready.get(timeout=timeout)
+        except queue.Empty:
+            raise TimeoutError(
+                f"{self.name} never reported ready within {timeout}s"
+            ) from None
+        if address is None:
+            raise RuntimeError(
+                f"{self.name} exited before binding "
+                f"(exit={self.proc.poll()})"
+            )
+        return address
 
-    def _drain_stdout(self) -> None:
+    def _read_stdout(self) -> None:
+        address = None
         with contextlib.suppress(Exception):
-            for _ in self.proc.stdout:
-                pass
+            for line in self.proc.stdout:
+                if address is None and line.startswith(_READY_PREFIX):
+                    host, _, port = (
+                        line[len(_READY_PREFIX):].strip().partition(":")
+                    )
+                    address = (host, int(port))
+                    self._ready.put(address)
+        if address is None:
+            self._ready.put(None)  # EOF before the ready line
 
     @property
     def pid(self) -> int:

@@ -2,13 +2,13 @@
 inter-superchip fabric link primitives."""
 
 from .copyengine import CopyEngine
-from .fabric import FabricLink, FabricLinkStats, LinkKind
+from .fabric import FabricLink, FabricTraffic, LinkKind
 from .nvlink import NvlinkC2C
 
 __all__ = [
     "NvlinkC2C",
     "CopyEngine",
     "FabricLink",
-    "FabricLinkStats",
+    "FabricTraffic",
     "LinkKind",
 ]

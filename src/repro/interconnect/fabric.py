@@ -35,7 +35,7 @@ class LinkKind(Enum):
 
 
 @dataclass
-class FabricLinkStats:
+class FabricTraffic:
     """Per-direction byte accounting of one link (``fwd`` is the a->b
     direction of the owning link)."""
 
@@ -68,7 +68,7 @@ class FabricLink:
         self.fwd_bandwidth = fwd_bandwidth
         self.rev_bandwidth = rev_bandwidth
         self.latency = latency
-        self.stats = FabricLinkStats()
+        self.traffic = FabricTraffic()
         #: Optional structured event timeline (wired by the topology
         #: layer); every charge then emits a per-link transfer span.
         self.timeline = None
@@ -93,9 +93,9 @@ class FabricLink:
         if nbytes < 0:
             raise ValueError("cannot charge negative bytes")
         if forward:
-            self.stats.fwd_bytes += nbytes
+            self.traffic.fwd_bytes += nbytes
         else:
-            self.stats.rev_bytes += nbytes
+            self.traffic.rev_bytes += nbytes
         if self.timeline is not None:
             self.timeline.complete(
                 f"{self.kind.value}:exchange", self.timeline.now(), 0.0,
@@ -106,5 +106,5 @@ class FabricLink:
     def __repr__(self) -> str:
         return (
             f"<FabricLink {self.name} "
-            f"{self.stats.fwd_bytes}B fwd / {self.stats.rev_bytes}B rev>"
+            f"{self.traffic.fwd_bytes}B fwd / {self.traffic.rev_bytes}B rev>"
         )

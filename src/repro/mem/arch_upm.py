@@ -72,16 +72,13 @@ class UnifiedPhysicalMemory(PhysicalMemory):
 class NullMigrator:
     """The migration policy of a single pool: there is none.
 
-    Mirrors the :class:`~repro.mem.migration.AccessCounterMigrator`
-    surface (recording, epoch servicing) as no-ops so the subsystem needs
-    no backend-specific branches.
+    Mirrors the epoch servicing of
+    :class:`~repro.mem.migration.AccessCounterMigrator` as a no-op so the
+    subsystem needs no backend-specific branches.
     """
 
     def __init__(self, *_components):
         pass
-
-    def record_gpu_accesses(self, alloc, pages, accesses_per_page) -> None:
-        return None
 
     def service(self, allocations) -> MigrationReport:
         return MigrationReport()

@@ -116,10 +116,9 @@ class ManagedMemoryManager:
         # Each block is one write-back plus one TLB shootdown, charged as
         # a batch in global LRU order. Per-block costs use the per-call
         # expressions elementwise, and every float sum is a left fold
-        # (np.add.accumulate), so ``seconds`` and the link's ledgers are
-        # bit-identical to charging the blocks one call at a time. The
-        # first candidate always counts toward the target, so at least
-        # one block is taken.
+        # (np.add.accumulate), so ``seconds`` is bit-identical to
+        # charging the blocks one call at a time. The first candidate
+        # always counts toward the target, so at least one block is taken.
         nbytes_each = counts * self.config.system_page_size
         freed = int(nbytes_each.sum())
         t = self.link.streaming_times(nbytes_each, Processor.GPU, Processor.CPU)

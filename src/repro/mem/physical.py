@@ -123,10 +123,18 @@ class PhysicalMemory:
         """Migrate or evict ``pages`` of ``alloc`` to ``dst``: residency
         and both pool ledgers move together. Every page must sit in the
         other pool (on a unified layout that is the same pool, so only
-        residency changes). Returns the bytes moved."""
+        residency changes). The destination is reserved first, so a move
+        that does not fit raises :class:`OutOfMemoryError` with nothing
+        changed. Returns the bytes moved."""
         nbytes = pages.count * self.config.system_page_size
-        alloc.set_location(pages, dst)
         to = self.pool(dst)
-        (self.cpu if to is self.gpu else self.gpu).release(nbytes, alloc.tag)
-        to.reserve(nbytes, alloc.tag)
+        src = self.cpu if to is self.gpu else self.gpu
+        if src is to:
+            # One pool: release before reserving, so ``peak`` stays put.
+            src.release(nbytes, alloc.tag)
+            to.reserve(nbytes, alloc.tag)
+        else:
+            to.reserve(nbytes, alloc.tag)
+            src.release(nbytes, alloc.tag)
+        alloc.set_location(pages, dst)
         return nbytes

@@ -226,8 +226,3 @@ class HardwareCounters:
         self.kernel_records.append(rec)
         self._kernel_start_snapshot = None
         return rec
-
-    def records_for(self, kernel_prefix: str) -> list[KernelTrafficRecord]:
-        return [
-            r for r in self.kernel_records if r.kernel.startswith(kernel_prefix)
-        ]

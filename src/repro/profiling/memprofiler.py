@@ -65,12 +65,6 @@ class MemoryProfile:
         i = bisect_right([s.time for s in self.samples], t)
         return self.samples[max(i - 1, 0)]
 
-    def phase_slice(self, start: float, stop: float) -> "MemoryProfile":
-        return MemoryProfile(
-            samples=[s for s in self.samples if start <= s.time < stop],
-            annotations=[a for a in self.annotations if start <= a[0] < stop],
-        )
-
 
 class MemoryProfiler:
     """Periodic sampler over simulated time.

@@ -326,6 +326,11 @@ class ReplicaUnavailable(ConnectionError):
     """The replica's connection dropped (crash, kill, network)."""
 
 
+def _expire(future: asyncio.Future) -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError("no reply in time"))
+
+
 class AsyncReplicaConnection:
     """One socket, many in-flight requests (id-correlated JSON lines)."""
 
@@ -387,11 +392,20 @@ class AsyncReplicaConnection:
 
     async def request(self, payload: dict,
                       timeout: float | None = None) -> dict:
-        """Send one op; await its id-matched reply."""
+        """Send one op; await its id-matched reply (``TimeoutError``
+        after ``timeout`` seconds).
+
+        The timeout is a timer that fails the reply future, not
+        ``asyncio.wait_for``: up to Python 3.11, ``wait_for`` returns the
+        result when its task is cancelled in the same loop pass that the
+        reply lands, dropping the cancellation. The gateway's health loop
+        pings through here and must end when ``Gateway.stop`` cancels it,
+        or ``stop`` waits for it forever."""
         if self._closed:
             raise ReplicaUnavailable("replica connection closed")
         request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
         self._pending[request_id] = future
         try:
             self._writer.write(
@@ -402,9 +416,14 @@ class AsyncReplicaConnection:
             self._pending.pop(request_id, None)
             self._fail_pending()
             raise ReplicaUnavailable(str(exc)) from exc
+        timer = None
+        if timeout is not None:
+            timer = loop.call_later(timeout, _expire, future)
         try:
-            return await asyncio.wait_for(future, timeout)
+            return await future
         finally:
+            if timer is not None:
+                timer.cancel()
             self._pending.pop(request_id, None)
 
     async def ping(self, timeout: float = 2.0) -> bool:

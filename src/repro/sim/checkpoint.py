@@ -2,14 +2,13 @@
 
 A :class:`SystemCheckpoint` is a deep snapshot of everything a
 :class:`~repro.core.runtime.GraceHopperSystem` mutates while replaying an
-access trace: the simulated clock, hardware counters, physical pool
-occupancy, the NVLink-C2C byte and seconds ledgers, and every
-allocation's page-state arrays. Restoring one onto a *fresh* system
-(with the same allocations recreated) puts it into a byte-identical
-state, so a what-if configuration that diverges from an
-already-simulated run only at epoch ``k`` can restore the epoch-``k``
-checkpoint and replay just the suffix instead of the whole trace (see
-:mod:`repro.sim.whatif`).
+access trace: the simulated clock, hardware counters (the only record
+of NVLink-C2C traffic), physical pool occupancy, and every allocation's
+page-state arrays. Restoring one onto a *fresh* system (with the same
+allocations recreated) puts it into a byte-identical state, so a what-if
+configuration that diverges from an already-simulated run only at epoch
+``k`` can restore the epoch-``k`` checkpoint and replay just the suffix
+instead of the whole trace (see :mod:`repro.sim.whatif`).
 
 Checkpoints are content-addressed by :meth:`CheckpointStore.key` — a
 SHA-256 over the model configuration, the epoch cadence, the digest of
@@ -45,7 +44,7 @@ from ..mem.pagetable import TAG_PREFIX
 
 #: Bump to invalidate persisted checkpoints after any change to the
 #: captured state set or its serialisation.
-CKPT_SCHEMA = 5
+CKPT_SCHEMA = 6
 
 STATS_FILE = "_ckpt_stats.json"
 
@@ -95,7 +94,6 @@ class SystemCheckpoint:
         self.counters_total = None
         self.kernel_records: list = []
         self.pools: dict[str, _PoolState] = {}
-        self.link = None
         self.allocs: dict[str, _AllocState] = {}
 
     # -- capture -----------------------------------------------------------
@@ -119,12 +117,6 @@ class SystemCheckpoint:
         mem = gh.mem
         for side, pool in (("cpu", mem.physical.cpu), ("gpu", mem.physical.gpu)):
             ck.pools[side] = _PoolState(pool.used, pool.peak, dict(pool.by_tag))
-        ls = mem.link.stats
-        ck.link = dataclasses.replace(
-            ls,
-            h2d_by_class=dict(ls.h2d_by_class),
-            d2h_by_class=dict(ls.d2h_by_class),
-        )
 
         for alloc in mem.allocations.values():
             if alloc.name in ck.allocs:
@@ -197,11 +189,6 @@ class SystemCheckpoint:
             pool.by_tag = {
                 _remap_tag(tag, aid_map): v for tag, v in st.by_tag.items()
             }
-        mem.link.stats = dataclasses.replace(
-            self.link,
-            h2d_by_class=dict(self.link.h2d_by_class),
-            d2h_by_class=dict(self.link.d2h_by_class),
-        )
 
         counters = gh.counters
         counters.total = self.counters_total.snapshot()
@@ -244,7 +231,6 @@ class SystemCheckpoint:
             "pools": {
                 side: _named_pool(st) for side, st in sorted(self.pools.items())
             },
-            "link": _as_jsonable(self.link),
         }
         h.update(json.dumps(scalars, sort_keys=True, default=repr).encode())
         for name in sorted(self.allocs):

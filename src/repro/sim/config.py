@@ -418,10 +418,6 @@ class SystemConfig:
         """Return a copy with ``overrides`` applied (and re-validated)."""
         return dataclasses.replace(self, **overrides)
 
-    def with_page_size(self, page_size: int) -> "SystemConfig":
-        """The page-size knob the paper's Section 5.2 experiments turn."""
-        return self.copy(system_page_size=page_size)
-
     @property
     def pages_per_gpu_page(self) -> int:
         return self.gpu_page_size // self.system_page_size

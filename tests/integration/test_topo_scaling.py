@@ -65,7 +65,7 @@ class TestConservation:
         app = get_sharded_application("hotspot-sharded", scale=SCALE, iterations=2)
         app.run(system)
         total = sum(
-            link.stats.fwd_bytes + link.stats.rev_bytes
+            link.traffic.fwd_bytes + link.traffic.rev_bytes
             for link in system.topology.links
         )
         agg = system.aggregate_counters()

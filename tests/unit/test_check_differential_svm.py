@@ -161,7 +161,6 @@ def test_remote_sharing_trace_is_fault_only_under_svm():
     for name in REMOTE_COUNTERS:
         assert svm.production["counters"][name] == 0, name
         assert svm.reference["counters"][name] == 0, name
-    assert svm.production["link"].get("class_remote", 0) == 0
     # ... replaced by faults and whole-page migration.
     assert svm.production["counters"]["gpu_replayable_faults"] > 0
     assert svm.production["counters"]["migration_h2d_bytes"] > 0
@@ -177,8 +176,7 @@ def test_oversubscribed_trace_evicts_under_svm_only():
     svm = assert_conformant(trace, SMALL_SVM, epoch_every=2)
     assert svm.production["counters"]["eviction_bytes"] > 0
     assert svm.production["counters"]["pages_evicted"] > 0
-    # Evictions flow device-to-host over the link's DMA class.
-    assert svm.production["link"]["class_dma"] > 0
+    # Evictions flow device-to-host over the link.
     assert (
         svm.production["counters"]["eviction_bytes"]
         <= svm.production["counters"]["migration_d2h_bytes"]

@@ -89,10 +89,6 @@ class TestHelpers:
         assert cfg.cacheline_bytes(Processor.CPU) == 64
         assert cfg.cacheline_bytes(Processor.GPU) == 128
 
-    def test_with_page_size(self):
-        cfg = SystemConfig().with_page_size(65536)
-        assert cfg.system_page_size == 65536
-
     def test_managed_remote_eff_interpolates(self):
         lo = SystemConfig(system_page_size=4096).managed_remote_eff()
         hi = SystemConfig(system_page_size=65536).managed_remote_eff()

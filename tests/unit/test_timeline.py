@@ -19,6 +19,7 @@ import pytest
 import repro.profiling.timeline as tlmod
 from repro.core.kernels import ArrayAccess
 from repro.core.runtime import GraceHopperSystem
+from repro.interconnect.nvlink import NvlinkC2C
 from repro.profiling.timeline import (
     Timeline,
     TimelineSession,
@@ -27,7 +28,7 @@ from repro.profiling.timeline import (
     to_perfetto,
     validate_perfetto,
 )
-from repro.sim.config import MiB, SystemConfig
+from repro.sim.config import MiB, Processor, SystemConfig
 from tests.helpers.timeline import (
     assert_ordering,
     assert_span_within,
@@ -381,3 +382,23 @@ class TestMigrationOrdering:
         tl = self._run(kernels=3, cfg=cfg)
         assert tl.spans("kernel:k0")
         assert tl.spans("migrate-batch") == []
+
+    def test_migrate_batch_lasts_the_migration_transfer(self, monkeypatch):
+        """A migration's transfer time is output only by its
+        ``migrate-batch`` span: ``migration_time`` of the bytes moved
+        plus ``migration_range_cost``. The ``c2c:migration`` span of the
+        same bytes lasts ``migration_time`` alone."""
+        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+        cfg = SystemConfig.scaled(1 / 64, timeline=True, page_size=65536)
+        tl = self._run(kernels=3, cfg=cfg)
+        batches = tl.spans("migrate-batch")
+        transfers = tl.spans("c2c:migration")
+        assert batches and len(transfers) == len(batches)
+        link = NvlinkC2C(cfg)
+        for batch, transfer in zip(batches, transfers):
+            # One allocation: each epoch migrates at most one range.
+            nbytes = batch.args["bytes"]
+            t = link.migration_time(nbytes, Processor.CPU, Processor.GPU)
+            assert batch.duration == t + cfg.migration_range_cost
+            assert transfer.args == {"bytes": nbytes, "direction": "h2d"}
+            assert transfer.duration == t

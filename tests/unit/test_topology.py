@@ -117,7 +117,7 @@ class TestRouting:
         for link in topo.links:
             kind = link.kind.value
             by_kind[kind] = by_kind.get(kind, 0) + (
-                link.stats.fwd_bytes + link.stats.rev_bytes
+                link.traffic.fwd_bytes + link.traffic.rev_bytes
             )
         assert by_kind.get("nvlink") == 1 << 20
         assert by_kind.get("socket") == 1 << 20
