@@ -7,9 +7,10 @@ builds — each shard's sim clock, memory subsystem and C2C link, the
 node-level fabric, and the wall-clock runner itself — registers a
 timeline without any config plumbing. The merged export puts each
 timeline in its own Perfetto "process"; load the JSON at
-https://ui.perfetto.dev. The trace is validated (timestamp monotonicity
-per track, B/E pairing) before it is written, so a trace that loads is
-also structurally sound.
+https://ui.perfetto.dev. The runner records each experiment's wall-clock
+run as one ``run:<exp>`` span. The trace is validated (known phases,
+timestamp monotonicity per track) before it is written, so a trace that
+loads is also structurally sound.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 from ..profiling.timeline import (
     Timeline,
     TimelineSession,
+    maybe_timeline,
     to_perfetto,
     validate_perfetto,
 )
@@ -74,10 +76,6 @@ def main_trace(argv: list[str] | None = None) -> int:
         help="Perfetto trace JSON output path (default trace.json)",
     )
     parser.add_argument(
-        "--jsonl-dir", metavar="DIR", default=None,
-        help="also write one JSON-lines file per timeline into DIR",
-    )
-    parser.add_argument(
         "--capacity", type=int, default=None,
         help="per-timeline ring-buffer capacity (events)",
     )
@@ -88,20 +86,16 @@ def main_trace(argv: list[str] | None = None) -> int:
         parser.error(f"unknown experiment(s): {unknown}")
 
     with TimelineSession(capacity=args.capacity) as session:
-        runner = session.register(
-            Timeline(
-                capacity=args.capacity or Timeline().capacity,
-                time_fn=time.monotonic,
-                name="runner",
-                tag_os_ids=True,
-            )
+        runner = maybe_timeline(
+            None, time.monotonic, name="runner", tag_os_ids=True
         )
         for exp_id in args.experiments:
-            with runner.span(
-                f"run:{exp_id}", cat="serve", track="runner",
-                scale=args.scale,
-            ):
-                run_experiment(exp_id, scale=args.scale)
+            start = runner.now()
+            run_experiment(exp_id, scale=args.scale)
+            runner.complete(
+                f"run:{exp_id}", start, runner.now() - start, cat="serve",
+                track="runner", scale=args.scale,
+            )
             print(f"[traced {exp_id} at scale {args.scale:g}]")
 
     trace = to_perfetto(session.timelines)
@@ -110,16 +104,6 @@ def main_trace(argv: list[str] | None = None) -> int:
         json.dump(trace, fh)
     print(f"wrote {args.out} ({len(trace['traceEvents'])} trace event(s)) "
           f"— open at https://ui.perfetto.dev")
-
-    if args.jsonl_dir:
-        from pathlib import Path
-
-        out_dir = Path(args.jsonl_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, tl in enumerate(session.timelines):
-            safe = tl.name.replace("/", "_").replace(":", "_")
-            path = tl.to_jsonl(out_dir / f"{i:02d}-{safe}.jsonl")
-            print(f"wrote {path}")
 
     print("timelines:")
     for line in _summary_lines(session.timelines):

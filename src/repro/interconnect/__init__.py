@@ -2,13 +2,12 @@
 inter-superchip fabric link primitives."""
 
 from .copyengine import CopyEngine
-from .fabric import FabricLink, FabricTraffic, LinkKind
+from .fabric import FabricLink, LinkKind
 from .nvlink import NvlinkC2C
 
 __all__ = [
     "NvlinkC2C",
     "CopyEngine",
     "FabricLink",
-    "FabricTraffic",
     "LinkKind",
 ]

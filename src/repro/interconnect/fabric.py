@@ -8,16 +8,15 @@ socket links, and every path has its own bandwidth, latency, and
 direction asymmetry.
 
 This module is the *link-level* model beside :mod:`repro.interconnect.nvlink`:
-one :class:`FabricLink` per physical link, with per-direction byte
-accounting so the exchange phases of multi-hop routing (in
-:mod:`repro.topology.routing`) can charge every traversed link. The graph
-layer — which links exist and how transfers route across them — lives in
-:mod:`repro.topology`.
+one :class:`FabricLink` per physical link, with per-direction bandwidths
+that the exchange phases of multi-hop routing (in
+:mod:`repro.topology.routing`) drain, charging every traversed link. The
+graph layer — which links exist and how transfers route across them —
+lives in :mod:`repro.topology`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..sim.config import NodeId
@@ -32,19 +31,6 @@ class LinkKind(Enum):
     NVLINK = "nvlink"
     #: Inter-superchip CPU-CPU coherent socket link.
     SOCKET = "socket"
-
-
-@dataclass
-class FabricTraffic:
-    """Per-direction byte accounting of one link (``fwd`` is the a->b
-    direction of the owning link)."""
-
-    fwd_bytes: int = 0
-    rev_bytes: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.fwd_bytes + self.rev_bytes
 
 
 class FabricLink:
@@ -68,7 +54,6 @@ class FabricLink:
         self.fwd_bandwidth = fwd_bandwidth
         self.rev_bandwidth = rev_bandwidth
         self.latency = latency
-        self.traffic = FabricTraffic()
         #: Optional structured event timeline (wired by the topology
         #: layer); every charge then emits a per-link transfer span.
         self.timeline = None
@@ -89,13 +74,10 @@ class FabricLink:
         return self.fwd_bandwidth if forward else self.rev_bandwidth
 
     def charge(self, nbytes: int, *, forward: bool) -> None:
-        """Account ``nbytes`` of exchange traffic in one direction."""
+        """Record ``nbytes`` of exchange traffic in one direction, as one
+        ``<kind>:exchange`` span when a timeline is wired."""
         if nbytes < 0:
             raise ValueError("cannot charge negative bytes")
-        if forward:
-            self.traffic.fwd_bytes += nbytes
-        else:
-            self.traffic.rev_bytes += nbytes
         if self.timeline is not None:
             self.timeline.complete(
                 f"{self.kind.value}:exchange", self.timeline.now(), 0.0,
@@ -104,7 +86,4 @@ class FabricLink:
             )
 
     def __repr__(self) -> str:
-        return (
-            f"<FabricLink {self.name} "
-            f"{self.traffic.fwd_bytes}B fwd / {self.traffic.rev_bytes}B rev>"
-        )
+        return f"<FabricLink {self.name}>"

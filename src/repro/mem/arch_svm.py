@@ -208,14 +208,14 @@ class SvmArchitecture(MemoryArchitecture):
         gpu_set = alloc.subset(pages, Location.GPU)
         if gpu_set:
             n = gpu_set.count
-            mem.counters.bump(cpu_page_faults=n)
-            res.fault_seconds += n * cfg.svm_fault_cost
             nbytes = mem.physical.move(alloc, gpu_set, Location.CPU)
+            res.fault_seconds += n * cfg.svm_fault_cost
             t = cfg.svm_transfer_time(nbytes)
             mem.link.account_external(nbytes, Processor.GPU, t, "dma")
             res.transfer_seconds += t
             res.fault_seconds += cfg.tlb_shootdown_time(n)  # GPU TLB
             mem.counters.bump(
+                cpu_page_faults=n,
                 migration_d2h_bytes=nbytes,
                 pages_migrated_d2h=n,
                 tlb_shootdowns=1,

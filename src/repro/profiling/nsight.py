@@ -75,14 +75,14 @@ class NsightTrace:
         """Migration/eviction activity spans from the clock's timeline.
 
         Like the real tool, this needs tracing switched on: build the
-        system with ``SystemConfig(timeline=True)`` (or under
-        ``REPRO_TIMELINE=1`` / a ``TimelineSession``).
+        system with ``SystemConfig(timeline=True)`` or inside a
+        ``TimelineSession``.
         """
         timeline = self.clock.timeline
         if timeline is None:
             raise RuntimeError(
                 "migration_events needs a timeline: build the system with "
-                "timeline=True, REPRO_TIMELINE=1 or a TimelineSession"
+                "timeline=True or inside a TimelineSession"
             )
         return [
             {"time": s.end, "name": s.name, "duration": s.duration}

@@ -8,13 +8,14 @@ remote access, fabric transfers, serve dispatch) actually fired. This
 module is that missing substrate: a low-overhead structured event layer
 with
 
-* **spans** (begin/end pairs or retrospective complete events with a
-  known duration), **instant events**, and **counter tracks**;
+* **finished spans** (Perfetto ``X`` events: every simulated cost is
+  computed before it is charged, so a span is recorded once, with its
+  start and duration) and **instant events** (``i``);
 * a bounded **ring buffer** (oldest events drop first, with a dropped
   count, so a long run can never exhaust memory);
 * export to **Chrome/Perfetto trace JSON** (load ``trace.json`` at
-  https://ui.perfetto.dev) and **JSON-lines** (round-trippable via
-  :meth:`Timeline.read_jsonl`);
+  https://ui.perfetto.dev), carrying each event's name, category,
+  track, time, duration and args;
 * an in-process **analysis API** — :meth:`Timeline.spans`,
   :meth:`Timeline.attribution` (per-phase time attribution with nested
   child time excluded), :meth:`Timeline.critical_path` — so tests and
@@ -22,11 +23,11 @@ with
 
 Timelines are strictly observational: emission never touches model
 state, so simulated results (and the golden fingerprints) are identical
-with timelines on or off. Emission is opt-in three ways — per config
-(``SystemConfig.timeline``), globally (``REPRO_TIMELINE=1``), or for one
-code region (:class:`TimelineSession`, which ``repro-bench trace``
-uses). When none of the three is active every producer holds ``None``
-and the hot paths skip emission entirely (a single attribute test).
+with timelines on or off. Emission is opt-in two ways — per system
+(``SystemConfig.timeline``) or for one code region
+(:class:`TimelineSession`, which ``repro-bench trace`` uses). When
+neither is active every producer holds ``None`` and the hot paths skip
+emission entirely (a single attribute test).
 
 Two time domains coexist: simulator-side timelines stamp events with
 *simulated* seconds (:attr:`SimClock.now`), serving-side timelines with
@@ -42,12 +43,8 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator
-
-#: Environment variable enabling timelines globally (like REPRO_SANITIZE).
-ENV_FLAG = "REPRO_TIMELINE"
+from typing import Any, Callable
 
 #: Default ring-buffer capacity (events); the oldest events drop first.
 DEFAULT_CAPACITY = 1 << 16
@@ -57,9 +54,9 @@ DEFAULT_CAPACITY = 1 << 16
 #: counter must not move — proof the hot paths did no emission work.
 TOTAL_EMITTED = 0
 
-#: Perfetto phase codes used: B/E (nested span), X (complete span with
-#: duration), i (instant), C (counter), M (metadata; export-only).
-_PHASES = ("B", "E", "X", "i", "C")
+#: Perfetto phase codes a timeline records: X (finished span with its
+#: duration) and i (instant). Exports add M (metadata).
+_PHASES = ("X", "i")
 
 
 class TimelineEvent:
@@ -69,8 +66,7 @@ class TimelineEvent:
 
     __slots__ = ("ts", "ph", "name", "cat", "track", "dur", "args", "pid", "tid")
 
-    def __init__(self, ts, ph, name, cat, track, dur=None, args=None,
-                 pid=None, tid=None):
+    def __init__(self, ts, ph, name, cat, track, dur=None, args=None):
         self.ts = ts
         self.ph = ph
         self.name = name
@@ -78,28 +74,8 @@ class TimelineEvent:
         self.track = track
         self.dur = dur
         self.args = args
-        self.pid = pid
-        self.tid = tid
-
-    def to_dict(self) -> dict:
-        d = {"ts": self.ts, "ph": self.ph, "name": self.name,
-             "cat": self.cat, "track": self.track}
-        if self.dur is not None:
-            d["dur"] = self.dur
-        if self.args:
-            d["args"] = self.args
-        if self.pid is not None:
-            d["pid"] = self.pid
-        if self.tid is not None:
-            d["tid"] = self.tid
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TimelineEvent":
-        return TimelineEvent(
-            d["ts"], d["ph"], d["name"], d.get("cat", ""), d.get("track", ""),
-            d.get("dur"), d.get("args"), d.get("pid"), d.get("tid"),
-        )
+        self.pid = None
+        self.tid = None
 
     def __repr__(self) -> str:
         dur = f" dur={self.dur * 1e3:.3f}ms" if self.dur is not None else ""
@@ -107,7 +83,7 @@ class TimelineEvent:
 
 
 class Span:
-    """One reconstructed span (an X event, or a paired B/E)."""
+    """One finished span (an X event)."""
 
     __slots__ = ("name", "cat", "track", "start", "duration", "args")
 
@@ -154,7 +130,6 @@ class Timeline:
         self._time_fn = time_fn or time.monotonic
         self._events: deque[TimelineEvent] = deque(maxlen=capacity)
         self.dropped = 0
-        self.emitted = 0
 
     # -- time --------------------------------------------------------------
 
@@ -171,28 +146,7 @@ class Timeline:
         if len(self._events) == self.capacity:
             self.dropped += 1
         self._events.append(ev)
-        self.emitted += 1
         TOTAL_EMITTED += 1
-
-    def begin(self, name: str, *, cat: str = "", track: str = "main",
-              **args: Any) -> None:
-        """Open a nested span on ``track`` (close with :meth:`end`)."""
-        self._emit(TimelineEvent(self.now(), "B", name, cat, track,
-                                 args=args or None))
-
-    def end(self, name: str = "", *, track: str = "main", **args: Any) -> None:
-        """Close the innermost open span on ``track``."""
-        self._emit(TimelineEvent(self.now(), "E", name, "", track,
-                                 args=args or None))
-
-    @contextmanager
-    def span(self, name: str, *, cat: str = "", track: str = "main",
-             **args: Any) -> Iterator[None]:
-        self.begin(name, cat=cat, track=track, **args)
-        try:
-            yield
-        finally:
-            self.end(name, track=track)
 
     def complete(self, name: str, start: float, duration: float, *,
                  cat: str = "", track: str = "main", **args: Any) -> None:
@@ -205,16 +159,6 @@ class Timeline:
                 **args: Any) -> None:
         self._emit(TimelineEvent(self.now(), "i", name, cat, track,
                                  args=args or None))
-
-    def counter(self, track: str, *, cat: str = "", **values: float) -> None:
-        """Record a counter-track sample (Perfetto renders it as an
-        area chart)."""
-        self._emit(TimelineEvent(self.now(), "C", track, cat, track,
-                                 args=dict(values)))
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
 
     # -- queries -----------------------------------------------------------
 
@@ -232,47 +176,14 @@ class Timeline:
 
     def spans(self, name: str | None = None, *, cat: str | None = None,
               track: str | None = None) -> list[Span]:
-        """All reconstructed spans, sorted by start time.
-
-        X events map one-to-one; B/E pairs are matched per track in
-        stack order (an unmatched B closes at the last event's
-        timestamp; an unmatched E — its B fell off the ring — is
-        dropped).
-        """
-        out: list[Span] = []
-        stacks: dict[str, list[TimelineEvent]] = {}
-        last_ts = 0.0
-        for ev in self._events:
-            last_ts = max(last_ts, ev.ts + (ev.dur or 0.0))
-            if ev.ph == "X":
-                out.append(Span(ev.name, ev.cat, ev.track, ev.ts, ev.dur or 0.0,
-                                ev.args))
-            elif ev.ph == "B":
-                stacks.setdefault(ev.track, []).append(ev)
-            elif ev.ph == "E":
-                stack = stacks.get(ev.track)
-                if stack:
-                    b = stack.pop()
-                    out.append(Span(b.name, b.cat, b.track, b.ts,
-                                    max(0.0, ev.ts - b.ts), b.args))
-        for stack in stacks.values():
-            for b in stack:  # still-open spans close at the horizon
-                out.append(Span(b.name, b.cat, b.track, b.ts,
-                                max(0.0, last_ts - b.ts), b.args))
-        out.sort(key=lambda s: s.start)
-        return [
-            s for s in out
-            if (name is None or s.name == name)
-            and (cat is None or s.cat == cat)
-            and (track is None or s.track == track)
-        ]
-
-    def instants(self, name: str | None = None, *, cat: str | None = None,
-                 track: str | None = None) -> list[TimelineEvent]:
-        return [
-            ev for ev in self.events("i", cat=cat, track=track)
+        """All spans (X events), sorted by start time."""
+        out = [
+            Span(ev.name, ev.cat, ev.track, ev.ts, ev.dur, ev.args)
+            for ev in self.events("X", cat=cat, track=track)
             if name is None or ev.name == name
         ]
+        out.sort(key=lambda s: s.start)
+        return out
 
     # -- analysis ----------------------------------------------------------
 
@@ -329,29 +240,6 @@ class Timeline:
             cursor = max(cursor if cursor is not None else s.end, s.end)
         return out
 
-    # -- persistence -------------------------------------------------------
-
-    def to_jsonl(self, path: str | Path) -> Path:
-        path = Path(path)
-        with path.open("w") as fh:
-            fh.write(json.dumps({"timeline": self.name,
-                                 "dropped": self.dropped}) + "\n")
-            for ev in self._events:
-                fh.write(json.dumps(ev.to_dict()) + "\n")
-        return path
-
-    @classmethod
-    def read_jsonl(cls, path: str | Path) -> "Timeline":
-        lines = Path(path).read_text().splitlines()
-        header = json.loads(lines[0]) if lines else {}
-        tl = cls(capacity=max(len(lines), 1),
-                 name=header.get("timeline", "loaded"))
-        tl.dropped = header.get("dropped", 0)
-        for line in lines[1:]:
-            if line.strip():
-                tl._events.append(TimelineEvent.from_dict(json.loads(line)))
-        return tl
-
     def __repr__(self) -> str:
         return (
             f"<Timeline {self.name!r} {len(self._events)} event(s), "
@@ -370,11 +258,10 @@ def to_perfetto(timelines: list[Timeline]) -> dict:
     Each timeline becomes one Perfetto "process" (its name as the
     process name) and each of its tracks one "thread", so the sim,
     memory, fabric and serve layers stack as separate swim-lanes.
-    Events are sorted by timestamp per timeline (stable, so B/E nesting
-    order is preserved at equal timestamps) and any still-open B span is
-    closed at the trace horizon — the exported JSON always satisfies
-    :func:`validate_perfetto`. OS ids captured at emission are preserved
-    in ``args`` (``os_pid``/``os_tid``).
+    Events are sorted by timestamp per timeline (stable, so equal
+    timestamps keep emission order), so the exported JSON always
+    satisfies :func:`validate_perfetto`. OS ids captured at emission
+    are preserved in ``args`` (``os_pid``/``os_tid``).
     """
     trace_events: list[dict] = []
     for pid, tl in enumerate(timelines, start=1):
@@ -383,10 +270,7 @@ def to_perfetto(timelines: list[Timeline]) -> dict:
             "args": {"name": tl.name},
         })
         track_tids: dict[str, int] = {}
-        events = sorted(tl._events, key=lambda ev: ev.ts)
-        horizon = 0.0
-        open_stacks: dict[int, list[dict]] = {}
-        for ev in events:
+        for ev in sorted(tl._events, key=lambda ev: ev.ts):
             tid = track_tids.get(ev.track)
             if tid is None:
                 tid = track_tids[ev.track] = len(track_tids) + 1
@@ -394,7 +278,6 @@ def to_perfetto(timelines: list[Timeline]) -> dict:
                     "ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
                     "args": {"name": ev.track},
                 })
-            horizon = max(horizon, ev.ts + (ev.dur or 0.0))
             args = dict(ev.args) if ev.args else {}
             if ev.pid is not None:
                 args["os_pid"] = ev.pid
@@ -405,27 +288,12 @@ def to_perfetto(timelines: list[Timeline]) -> dict:
                 "ts": ev.ts * 1e6, "pid": pid, "tid": tid,
             }
             if ev.ph == "X":
-                out["dur"] = (ev.dur or 0.0) * 1e6
-            if ev.ph == "i":
+                out["dur"] = ev.dur * 1e6
+            else:
                 out["s"] = "t"  # thread-scoped instant
-            if ev.ph == "C":
-                out["args"] = args or {"value": 0}
-            elif args:
+            if args:
                 out["args"] = args
-            if ev.ph == "B":
-                open_stacks.setdefault(tid, []).append(out)
-            elif ev.ph == "E":
-                stack = open_stacks.get(tid)
-                if not stack:
-                    continue  # orphan E (its B dropped from the ring)
-                stack.pop()
             trace_events.append(out)
-        for tid, stack in open_stacks.items():
-            for _ in stack:  # close still-open spans at the horizon
-                trace_events.append({
-                    "ph": "E", "name": "", "cat": "default",
-                    "ts": horizon * 1e6, "pid": pid, "tid": tid,
-                })
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
@@ -446,17 +314,15 @@ def validate_perfetto(trace: dict) -> bool:
     """Validate a Chrome/Perfetto trace dict; raises ``ValueError`` on
     the first structural violation (also the CI trace-smoke gate):
 
-    * ``traceEvents`` is a list of phase-tagged events;
+    * ``traceEvents`` is a list of ``X``, ``i`` and metadata ``M``
+      events (any other phase is refused);
     * per (pid, tid), timestamps are monotonically non-decreasing;
-    * per (pid, tid), every ``B`` has a matching later ``E`` (stack
-      discipline) and no ``E`` arrives without an open ``B``;
     * ``X`` events carry a non-negative ``dur``.
     """
     events = trace.get("traceEvents")
     if not isinstance(events, list):
         raise ValueError("traceEvents must be a list")
     last_ts: dict[tuple, float] = {}
-    stacks: dict[tuple, list[str]] = {}
     for i, ev in enumerate(events):
         ph = ev.get("ph")
         if ph == "M":
@@ -473,24 +339,15 @@ def validate_perfetto(trace: dict) -> bool:
                 f"(last {last_ts[key]})"
             )
         last_ts[key] = ts
-        if ph == "X":
-            if not isinstance(ev.get("dur"), (int, float)) or ev["dur"] < 0:
-                raise ValueError(f"event {i}: X event needs dur >= 0")
-        elif ph == "B":
-            stacks.setdefault(key, []).append(ev.get("name", ""))
-        elif ph == "E":
-            stack = stacks.get(key)
-            if not stack:
-                raise ValueError(f"event {i}: E without an open B on {key}")
-            stack.pop()
-    for key, stack in stacks.items():
-        if stack:
-            raise ValueError(f"unclosed B span(s) {stack} on track {key}")
+        if ph == "X" and (
+            not isinstance(ev.get("dur"), (int, float)) or ev["dur"] < 0
+        ):
+            raise ValueError(f"event {i}: X event needs dur >= 0")
     return True
 
 
 # ---------------------------------------------------------------------------
-# Opt-in plumbing: config/env flags and collection sessions
+# Opt-in plumbing: the config flag and collection sessions
 # ---------------------------------------------------------------------------
 
 _ACTIVE_SESSION: "TimelineSession | None" = None
@@ -533,26 +390,11 @@ class TimelineSession:
         self.timelines.append(timeline)
         return timeline
 
-    def export_perfetto(self, path: str | Path) -> Path:
-        return export_perfetto(self.timelines, path)
-
-    def merged_spans(self, **kwargs) -> list[Span]:
-        out: list[Span] = []
-        for tl in self.timelines:
-            out.extend(tl.spans(**kwargs))
-        return out
-
-
-def current_session() -> TimelineSession | None:
-    return _ACTIVE_SESSION
-
 
 def timeline_requested(config=None) -> bool:
-    """Is timeline emission enabled — by config field, ``REPRO_TIMELINE``,
-    or an active :class:`TimelineSession`?"""
+    """Is timeline emission enabled — by config field or an active
+    :class:`TimelineSession`?"""
     if config is not None and getattr(config, "timeline", False):
-        return True
-    if os.environ.get(ENV_FLAG, "") not in ("", "0"):
         return True
     return _ACTIVE_SESSION is not None
 
@@ -566,13 +408,12 @@ def maybe_timeline(
 ) -> Timeline | None:
     """A registered :class:`Timeline` when emission is requested, else
     ``None`` (producers guard on that, keeping disabled-mode hot paths
-    emission-free)."""
+    emission-free). Its capacity is :data:`DEFAULT_CAPACITY` unless the
+    active session overrides it."""
     if not timeline_requested(config):
         return None
-    capacity = getattr(config, "timeline_capacity", None) or DEFAULT_CAPACITY
-    session = current_session()
-    if session is not None and session.capacity:
-        capacity = session.capacity
+    session = _ACTIVE_SESSION
+    capacity = getattr(session, "capacity", None) or DEFAULT_CAPACITY
     tl = Timeline(capacity=capacity, time_fn=time_fn, name=name,
                   tag_os_ids=tag_os_ids)
     if session is not None:

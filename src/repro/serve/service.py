@@ -49,9 +49,9 @@ class ServiceConfig:
     known_experiments: frozenset[str] | None = None
     metrics_interval: float = 10.0
     #: Optional explicit wall-clock :class:`repro.profiling.Timeline`
-    #: for queue-wait/dispatch/worker-exec spans. When left ``None`` one
-    #: is still created if timelines are requested globally
-    #: (``REPRO_TIMELINE=1`` or an active ``TimelineSession``).
+    #: for queue-wait/dispatch/worker-exec spans (``repro-bench serve
+    #: --timeline`` passes one). When left ``None`` one is still created
+    #: inside an active ``TimelineSession``.
     timeline: object | None = None
 
 

@@ -15,8 +15,8 @@ SHA-256 over the model configuration, the epoch cadence, the digest of
 the trace prefix, and every intervention applied *before* the epoch —
 so two sweeps sharing a prefix share its checkpoints, exactly like
 :class:`~repro.bench.runner.ResultCache` entries. The store keeps
-checkpoints in memory for the current process and optionally spills them
-to pickles under the bench cache root for cross-process reuse, with a
+checkpoints in memory for the current process and spills them to
+pickles under the bench cache root for cross-process reuse, with a
 ``_ckpt_stats.json`` sidecar accumulating lifetime hit/miss totals.
 
 Fidelity rules (enforced by :meth:`SystemCheckpoint.capture`):
@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 from pathlib import Path
 
@@ -302,9 +301,6 @@ def _as_jsonable(obj) -> dict:
 
 
 def _default_checkpoint_root() -> Path:
-    env = os.environ.get("REPRO_CKPT_CACHE_DIR")
-    if env:
-        return Path(env)
     from ..bench.runner import _default_cache_root
 
     return _default_cache_root() / "checkpoints"
@@ -313,9 +309,8 @@ def _default_checkpoint_root() -> Path:
 class CheckpointStore:
     """Content-addressed checkpoint cache: in-memory plus pickle spill."""
 
-    def __init__(self, root: str | Path | None = None, *, spill: bool = True):
+    def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else _default_checkpoint_root()
-        self.spill = spill
         self._memory: dict[str, SystemCheckpoint] = {}
         self.hits = 0
         self.misses = 0
@@ -359,13 +354,11 @@ class CheckpointStore:
 
     def contains(self, key: str) -> bool:
         """Presence probe that does not touch the hit/miss counters."""
-        return key in self._memory or (
-            self.spill and self.path_for(key).is_file()
-        )
+        return key in self._memory or self.path_for(key).is_file()
 
     def get(self, key: str) -> SystemCheckpoint | None:
         ck = self._memory.get(key)
-        if ck is None and self.spill:
+        if ck is None:
             try:
                 with self.path_for(key).open("rb") as fh:
                     ck = pickle.load(fh)
@@ -386,13 +379,12 @@ class CheckpointStore:
     def put(self, key: str, ckpt: SystemCheckpoint) -> None:
         self._memory[key] = ckpt
         self.stores += 1
-        if self.spill:
-            self.root.mkdir(parents=True, exist_ok=True)
-            path = self.path_for(key)
-            tmp = path.with_suffix(".tmp")
-            with tmp.open("wb") as fh:
-                pickle.dump(ckpt, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(key)
+        tmp = path.with_suffix(".tmp")
+        with tmp.open("wb") as fh:
+            pickle.dump(ckpt, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        tmp.replace(path)
 
     def invalidate(self) -> int:
         """Drop every stored checkpoint; returns files removed."""

@@ -361,18 +361,15 @@ class SystemConfig:
     # ------------------------------------------------------------------
     profiler_sample_period: float = 0.100
 
-    #: Enable the structured event timeline
-    #: (:class:`repro.profiling.Timeline`): spans/instants/counters from
-    #: the sim engine, memory subsystem, fabric, and serve layers,
-    #: exportable to Chrome/Perfetto trace JSON via ``repro-bench
-    #: trace``. The ``REPRO_TIMELINE=1`` environment variable (or an
-    #: active :class:`repro.profiling.TimelineSession`) enables it
-    #: globally without touching configs. Purely observational — never
-    #: perturbs simulated results. Off by default.
+    #: Enable this system's structured event timeline
+    #: (:class:`repro.profiling.Timeline`): finished spans and instants
+    #: from the sim engine, memory subsystem and fabric, exportable to
+    #: Chrome/Perfetto trace JSON. An active
+    #: :class:`repro.profiling.TimelineSession` (which ``repro-bench
+    #: trace`` uses) enables it for every system built inside it without
+    #: touching configs. Purely observational — never perturbs simulated
+    #: results. Off by default.
     timeline: bool = False
-    #: Ring-buffer capacity (events) per timeline; the oldest events
-    #: drop first and the drop count is reported.
-    timeline_capacity: int = 1 << 16
 
     def __post_init__(self) -> None:
         self.validate()

@@ -5,31 +5,17 @@ stack beside goldens and the sanitizer)."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.profiling.timeline import Span, Timeline
 
 
-def _spans(source, name=None, **filters) -> list[Span]:
-    if isinstance(source, Timeline):
-        return source.spans(name, **filters)
-    spans = [s for s in source if name is None or s.name == name]
-    for attr, want in filters.items():
-        if want is not None:
-            spans = [s for s in spans if getattr(s, attr) == want]
-    return spans
-
-
-def span_durations(source, name=None, *, cat=None, track=None) -> list[float]:
-    """Durations (seconds) of all matching spans, in start order.
-    ``source`` is a :class:`Timeline` or an iterable of spans."""
-    return [s.duration for s in _spans(source, name, cat=cat, track=track)]
-
-
 def assert_span_within(
-    source, name, start, end, *, cat=None, track=None
+    timeline: Timeline, name, start, end, *, cat=None, track=None
 ) -> list[Span]:
     """Assert at least one matching span lies entirely inside
     ``[start, end]`` (seconds); returns the spans that do."""
-    spans = _spans(source, name, cat=cat, track=track)
+    spans = timeline.spans(name, cat=cat, track=track)
     assert spans, f"no span named {name!r} (cat={cat}, track={track})"
     inside = [
         s for s in spans if s.start >= start - 1e-12 and s.end <= end + 1e-12
@@ -41,14 +27,14 @@ def assert_span_within(
     return inside
 
 
-def assert_ordering(source, *names, strict: bool = False) -> None:
+def assert_ordering(timeline: Timeline, *names, strict: bool = False) -> None:
     """Assert each name has at least one span and their *first
     occurrences* appear in the given order (by start time). With
     ``strict=True`` equal start times also fail."""
     assert len(names) >= 2, "need at least two names to order"
     firsts = []
     for name in names:
-        spans = _spans(source, name)
+        spans = timeline.spans(name)
         assert spans, f"no span named {name!r}"
         firsts.append(min(s.start for s in spans))
     for (a, ta), (b, tb) in zip(zip(names, firsts), zip(names[1:], firsts[1:])):
@@ -57,3 +43,16 @@ def assert_ordering(source, *names, strict: bool = False) -> None:
             f"expected {a!r} (first at {ta:.9f}s) before {b!r} "
             f"(first at {tb:.9f}s)"
         )
+
+
+def exchange_bytes(timeline: Timeline) -> Counter:
+    """Bytes of the fabric links' ``<kind>:exchange`` spans by (link
+    name, forward): each :meth:`FabricLink.charge` emits one such span
+    on its link's ``fabric/<a>-><b>`` track."""
+    out: Counter = Counter()
+    for span in timeline.spans(cat="fabric"):
+        kind, _, what = span.name.partition(":")
+        if what == "exchange":
+            link = f"{kind}:{span.track.removeprefix('fabric/')}"
+            out[link, span.args["forward"]] += span.args["bytes"]
+    return out

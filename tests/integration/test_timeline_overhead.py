@@ -15,19 +15,12 @@ Three guarantees the observability layer must keep:
 import statistics
 import time
 
-import pytest
-
 import repro.profiling.timeline as tlmod
 from repro.bench.experiments import run_experiment
 from repro.check.golden import compute_fingerprint, load_golden
 from repro.profiling.timeline import TimelineSession
 
 SCALE = 1 / 64
-
-
-@pytest.fixture(autouse=True)
-def _no_env_flag(monkeypatch):
-    monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
 
 
 def _pair_ratio(disabled, enabled, pairs: int = 9) -> float:
@@ -70,7 +63,7 @@ def test_enabled_run_actually_emits():
         run_experiment("fig3", scale=SCALE)
     assert session.timelines
     assert sum(len(tl) for tl in session.timelines) > 0
-    cats = {s.cat for s in session.merged_spans()}
+    cats = {s.cat for tl in session.timelines for s in tl.spans()}
     assert {"sim", "mem", "fabric"} <= cats
 
 

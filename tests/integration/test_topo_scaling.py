@@ -12,6 +12,7 @@ from repro.apps.sharded import get_sharded_application
 from repro.bench.experiments import run_experiment
 from repro.bench.harness import make_topology_config
 from repro.topology import ShardedSystem
+from tests.helpers.timeline import exchange_bytes
 
 SCALE = 0.05
 
@@ -61,12 +62,10 @@ class TestScalingShape:
 
 class TestConservation:
     def test_sharded_run_conserves_every_link(self):
-        system = ShardedSystem(make_topology_config(2, SCALE))
+        system = ShardedSystem(make_topology_config(2, SCALE, timeline=True))
         app = get_sharded_application("hotspot-sharded", scale=SCALE, iterations=2)
         app.run(system)
-        total = sum(
-            link.traffic.fwd_bytes + link.traffic.rev_bytes
-            for link in system.topology.links
-        )
+        assert system.timeline.dropped == 0
+        total = sum(exchange_bytes(system.timeline).values())
         agg = system.aggregate_counters()
-        assert agg.fabric_hop_bytes == total
+        assert total > 0 and agg.fabric_hop_bytes == total

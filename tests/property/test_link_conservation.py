@@ -5,8 +5,8 @@ charged transfer emits one ``c2c:<class>`` span carrying its bytes and
 direction, and those spans, summed by class and direction, must equal
 the bytes charged, no matter what sequence of transfers runs. Bandwidth
 asymmetry (H2D faster than D2H) must survive any payload as well. A
-fabric link keeps per-direction totals only, which must equal the bytes
-charged each way.
+fabric link's ``<kind>:exchange`` spans, summed by direction, must equal
+the bytes charged each way.
 """
 
 from collections import Counter
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.interconnect import CopyEngine, FabricLink, LinkKind, NvlinkC2C
 from repro.profiling.timeline import Timeline
 from repro.sim.config import MemKind, NodeId, Processor, SystemConfig
+from tests.helpers.timeline import exchange_bytes
 
 SIZES = st.integers(1, 1 << 24)
 PROCS = st.sampled_from([Processor.CPU, Processor.GPU])
@@ -138,14 +139,11 @@ def test_fabric_link_conservation(ops):
         rev_bandwidth=100e9,
         latency=1e-6,
     )
-    fwd = rev = 0
+    link.timeline = Timeline(time_fn=lambda: 0.0)
+    expect: Counter = Counter()
     for forward, nbytes in ops:
         link.charge(nbytes, forward=forward)
-        if forward:
-            fwd += nbytes
-        else:
-            rev += nbytes
+        expect[link.name, forward] += nbytes
 
-    assert link.traffic.fwd_bytes == fwd
-    assert link.traffic.rev_bytes == rev
-    assert link.traffic.total_bytes == fwd + rev
+    assert len(link.timeline) == len(ops)
+    assert exchange_bytes(link.timeline) == expect

@@ -121,8 +121,10 @@ class TestPhysicalMemory:
         self, mem_arch, allocate, nbytes
     ):
         """A CPU read of GPU-resident pages while CPU memory is full
-        raises :class:`OutOfMemoryError` and leaves residency and both
-        pools as they were, so the sanitizer passes and ``free`` works."""
+        raises :class:`OutOfMemoryError` and leaves residency, both
+        pools and every counter as they were (no fault is counted for a
+        move that did not happen), so the sanitizer passes and ``free``
+        works."""
         gh = GraceHopperSystem(
             SystemConfig.scaled(
                 1 / 1024, page_size=65536, mem_arch=mem_arch, sanitize=True
@@ -140,10 +142,12 @@ class TestPhysicalMemory:
             return [(pool.used, dict(pool.by_tag)) for pool in (phys.cpu, phys.gpu)]
 
         before = ledgers()
+        counters = gh.mem.counters.total.as_dict()
         with pytest.raises(OutOfMemoryError):
             gh.cpu_phase("read", [ArrayAccess.read(arr)])
         assert arr.alloc.pages_at(Location.GPU) == on_gpu
         assert ledgers() == before
+        assert gh.mem.counters.total.as_dict() == counters
         gh.mem.sanitizer.check_all()
         gh.free(arr)
         assert arr.alloc.tag not in phys.cpu.by_tag

@@ -6,6 +6,7 @@ from repro.interconnect import LinkKind
 from repro.sim.config import MemKind, NodeId, SystemConfig
 from repro.topology import ShardedSystem
 from tests.helpers.placement import assert_overflowing_touch_leaves_no_trace
+from tests.helpers.timeline import exchange_bytes
 
 
 @pytest.fixture
@@ -57,7 +58,8 @@ class TestLockstep:
         assert duo.now == before
 
 
-    def test_multi_hop_exchange_charges_each_link_in_its_direction(self, duo):
+    def test_multi_hop_exchange_charges_each_link_in_its_direction(self, cfg):
+        duo = ShardedSystem(cfg.copy(timeline=True), n_superchips=2)
         ddr0, hbm0 = NodeId(0, MemKind.DDR), NodeId(0, MemKind.HBM)
         hbm1 = NodeId(1, MemKind.HBM)
         there, back = 3 << 20, 1 << 20
@@ -68,14 +70,14 @@ class TestLockstep:
         (c2c, c2c_fwd), (nvl, nvl_fwd) = duo.router.route(ddr0, hbm1).hops
         assert (c2c.kind, c2c.a, c2c.b, c2c_fwd) == (LinkKind.C2C, ddr0, hbm0, True)
         assert (nvl.kind, nvl.a, nvl.b, nvl_fwd) == (LinkKind.NVLINK, hbm0, hbm1, True)
-        for link in (c2c, nvl):
-            assert (link.traffic.fwd_bytes, link.traffic.rev_bytes) == (there, back)
-        others = [link for link in duo.topology.links if link not in (c2c, nvl)]
-        assert others and all(link.traffic.total_bytes == 0 for link in others)
-        assert duo.aggregate_counters().fabric_hop_bytes == sum(
-            link.traffic.fwd_bytes + link.traffic.rev_bytes
-            for link in duo.topology.links
-        )
+        # No other link carries a byte.
+        assert exchange_bytes(duo.timeline) == {
+            (link.name, fwd): nbytes
+            for link in (c2c, nvl)
+            for fwd, nbytes in ((True, there), (False, back))
+        }
+        assert out.per_link_bytes == {c2c.name: there + back, nvl.name: there + back}
+        assert duo.aggregate_counters().fabric_hop_bytes == out.hop_bytes
 
 
 class TestShardMemory:

@@ -1,11 +1,11 @@
 """Unit tests for the structured event-timeline layer.
 
-Covers the emission API (span nesting, ring-buffer overflow, os-id
-tagging in serve workers), the analysis API (attribution, critical
-path), the Perfetto exporter/validator, opt-in gating (config / env /
-session), the disabled-mode no-op guarantee, and one real model
-behaviour pinned by span ordering: delayed migration lands only after
-the access-counter threshold crossing.
+Covers the emission API (finished spans and instants, ring-buffer
+overflow, os-id tagging in serve workers), the analysis API
+(attribution, critical path), the Perfetto exporter/validator, opt-in
+gating (config / session), the disabled-mode no-op guarantee, and one
+real model behaviour pinned by span ordering: delayed migration lands
+only after the access-counter threshold crossing.
 """
 
 import multiprocessing
@@ -29,11 +29,7 @@ from repro.profiling.timeline import (
     validate_perfetto,
 )
 from repro.sim.config import MiB, Processor, SystemConfig
-from tests.helpers.timeline import (
-    assert_ordering,
-    assert_span_within,
-    span_durations,
-)
+from tests.helpers.timeline import assert_ordering, assert_span_within
 
 
 class FakeClock:
@@ -64,38 +60,8 @@ class TestSpans:
         (span,) = tl.spans("work")
         assert span.start == 1.0 and span.end == 1.5
         assert span.args["nbytes"] == 42
-        assert len(tl.instants("marker")) == 1
-
-    def test_begin_end_nesting(self, clocked):
-        clock, tl = clocked
-        tl.begin("outer")
-        clock.t = 1.0
-        tl.begin("inner")
-        clock.t = 3.0
-        tl.end("inner")
-        tl.end("outer")
-        outer, inner = tl.spans("outer") + tl.spans("inner")
-        assert outer.start == 0.0 and outer.duration == 3.0
-        assert inner.start == 1.0 and inner.duration == 2.0
-
-    def test_span_context_manager(self, clocked):
-        clock, tl = clocked
-        with tl.span("phase", cat="sim"):
-            clock.t = 2.5
-        assert span_durations(tl, "phase") == [2.5]
-
-    def test_unclosed_begin_closes_at_horizon(self, clocked):
-        clock, tl = clocked
-        tl.begin("forgotten")
-        clock.t = 4.0
-        tl.instant("later")
-        (span,) = tl.spans("forgotten")
-        assert span.duration == 4.0
-
-    def test_orphan_end_is_dropped(self, clocked):
-        _, tl = clocked
-        tl.end("never-begun")
-        assert tl.spans() == []
+        (marker,) = tl.events("i")
+        assert (marker.name, marker.ts) == ("marker", 2.0)
 
     def test_helpers(self, clocked):
         clock, tl = clocked
@@ -118,19 +84,12 @@ class TestRingBuffer:
             tl.instant(f"ev{i}")
         assert len(tl) == 8
         assert tl.dropped == 12
-        assert tl.emitted == 20
         names = [ev.name for ev in tl.events("i")]
         assert names == [f"ev{i}" for i in range(12, 20)]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             Timeline(capacity=0)
-
-    def test_clear(self, clocked):
-        _, tl = clocked
-        tl.instant("x")
-        tl.clear()
-        assert len(tl) == 0 and tl.dropped == 0
 
 
 # ----------------------------------------------------------------------
@@ -140,14 +99,9 @@ class TestRingBuffer:
 
 class TestAnalysis:
     def test_attribution_excludes_nested_child_time(self, clocked):
-        clock, tl = clocked
-        tl.begin("outer", cat="sim")
-        clock.t = 1.0
-        tl.begin("inner", cat="mem")
-        clock.t = 3.0
-        tl.end("inner")
-        clock.t = 4.0
-        tl.end("outer")
+        _, tl = clocked
+        tl.complete("outer", 0.0, 4.0, cat="sim")
+        tl.complete("inner", 1.0, 2.0, cat="mem")
         attr = tl.attribution(by="name")
         assert attr["inner"] == pytest.approx(2.0)
         assert attr["outer"] == pytest.approx(2.0)  # 4.0 minus inner's 2.0
@@ -171,34 +125,26 @@ class TestAnalysis:
 
 
 # ----------------------------------------------------------------------
-# Perfetto export / validation, JSONL round-trip
+# Perfetto export / validation
 # ----------------------------------------------------------------------
 
 
 class TestPerfetto:
     def test_export_is_valid_and_scaled(self, clocked):
-        clock, tl = clocked
-        with tl.span("outer", track="t1"):
-            clock.t = 1.0
+        _, tl = clocked
+        tl.complete("outer", 0.0, 1.0, track="t1")
         tl.complete("x", 0.5, 0.25, track="t2")
         trace = to_perfetto([tl])
         assert validate_perfetto(trace)
-        xs = [ev for ev in trace["traceEvents"] if ev["ph"] == "X"]
-        assert xs[0]["ts"] == pytest.approx(0.5e6)  # microseconds
-        assert xs[0]["dur"] == pytest.approx(0.25e6)
+        (x,) = [ev for ev in trace["traceEvents"] if ev["name"] == "x"]
+        assert x["ts"] == pytest.approx(0.5e6)  # microseconds
+        assert x["dur"] == pytest.approx(0.25e6)
         names = {
             ev["args"]["name"]
             for ev in trace["traceEvents"]
             if ev["ph"] == "M" and ev["name"] == "thread_name"
         }
         assert names == {"t1", "t2"}
-
-    def test_export_closes_open_spans(self, clocked):
-        clock, tl = clocked
-        tl.begin("open")
-        clock.t = 2.0
-        tl.instant("later")
-        assert validate_perfetto(to_perfetto([tl]))
 
     def test_validator_rejects_non_monotone(self):
         trace = {"traceEvents": [
@@ -208,15 +154,18 @@ class TestPerfetto:
         with pytest.raises(ValueError, match="monotone"):
             validate_perfetto(trace)
 
-    def test_validator_rejects_unmatched_spans(self):
-        with pytest.raises(ValueError, match="without an open B"):
-            validate_perfetto({"traceEvents": [
-                {"ph": "E", "name": "x", "ts": 1.0, "pid": 1, "tid": 1},
-            ]})
-        with pytest.raises(ValueError, match="unclosed"):
-            validate_perfetto({"traceEvents": [
-                {"ph": "B", "name": "x", "ts": 1.0, "pid": 1, "tid": 1},
-            ]})
+    def test_validator_refuses_begin_end_and_counter_events(self):
+        """A timeline records finished spans and instants only, so a
+        ``B``/``E`` pair or a ``C`` counter sample is an unknown phase."""
+        pair = [
+            {"ph": "B", "name": "x", "ts": 1.0, "pid": 1, "tid": 1},
+            {"ph": "E", "name": "x", "ts": 2.0, "pid": 1, "tid": 1},
+        ]
+        counter = {"ph": "C", "name": "c", "ts": 1.0, "pid": 1, "tid": 2,
+                   "args": {"value": 1}}
+        for events in (pair, pair[:1], pair[1:], [counter]):
+            with pytest.raises(ValueError, match="unknown phase"):
+                validate_perfetto({"traceEvents": events})
 
     def test_validator_rejects_bad_x_dur(self):
         with pytest.raises(ValueError, match="dur"):
@@ -224,18 +173,6 @@ class TestPerfetto:
                 {"ph": "X", "name": "x", "ts": 1.0, "pid": 1, "tid": 1},
             ]})
 
-    def test_jsonl_round_trip(self, clocked, tmp_path):
-        clock, tl = clocked
-        tl.complete("work", 1.0, 0.5, cat="mem", nbytes=7)
-        clock.t = 2.0
-        tl.instant("tick", cat="sim")
-        tl.dropped = 3
-        path = tl.to_jsonl(tmp_path / "events.jsonl")
-        back = Timeline.read_jsonl(path)
-        assert back.name == "test" and back.dropped == 3
-        assert [ev.to_dict() for ev in back.events()] == [
-            ev.to_dict() for ev in tl.events()
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -244,25 +181,16 @@ class TestPerfetto:
 
 
 class TestGating:
-    def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_off_by_default(self):
         assert not timeline_requested(SystemConfig.scaled(1 / 64))
         assert maybe_timeline(None, time.monotonic) is None
 
-    def test_config_flag(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_config_flag(self):
         cfg = SystemConfig.scaled(1 / 64, timeline=True)
         assert timeline_requested(cfg)
         assert maybe_timeline(cfg, time.monotonic) is not None
 
-    def test_env_flag(self, monkeypatch):
-        monkeypatch.setenv(tlmod.ENV_FLAG, "1")
-        assert timeline_requested(None)
-        monkeypatch.setenv(tlmod.ENV_FLAG, "0")
-        assert not timeline_requested(None)
-
-    def test_session_registers_and_renames(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_session_registers_and_renames(self):
         with TimelineSession() as session:
             t1 = maybe_timeline(None, time.monotonic, name="sim:chip0")
             t2 = maybe_timeline(None, time.monotonic, name="sim:chip0")
@@ -270,14 +198,16 @@ class TestGating:
             assert t2.name == "sim:chip0#2"
         assert maybe_timeline(None, time.monotonic) is None
 
-    def test_session_capacity_override(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_session_capacity_override(self):
         with TimelineSession(capacity=32):
             tl = maybe_timeline(None, time.monotonic)
             assert tl.capacity == 32
+        # Without an override a timeline holds the default capacity.
+        with TimelineSession():
+            tl = maybe_timeline(None, time.monotonic)
+            assert tl.capacity == tlmod.DEFAULT_CAPACITY
 
-    def test_disabled_system_emits_nothing(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_disabled_system_emits_nothing(self):
         gh = GraceHopperSystem(SystemConfig.scaled(1 / 64))
         assert gh.timeline is None
         assert gh.clock.timeline is None
@@ -288,8 +218,7 @@ class TestGating:
         gh.launch_kernel("k2", [ArrayAccess.write_(a)])
         assert tlmod.TOTAL_EMITTED == before  # hot paths did zero work
 
-    def test_enabled_system_wires_everything(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_enabled_system_wires_everything(self):
         gh = GraceHopperSystem(SystemConfig.scaled(1 / 64, timeline=True))
         assert gh.timeline is not None
         assert gh.clock.timeline is gh.timeline
@@ -359,8 +288,7 @@ class TestMigrationOrdering:
             gh.launch_kernel(f"k{i}", [ArrayAccess.read(a)])
         return gh.timeline
 
-    def test_migration_follows_threshold_crossing(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_migration_follows_threshold_crossing(self):
         tl = self._run(kernels=3)
         # The access counters cross the threshold during the remote
         # kernels; the driver services the batch at a *later* epoch
@@ -374,8 +302,7 @@ class TestMigrationOrdering:
         assert_ordering(tl, "kernel:k0", "migrate-batch")
         assert tl.spans(cat="fabric", track="fabric/c2c")
 
-    def test_no_migration_below_threshold(self, monkeypatch):
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
+    def test_no_migration_below_threshold(self):
         cfg = SystemConfig.scaled(
             1 / 64, timeline=True, page_size=65536, migration_enable=False
         )
@@ -383,12 +310,11 @@ class TestMigrationOrdering:
         assert tl.spans("kernel:k0")
         assert tl.spans("migrate-batch") == []
 
-    def test_migrate_batch_lasts_the_migration_transfer(self, monkeypatch):
+    def test_migrate_batch_lasts_the_migration_transfer(self):
         """A migration's transfer time is output only by its
         ``migrate-batch`` span: ``migration_time`` of the bytes moved
         plus ``migration_range_cost``. The ``c2c:migration`` span of the
         same bytes lasts ``migration_time`` alone."""
-        monkeypatch.delenv(tlmod.ENV_FLAG, raising=False)
         cfg = SystemConfig.scaled(1 / 64, timeline=True, page_size=65536)
         tl = self._run(kernels=3, cfg=cfg)
         batches = tl.spans("migrate-batch")

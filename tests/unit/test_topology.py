@@ -114,11 +114,7 @@ class TestRouting:
         )
         assert out.n_transfers == 2
         by_kind = {}
-        for link in topo.links:
-            kind = link.kind.value
-            by_kind[kind] = by_kind.get(kind, 0) + (
-                link.traffic.fwd_bytes + link.traffic.rev_bytes
-            )
-        assert by_kind.get("nvlink") == 1 << 20
-        assert by_kind.get("socket") == 1 << 20
-        assert by_kind.get("c2c", 0) == 0
+        for name, nbytes in out.per_link_bytes.items():
+            kind = name.partition(":")[0]
+            by_kind[kind] = by_kind.get(kind, 0) + nbytes
+        assert by_kind == {"nvlink": 1 << 20, "socket": 1 << 20}
